@@ -9,11 +9,15 @@ the interpreter, and prints the before/after traffic table.
 import argparse
 import sys
 import time
+from pathlib import Path
 
-from nestopt.dme import run_dme
-from nestopt.generators import generate_wavenet_analog
-from nestopt.interp import equivalent
-from nestopt.traffic import account, compare
+# run from a checkout without installing: this checkout's src/ comes first
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from nestopt.dme import run_dme  # noqa: E402
+from nestopt.generators import generate_wavenet_analog  # noqa: E402
+from nestopt.interp import equivalent  # noqa: E402
+from nestopt.traffic import account, compare  # noqa: E402
 
 
 def fmt_bytes(n: int) -> str:

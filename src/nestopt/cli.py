@@ -101,13 +101,28 @@ class _Diagnostic(Exception):
     pass
 
 
+class _UsageError(Exception):
+    """Bad command-line input: one line on stderr, exit status 2."""
+
+
+def _load_registry(args) -> AnchorRegistry:
+    if args.banks is not None and args.banks < 1:
+        raise _UsageError(f"--banks must be >= 1, got {args.banks}")
+    if args.anchors is None:
+        return AnchorRegistry.default(args.banks)
+    try:
+        return AnchorRegistry.from_file(args.anchors, args.banks)
+    except OSError as exc:
+        raise _UsageError(f"cannot read anchors file {args.anchors}: {exc.strerror}")
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        # ValueError covers invalid JSON as well as bad axes, policies and bank counts
+        detail = " ".join(str(exc).split())
+        raise _UsageError(f"malformed anchors file {args.anchors}: {type(exc).__name__}: {detail}")
+
+
 def _cmd_optimize(args) -> int:
+    registry = _load_registry(args)
     program = _load_program(args.input)
-    registry = (
-        AnchorRegistry.from_file(args.anchors, args.banks)
-        if args.anchors is not None
-        else AnchorRegistry.default(args.banks)
-    )
     traffic_opts = {
         "count_all_onchip": args.count_all_onchip,
         "interbank_via_dram": args.interbank_via_dram,
@@ -145,6 +160,8 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise _UsageError(f"--trials must be >= 1, got {args.trials}")
     left = _load_program(args.left)
     right = _load_program(args.right)
     result = equivalent(left, right, trials=args.trials, seed=args.seed)
@@ -202,6 +219,9 @@ def main(argv=None) -> int:
         return _cmd_gen(args)
     except _Diagnostic:
         return 1
+    except _UsageError as exc:
+        print(f"nestopt {args.command}: {exc}", file=sys.stderr)
+        return 2
     except SystemExit as exc:
         print(str(exc), file=sys.stderr)
         return 1

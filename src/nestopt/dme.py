@@ -5,8 +5,20 @@ A load/store pair that moves data unchanged from tensor ``src`` to tensor
 onto the whole index space of ``dst``: every downstream read of ``dst`` is
 rewritten to read ``src`` through the composed map
 ``load_map . reverse(store_map) . downstream_map``, after which the copy
-statements and the ``dst`` declaration are deleted.  The pass repeats until
-no pair can be eliminated.
+statements and the ``dst`` declaration are deleted.
+
+The pass eliminates, at each step, the first eliminable pair in program
+order, until no pair can be eliminated.  It runs over one ``UseDefIndex``
+and a priority worklist of pairs keyed by their position in the input
+program.  A pair that was tried and skipped is tried again only when one
+of its inputs changes; after eliminating ``src -> dst`` those are the pairs
+whose load was rewritten (they read ``dst``) and the pairs that store
+``src`` (its downstream loads changed).  Every other input of a pair (the
+origin, definitions, memcopy readers and store map of its destination) is
+untouched by an elimination, so a skipped pair not re-enqueued would be
+skipped again.  Taking the lowest dirty position therefore picks the same
+pair as a sweep restarted from the first pair, and ``reverse`` runs once
+per distinct store map.
 
 Failures never throw: each considered pair yields a record that is either
 an elimination or a named skip reason.
@@ -14,25 +26,29 @@ an elimination or a named skip reason.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import heapq
+from dataclasses import dataclass
 from enum import Enum
 
 from .affine import (
     AffineError,
+    InverseResult,
     NotInvertible,
+    QuasiAffineMap,
     TabulatedInverse,
     compose,
     reverse,
 )
 from .ir import (
+    Compute,
     CopyPair,
     Load,
-    Memcopy,
-    OperatorNest,
     Origin,
+    Position,
     Program,
     Store,
-    find_copy_pairs,
+    UseDefIndex,
+    find_copy_pairs,  # noqa: F401  (kept here: perfbench's tracer wraps it in this module)
 )
 
 
@@ -59,31 +75,44 @@ class EliminationRecord:
 
 
 def try_eliminate_pair(program: Program, pair: CopyPair) -> tuple[Program, EliminationRecord]:
-    """Attempt one elimination; on failure the program is returned unchanged."""
-    nest = program.nest(pair.nest)
-    dst = program.tensor(pair.store.tensor)
+    """Attempt one elimination; on failure the program is returned unchanged.
+
+    ``pair`` must be one of ``find_copy_pairs(program)``.
+    """
+    index = UseDefIndex(program)
+    record, _ = _eliminate(index, index.position_of(pair), {})
+    return (index.to_program() if record.eliminated else program), record
+
+
+def _eliminate(
+    index: UseDefIndex, pos: Position, inverses: dict[QuasiAffineMap, InverseResult]
+) -> tuple[EliminationRecord, list[Position]]:
+    """Try the pair whose store is at ``pos``, editing ``index`` if it goes.
+
+    Returns the record and, after an elimination, the pairs whose inputs
+    changed.  ``inverses`` memoizes ``reverse`` by store map.
+    """
+    pair = index.pair_at(pos)
+    nest_i = pos[0]
+    dst = index.program.tensor(pair.store.tensor)
     src_name = pair.load.tensor
 
-    def skip(reason: SkipReason, detail: str = "") -> tuple[Program, EliminationRecord]:
-        return program, EliminationRecord(dst.name, dst.footprint_bytes, 0, reason, detail)
+    def skip(reason: SkipReason, detail: str = "") -> tuple[EliminationRecord, list[Position]]:
+        return EliminationRecord(dst.name, dst.footprint_bytes, 0, reason, detail), []
 
     if dst.origin is not Origin.INTERMEDIATE:
         return skip(SkipReason.ESCAPING_OUTPUT, f"'{dst.name}' is a model {dst.origin.value}")
     # the pair's store must be the sole definition of dst
-    other_defs = [
-        s
-        for n in program.nests
-        for s in n.body
-        if (isinstance(s, Store) and s.tensor == dst.name and s is not pair.store)
-        or (isinstance(s, Memcopy) and s.dst == dst.name)
-    ]
-    if other_defs:
+    if any(d != pos for d in index.defs[dst.name]):
         return skip(SkipReason.NOT_TOTAL_COVER, f"'{dst.name}' has other defining statements")
     # memcopy reads cannot be retargeted through a different access map
-    if any(isinstance(s, Memcopy) and s.src == dst.name for n in program.nests for s in n.body):
+    if index.memcopy_readers.get(dst.name):
         return skip(SkipReason.COMPOSITION_UNREPRESENTABLE, f"'{dst.name}' feeds a memcopy")
 
-    inv = reverse(pair.store.access)
+    store_map = pair.store.access
+    if store_map not in inverses:
+        inverses[store_map] = reverse(store_map)
+    inv = inverses[store_map]
     if isinstance(inv, NotInvertible):
         return skip(SkipReason.NOT_INVERTIBLE, inv.reason)
     if isinstance(inv, TabulatedInverse):
@@ -105,56 +134,42 @@ def try_eliminate_pair(program: Program, pair: CopyPair) -> tuple[Program, Elimi
         return skip(SkipReason.COMPOSITION_UNREPRESENTABLE, "store-to-load map left the expression language")
 
     # plan every downstream rewrite before committing anything
-    rewrites: dict[tuple[str, int], Load] = {}
-    count = 0
-    for n in program.nests:
-        if n.name == nest.name:
+    rewrites: list[tuple[Position, Load]] = []
+    for load_pos in index.loads_of(dst.name):
+        if load_pos[0] == nest_i:
             continue
-        for si, stmt in enumerate(n.body):
-            if isinstance(stmt, Load) and stmt.tensor == dst.name:
-                try:
-                    routed = compose(dst_to_src, stmt.access)
-                except AffineError as exc:
-                    return skip(SkipReason.COMPOSITION_UNREPRESENTABLE, str(exc))
-                if not routed.is_symbolic:
-                    return skip(
-                        SkipReason.COMPOSITION_UNREPRESENTABLE,
-                        f"rewritten load in nest '{n.name}' left the expression language",
-                    )
-                rewrites[(n.name, si)] = Load(stmt.result, src_name, routed)
-                count += 1
-
-    new_nests: list[OperatorNest] = []
-    for n in program.nests:
-        if n.name == nest.name:
-            body = tuple(
-                s
-                for s in n.body
-                if s is not pair.store
-                and not (s is pair.load and not _load_has_other_uses(n, pair))
+        stmt = index.statement(load_pos)
+        try:
+            routed = compose(dst_to_src, stmt.access)
+        except AffineError as exc:
+            return skip(SkipReason.COMPOSITION_UNREPRESENTABLE, str(exc))
+        if not routed.is_symbolic:
+            return skip(
+                SkipReason.COMPOSITION_UNREPRESENTABLE,
+                f"rewritten load in nest '{index.program.nests[load_pos[0]].name}' "
+                "left the expression language",
             )
-            if body:
-                new_nests.append(replace(n, body=body))
-            continue
-        if any(key[0] == n.name for key in rewrites):
-            body = tuple(
-                rewrites.get((n.name, si), stmt) for si, stmt in enumerate(n.body)
-            )
-            new_nests.append(replace(n, body=body))
-        else:
-            new_nests.append(n)
-    new_tensors = tuple(t for t in program.tensors if t.name != dst.name)
-    out = Program(new_tensors, tuple(new_nests))
-    return out, EliminationRecord(dst.name, dst.footprint_bytes, count)
+        rewrites.append((load_pos, Load(stmt.result, src_name, routed)))
+
+    pair_load_pos = (nest_i, index.pairs[pos])
+    index.remove_statement(pos)
+    if not _has_other_uses(index.bodies[nest_i], pair.load.result):
+        index.remove_statement(pair_load_pos)
+    touched: list[Position] = []
+    for rewrite_pos, load in rewrites:
+        index.replace_load(rewrite_pos, load)
+        touched.extend(index.pairs_fed_by.get(rewrite_pos, ()))
+    touched.extend(index.pairs_storing.get(src_name, ()))
+    index.remove_tensor(dst.name)
+    return EliminationRecord(dst.name, dst.footprint_bytes, len(rewrites)), touched
 
 
-def _load_has_other_uses(nest: OperatorNest, pair: CopyPair) -> bool:
-    for s in nest.body:
-        if s is pair.store:
-            continue
-        if isinstance(s, Store) and s.value == pair.load.result:
+def _has_other_uses(body, value: str) -> bool:
+    """Whether a store or compute in ``body`` still uses ``value``."""
+    for s in body:
+        if isinstance(s, Store) and s.value == value:
             return True
-        if hasattr(s, "operands") and pair.load.result in s.operands:
+        if isinstance(s, Compute) and value in s.operands:
             return True
     return False
 
@@ -179,27 +194,37 @@ class DmeResult:
 
 
 def run_dme(program: Program) -> DmeResult:
-    """Eliminate pairs in program order, restarting after each success,
-    until a full sweep changes nothing.
+    """Eliminate copy pairs, always the first eliminable one in program
+    order, until none is left.
 
-    Records hold one entry per eliminated tensor plus the final sweep's
-    skip reasons (earlier skips may become stale as loads are rewritten).
+    Pairs wait in a heap keyed by position; each is tried when popped.  A
+    skip is cached, and the pair is pushed again only when an elimination
+    rewrites its load or changes the downstream loads of its destination
+    (see the module docstring).  The result matches restarting a sweep from
+    the first pair after every elimination: ``sweeps`` is the number of
+    such sweeps, ``len(eliminated) + 1``.
+
+    Records hold one entry per eliminated tensor, in elimination order,
+    then the skip reasons of the pairs that remain, in program order.
     """
-    records: list[EliminationRecord] = []
-    current = program
-    sweeps = 0
-    while True:
-        sweeps += 1
-        progressed = False
-        sweep_skips: list[EliminationRecord] = []
-        for pair in find_copy_pairs(current):
-            updated, record = try_eliminate_pair(current, pair)
-            if record.eliminated:
-                current = updated
-                records.append(record)
-                progressed = True
-                break
-            sweep_skips.append(record)
-        if not progressed:
-            records.extend(sweep_skips)
-            return DmeResult(current, tuple(records), sweeps)
+    index = UseDefIndex(program)
+    inverses: dict[QuasiAffineMap, InverseResult] = {}
+    worklist = sorted(index.pairs)  # a sorted list is already a heap
+    queued = set(worklist)
+    skips: dict[Position, EliminationRecord] = {}
+    eliminated: list[EliminationRecord] = []
+    while worklist:
+        pos = heapq.heappop(worklist)
+        queued.remove(pos)
+        record, touched = _eliminate(index, pos, inverses)
+        if not record.eliminated:
+            skips[pos] = record
+            continue
+        eliminated.append(record)
+        skips.pop(pos, None)
+        for p in touched:
+            if p not in queued:
+                queued.add(p)
+                heapq.heappush(worklist, p)
+    records = eliminated + [skips[p] for p in sorted(skips)]
+    return DmeResult(index.to_program(), tuple(records), len(eliminated) + 1)

@@ -6,13 +6,15 @@ optionally annotated with a bank mapping).  Statements are element-wise
 loads/stores with quasi-affine access maps, a small fixed set of compute
 opcodes, and first-class memcopies.
 
-Everything is an immutable value: passes build new Programs.
+Everything is an immutable value: passes build new Programs.  The one
+mutable view is ``UseDefIndex``, which a pass edits in place and turns back
+into a Program once it is done.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 from typing import Iterator, Union
@@ -392,17 +394,141 @@ class CopyPair:
     store: Store
 
 
+def _copy_pair_slots(body: tuple[Statement, ...]) -> Iterator[tuple[int, int]]:
+    """(load index, store index) of each store fed directly by a load, in store order."""
+    loads_by_result = {s.result: si for si, s in enumerate(body) if isinstance(s, Load)}
+    for si, stmt in enumerate(body):
+        if isinstance(stmt, Store):
+            li = loads_by_result.get(stmt.value)
+            if li is not None:
+                yield li, si
+
+
 def find_copy_pairs(program: Program) -> list[CopyPair]:
     """Load/store pairs where the load result feeds the store directly."""
-    pairs: list[CopyPair] = []
-    for nest in program.nests:
-        loads_by_result = {s.result: s for s in nest.body if isinstance(s, Load)}
-        for stmt in nest.body:
-            if isinstance(stmt, Store):
-                src = loads_by_result.get(stmt.value)
-                if src is not None:
-                    pairs.append(CopyPair(nest.name, src, stmt))
-    return pairs
+    return [
+        CopyPair(nest.name, nest.body[li], nest.body[si])
+        for nest in program.nests
+        for li, si in _copy_pair_slots(nest.body)
+    ]
+
+
+Position = tuple[int, int]
+
+
+class UseDefIndex:
+    """Where each tensor is defined and read, kept current while a pass
+    edits the program in place.
+
+    A statement is addressed by its position ``(nest, stmt)``: indices into
+    the input program's nests and their bodies.  Positions never shift, so
+    sorting them gives program order at any time.  A removed statement
+    leaves a hole; ``to_program`` drops the holes, and any nest left empty,
+    once at the end.  Copy pairs are keyed by the position of their store.
+    Nest names are assumed unique, as ``validate`` requires.
+    """
+
+    def __init__(self, program: Program):
+        self.program = program
+        self.bodies: list[list[Statement | None]] = [list(n.body) for n in program.nests]
+        # tensor -> stores and memcopies writing it
+        self.defs: dict[str, list[Position]] = {}
+        # tensor -> nest -> statement indices of the loads reading it
+        self.loads: dict[str, dict[int, list[int]]] = {}
+        # tensor -> memcopies reading it
+        self.memcopy_readers: dict[str, list[Position]] = {}
+        # copy pair (its store) -> statement index of its load, in the same nest
+        self.pairs: dict[Position, int] = {}
+        # tensor -> copy pairs storing it
+        self.pairs_storing: dict[str, list[Position]] = {}
+        # load -> copy pairs it feeds
+        self.pairs_fed_by: dict[Position, list[Position]] = {}
+        self._removed_tensors: set[str] = set()
+        self._edited_nests: set[int] = set()
+        for ni, nest in enumerate(program.nests):
+            for si, stmt in enumerate(nest.body):
+                if isinstance(stmt, Load):
+                    self.loads.setdefault(stmt.tensor, {}).setdefault(ni, []).append(si)
+                elif isinstance(stmt, Store):
+                    self.defs.setdefault(stmt.tensor, []).append((ni, si))
+                elif isinstance(stmt, Memcopy):
+                    self.defs.setdefault(stmt.dst, []).append((ni, si))
+                    self.memcopy_readers.setdefault(stmt.src, []).append((ni, si))
+            for li, si in _copy_pair_slots(nest.body):
+                self.pairs[(ni, si)] = li
+                self.pairs_storing.setdefault(nest.body[si].tensor, []).append((ni, si))
+                self.pairs_fed_by.setdefault((ni, li), []).append((ni, si))
+
+    def statement(self, pos: Position) -> Statement | None:
+        return self.bodies[pos[0]][pos[1]]
+
+    def pair_at(self, pos: Position) -> CopyPair:
+        ni, si = pos
+        body = self.bodies[ni]
+        return CopyPair(self.program.nests[ni].name, body[self.pairs[pos]], body[si])
+
+    def position_of(self, pair: CopyPair) -> Position:
+        """Position of ``pair``, whose store must be a statement of this program."""
+        for ni, nest in enumerate(self.program.nests):
+            if nest.name == pair.nest:
+                for si, stmt in enumerate(self.bodies[ni]):
+                    if stmt is pair.store and (ni, si) in self.pairs:
+                        return ni, si
+        raise ValueError(f"no copy pair with that store in nest '{pair.nest}'")
+
+    def loads_of(self, tensor: str) -> Iterator[Position]:
+        """Loads reading ``tensor``, in program order."""
+        by_nest = self.loads.get(tensor, {})
+        for ni in sorted(by_nest):
+            for si in sorted(by_nest[ni]):
+                yield ni, si
+
+    def remove_statement(self, pos: Position) -> None:
+        stmt = self.statement(pos)
+        ni, si = pos
+        if isinstance(stmt, Load):
+            self.loads[stmt.tensor][ni].remove(si)
+            self.pairs_fed_by.pop(pos, None)
+        elif isinstance(stmt, Store):
+            self.defs[stmt.tensor].remove(pos)
+            li = self.pairs.pop(pos, None)
+            if li is not None:
+                self.pairs_storing[stmt.tensor].remove(pos)
+                fed = self.pairs_fed_by.get((ni, li))
+                if fed is not None:
+                    fed.remove(pos)
+        else:
+            raise TypeError(f"cannot remove {type(stmt).__name__} statements")
+        self.bodies[ni][si] = None
+        self._edited_nests.add(ni)
+
+    def replace_load(self, pos: Position, load: Load) -> None:
+        """Put ``load`` in place of the load at ``pos``; its result is kept."""
+        ni, si = pos
+        old = self.statement(pos)
+        self.loads[old.tensor][ni].remove(si)
+        self.loads.setdefault(load.tensor, {}).setdefault(ni, []).append(si)
+        self.bodies[ni][si] = load
+        self._edited_nests.add(ni)
+
+    def remove_tensor(self, name: str) -> None:
+        """Drop ``name``'s declaration; the caller has removed its uses."""
+        self._removed_tensors.add(name)
+
+    def to_program(self) -> Program:
+        """The edited program; the input itself when nothing was edited."""
+        if not self._edited_nests and not self._removed_tensors:
+            return self.program
+        nests = []
+        for ni, nest in enumerate(self.program.nests):
+            if ni not in self._edited_nests:
+                nests.append(nest)
+                continue
+            body = tuple(s for s in self.bodies[ni] if s is not None)
+            if body:
+                nests.append(replace(nest, body=body))
+        tensors = tuple(t for t in self.program.tensors if t.name not in self._removed_tensors)
+        return Program(tensors, tuple(nests))
 
 
 def is_pure_copy_nest(nest: OperatorNest) -> bool:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Any
 
 import jsonschema
@@ -177,5 +178,15 @@ def build_document(
     return doc
 
 
+@cache
+def _validator() -> jsonschema.Draft202012Validator:
+    """The schema is checked against its metaschema once, not per document."""
+    jsonschema.Draft202012Validator.check_schema(REPORT_SCHEMA)
+    return jsonschema.Draft202012Validator(REPORT_SCHEMA)
+
+
 def validate_document(doc: dict) -> None:
-    jsonschema.validate(doc, REPORT_SCHEMA)
+    """Raise the error ``jsonschema.validate`` would pick if ``doc`` is invalid."""
+    error = jsonschema.exceptions.best_match(_validator().iter_errors(doc))
+    if error is not None:
+        raise error

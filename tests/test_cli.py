@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from nestopt.cli import main
 from nestopt.report import validate_document
 from nestopt.textual import parse
@@ -169,3 +171,40 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     program = parse(out.read_text())
     assert len(program.nests) == 8
+
+
+def _run_module(tmp_path, *args):
+    """``python -m nestopt *args`` from this checkout's src/, in tmp_path."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    pythonpath = filter(None, [str(src), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)}
+    return subprocess.run(
+        [sys.executable, "-m", "nestopt", *args],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=env,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "w.ir", "w.ir", "--trials", "0"], "--trials must be >= 1"),
+        (["verify", "w.ir", "w.ir", "--trials", "-3"], "--trials must be >= 1"),
+        (["optimize", "w.ir", "--pass", "bankmap", "--banks", "0", "-o", "o.ir"], "--banks must be >= 1"),
+        (["optimize", "w.ir", "--pass", "bankmap", "--banks", "-2", "-o", "o.ir"], "--banks must be >= 1"),
+        (["optimize", "w.ir", "--pass", "bankmap", "--anchors", "missing.json", "-o", "o.ir"], "cannot read"),
+        (["optimize", "w.ir", "--pass", "bankmap", "--anchors", "bad.json", "-o", "o.ir"], "malformed"),
+    ],
+)
+def test_bad_option_values_are_usage_errors(tmp_path, argv, message):
+    assert main(["gen", "wavenet", "3", "0", "-o", str(tmp_path / "w.ir")]) == 0
+    (tmp_path / "bad.json").write_text('{"operators": \n')
+    proc = _run_module(tmp_path, *argv)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert message in proc.stderr
+    assert proc.stdout == ""
+    assert not (tmp_path / "o.ir").exists()

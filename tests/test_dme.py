@@ -1,10 +1,14 @@
 """Copy-elimination pass: rewrites, skip reasons, fixpoint behaviour."""
 
+import collections
+
 import numpy as np
 import pytest
 
-from nestopt.dme import SkipReason, run_dme, try_eliminate_pair
-from nestopt.generators import generate_wavenet_analog
+import nestopt.dme
+from nestopt.bankmap import AnchorRegistry, run_global_mapping, run_local_baseline
+from nestopt.dme import DmeResult, SkipReason, run_dme, try_eliminate_pair
+from nestopt.generators import generate_resnet_analog, generate_wavenet_analog
 from nestopt.interp import equivalent
 from nestopt.ir import Load, find_copy_pairs, validate
 from nestopt.textual import parse, print_program
@@ -280,3 +284,166 @@ def test_eliminated_bytes_match_footprint_drop():
         return sum(t.footprint_bytes for t in p.tensors if t.origin is Origin.INTERMEDIATE)
     drop = intermediate_bytes(program) - intermediate_bytes(result.program)
     assert drop == result.eliminated_bytes
+
+
+# ---------------------------------------------------------------------------
+# The worklist against the restart-from-the-first-pair loop it replaces
+
+
+def _restart_dme(program):
+    """Reference: after each elimination, sweep again from the first pair."""
+    records = []
+    sweeps = 0
+    while True:
+        sweeps += 1
+        sweep_skips = []
+        for pair in find_copy_pairs(program):
+            updated, record = try_eliminate_pair(program, pair)
+            if record.eliminated:
+                program = updated
+                records.append(record)
+                break
+            sweep_skips.append(record)
+        else:
+            return DmeResult(program, tuple(records + sweep_skips), sweeps)
+
+
+def assert_matches_restart(program):
+    result = run_dme(program)
+    reference = _restart_dme(program)
+    assert result.program == reference.program
+    assert result.records == reference.records
+    assert result.sweeps == reference.sweeps == len(result.eliminated) + 1
+    return result
+
+
+def test_worklist_matches_restart_on_criterion_7_corpus():
+    for seed in range(100):
+        assert_matches_restart(generate_wavenet_analog(1 + seed % 8, seed % 2, seed=1000 + seed))
+        assert_matches_restart(generate_resnet_analog(1 + seed % 4, seed % 4, seed=seed))
+
+
+def test_worklist_matches_restart_after_bank_mapping():
+    # the mapped programs hold memcopies, which block the pairs they read
+    registry = AnchorRegistry.default()
+    blocked = 0
+    for seed in range(8):
+        program = generate_resnet_analog(2 + seed % 3, 1 + seed % 3, seed=seed)
+        for mapped in (run_global_mapping(program, registry)[0], run_local_baseline(program, registry)[0]):
+            result = assert_matches_restart(mapped)
+            blocked += sum(r.detail.endswith("feeds a memcopy") for r in result.skipped)
+    assert blocked > 0
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+def test_worklist_matches_restart_on_long_chain(seed):
+    result = assert_matches_restart(generate_wavenet_analog(200, 20, seed=seed))
+    assert len(result.skipped) == 20
+
+
+# 'flat' is skipped at first: its map cannot route the floordiv read in
+# 'rep'.  Eliminating 'rep' replaces that read with the one in 'use', which
+# it can route, so 'flat' goes on the next sweep, before 'cp'.
+UPSTREAM_UNBLOCKED = """\
+tensor %t0 : 4x[3, 4] @dram input
+tensor %t1 : 4x[12] @sbuf
+tensor %t2 : 4x[24] @sbuf
+tensor %t3 : 4x[3, 4] @sbuf
+tensor %y : 4x[12] @dram output
+
+nest flat kind=reshape (i0 in 0..3, i1 in 0..4) {
+  %v = load %t0[i0, i1]
+  store %t1[4*i0 + i1] = %v
+}
+
+nest rep kind=repeat (i0 in 0..24) {
+  %v = load %t1[(i0) floordiv 2]
+  store %t2[i0] = %v
+}
+
+nest cp kind=copy (i0 in 0..3, i1 in 0..4) {
+  %v = load %t0[i0, i1]
+  store %t3[i0, i1] = %v
+}
+
+nest use kind=elementwise (i0 in 0..12) {
+  %v = load %t2[2*i0]
+  %u = load %t3[(i0) floordiv 4, (i0) mod 4]
+  %w = add %v %u
+  store %y[i0] = %w
+}
+"""
+
+# 'gather' is skipped at first: its load composed with the inverse of its
+# flattening store leaves the expression language.  'split' is skipped
+# until 'rep' goes (as 'flat' above); eliminating 'split' then rewrites
+# the load of 'gather' to t0[i0 + 6*i1], whose composition is symbolic.
+LOAD_REWRITE_UNBLOCKED = """\
+tensor %t0 : 4x[12, 2, 2] @dram input
+tensor %t1 : 4x[3, 4, 4] @sbuf
+tensor %t2 : 4x[12] @sbuf
+tensor %t3 : 4x[3, 4, 8] @sbuf
+tensor %y1 : 4x[3, 4, 4] @dram output
+tensor %y2 : 4x[12] @dram output
+
+nest split kind=reshape (i0 in 0..3, i1 in 0..4, i2 in 0..4) {
+  %v = load %t0[4*i0 + i1, (i2) floordiv 2, (i2) mod 2]
+  store %t1[i0, i1, i2] = %v
+}
+
+nest gather kind=other (i0 in 0..6, i1 in 0..2) {
+  %v = load %t1[(i0 + 6*i1) floordiv 4, (i0 + 6*i1) mod 4, 0]
+  store %t2[2*i0 + i1] = %v
+}
+
+nest rep kind=repeat (i0 in 0..3, i1 in 0..4, i2 in 0..8) {
+  %v = load %t1[i0, i1, (i2) floordiv 2]
+  store %t3[i0, i1, i2] = %v
+}
+
+nest use1 kind=elementwise (i0 in 0..3, i1 in 0..4, i2 in 0..4) {
+  %v = load %t3[i0, i1, 2*i2]
+  %w = neg %v
+  store %y1[i0, i1, i2] = %w
+}
+
+nest use2 kind=elementwise (i0 in 0..12) {
+  %v = load %t2[i0]
+  %w = neg %v
+  store %y2[i0] = %w
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "src, first_skips, order",
+    [
+        (UPSTREAM_UNBLOCKED, ["t1"], ["t2", "t1", "t3"]),
+        (LOAD_REWRITE_UNBLOCKED, ["t1", "t2"], ["t3", "t1", "t2"]),
+    ],
+)
+def test_skip_flips_after_later_elimination(src, first_skips, order):
+    program = parse(src)
+    assert validate(program) == []
+    first = [try_eliminate_pair(program, p)[1] for p in find_copy_pairs(program)]
+    assert [r.tensor for r in first if not r.eliminated] == first_skips
+    assert all(r.skipped is SkipReason.COMPOSITION_UNREPRESENTABLE for r in first if not r.eliminated)
+    result = assert_matches_restart(program)
+    assert [r.tensor for r in result.records] == order
+    assert result.skipped == ()
+    assert equivalent(program, result.program, trials=3, seed=0).equivalent
+
+
+def test_reverse_runs_once_per_distinct_store_map(monkeypatch):
+    program = generate_wavenet_analog(100, 10, seed=2)
+    calls = collections.Counter()
+    original = nestopt.dme.reverse
+
+    def counting(m, *args, **kwargs):
+        calls[m] += 1
+        return original(m, *args, **kwargs)
+
+    monkeypatch.setattr(nestopt.dme, "reverse", counting)
+    result = run_dme(program)
+    assert len(result.eliminated) == 90
+    assert calls and max(calls.values()) == 1
