@@ -24,12 +24,19 @@ def fmt_bytes(n: int) -> str:
     return f"{n:,}"
 
 
+def trial_count(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--pairs", type=int, default=124)
     ap.add_argument("--non-invertible", type=int, default=1)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--verify-trials", type=int, default=3)
+    ap.add_argument("--verify-trials", type=trial_count, default=3)
     args = ap.parse_args()
 
     program = generate_wavenet_analog(args.pairs, args.non_invertible, args.seed)

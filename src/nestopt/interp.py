@@ -1,24 +1,37 @@
 """Reference interpreter: the correctness oracle for every pass.
 
 Runs a program on concrete integer tensors with per-cell poison tracking
-(reading a never-written intermediate cell is an error).  Iteration order
-is lexicographic over each nest's box with body statements in order.
+(reading a never-written intermediate cell is an error).  The semantics are
+those of a literal walk: each nest visits its box's points in lexicographic
+order and runs its body statements in order at each point.
 
-Because validation guarantees that a nest never reads a tensor written by
-the same nest, statements can be evaluated vectorized across the whole box;
-a scalar walk is kept for the rare body whose statements overlap writes to
-one tensor, where interleaving is observable.
+There is one execution path, vectorized over the whole box.  Each
+statement's flat indices are computed once per nest and bounds-checked
+there; a nest's loads and memcopy sources are checked for poison before any
+of its writes land.  This is exact because a nest never reads a tensor it
+writes (validation forbids it, and the interpreter refuses such a nest), so
+the only order a reader can observe is the order of writes to one cell.
+The last-writer rule settles it: a cell's final value is the write with the
+greatest (point index, statement index), picked with a stable sort whenever
+some cell is written more than once, whether by several statements or by
+one store whose access is not injective.
+
+Buffers carry a leading trial axis, so ``equivalent`` runs each program once
+for all its trials.  Which cells a program writes does not depend on its
+inputs, so the written-cell masks, indices, bounds checks and poison checks
+are shared by every trial.
 """
 
 from __future__ import annotations
 
+import math
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .affine import IntBox
-from .ir import Compute, Load, Memcopy, Origin, Program, Statement, Store
+from .ir import Compute, Load, Memcopy, Origin, Program, Store
 
 
 class InterpError(Exception):
@@ -31,16 +44,27 @@ class PoisonRead(InterpError):
 
 @dataclass
 class TensorStore:
-    """Dense integer buffers by tensor name, with written-cell masks."""
+    """Dense integer buffers by tensor name.
+
+    A store made by ``stack`` holds several trials: each buffer then has a
+    leading trial axis of length ``trials``.  For a single run ``trials`` is
+    None and each buffer has its tensor's shape.
+    """
 
     data: dict[str, np.ndarray]
-    written: dict[str, np.ndarray]
+    trials: int | None = None
 
     @staticmethod
     def from_arrays(arrays: dict[str, np.ndarray]) -> "TensorStore":
-        data = {k: np.array(v, dtype=np.int64) for k, v in arrays.items()}
-        written = {k: np.ones(v.size, dtype=bool) for k, v in data.items()}
-        return TensorStore(data, written)
+        return TensorStore({k: np.array(v, dtype=np.int64) for k, v in arrays.items()})
+
+    @staticmethod
+    def stack(stores: list["TensorStore"]) -> "TensorStore":
+        """One store holding each single-trial store as a trial, in order."""
+        names = stores[0].names()
+        if any(s.trials is not None or s.names() != names for s in stores):
+            raise InterpError("only single-trial stores over the same tensors can be stacked")
+        return TensorStore({k: np.stack([s.data[k] for s in stores]) for k in names}, len(stores))
 
     def array(self, name: str) -> np.ndarray:
         return self.data[name]
@@ -49,80 +73,131 @@ class TensorStore:
         return set(self.data)
 
 
-@lru_cache(maxsize=512)
-def _points_for(box: IntBox) -> np.ndarray:
-    return box.points_array()
+# ---------------------------------------------------------------------------
+# Point arrays, cached across runs up to a byte budget
+
+POINT_CACHE_BYTES = 64 << 20
 
 
-def _strides_for(shape: tuple[int, ...]) -> np.ndarray:
-    strides = np.ones(len(shape), dtype=np.int64)
-    for j in range(len(shape) - 2, -1, -1):
-        strides[j] = strides[j + 1] * shape[j + 1]
-    return strides
+class _PointCache:
+    """Least-recently-used point arrays by box, at most POINT_CACHE_BYTES in all."""
+
+    def __init__(self) -> None:
+        self.arrays: OrderedDict[IntBox, np.ndarray] = OrderedDict()
+        self.nbytes = 0
+
+    def points(self, box: IntBox) -> np.ndarray:
+        pts = self.arrays.get(box)
+        if pts is not None:
+            self.arrays.move_to_end(box)
+            return pts
+        pts = box.points_array()
+        pts.flags.writeable = False
+        if pts.nbytes <= POINT_CACHE_BYTES:
+            self.arrays[box] = pts
+            self.nbytes += pts.nbytes
+            while self.nbytes > POINT_CACHE_BYTES:
+                self.nbytes -= self.arrays.popitem(last=False)[1].nbytes
+        return pts
+
+    def clear(self) -> None:
+        self.arrays.clear()
+        self.nbytes = 0
+
+
+_point_cache = _PointCache()
+
+
+# ---------------------------------------------------------------------------
+# Execution
 
 
 def run(program: Program, inputs: TensorStore) -> TensorStore:
     """Execute and return the model-output tensors.
 
-    The input store is not modified.  Raises InterpError for missing or
-    mis-shaped inputs, PoisonRead for reads of never-written cells.
+    If ``inputs`` holds several trials (``TensorStore.stack``), all of them
+    run in one pass and the outputs are stacked the same way.  The input
+    store is not modified.  Raises InterpError for missing or mis-shaped
+    inputs and out-of-bounds accesses, PoisonRead for reads of never-written
+    cells.
     """
-    decls = program.tensor_map
     expected = {t.name for t in program.tensors if t.origin is Origin.MODEL_INPUT}
     if inputs.names() != expected:
         raise InterpError(
             f"inputs must cover exactly the model inputs {sorted(expected)}, got {sorted(inputs.names())}"
         )
+    batch = 1 if inputs.trials is None else inputs.trials
     data: dict[str, np.ndarray] = {}
     written: dict[str, np.ndarray] = {}
     for t in program.tensors:
         if t.origin is Origin.MODEL_INPUT:
             src = inputs.array(t.name)
-            if tuple(src.shape) != t.shape:
-                raise InterpError(f"input '{t.name}' has shape {src.shape}, declared {t.shape}")
-            data[t.name] = np.array(src.reshape(-1), dtype=np.int64)
-            written[t.name] = np.ones(src.size, dtype=bool)
+            shape = src.shape if inputs.trials is None else src.shape[1:]
+            if tuple(shape) != t.shape:
+                raise InterpError(f"input '{t.name}' has shape {shape}, declared {t.shape}")
+            data[t.name] = np.array(src, dtype=np.int64).reshape(batch, -1)
+            written[t.name] = np.ones(data[t.name].shape[1], dtype=bool)
         else:
-            size = t.index_box.cardinality
-            data[t.name] = np.zeros(size, dtype=np.int64)
+            size = math.prod(t.shape)
+            data[t.name] = np.zeros((batch, size), dtype=np.int64)
             written[t.name] = np.zeros(size, dtype=bool)
 
+    decls = program.tensor_map
     for nest in program.nests:
-        pts = _points_for(nest.box)
-        if pts.shape[0] == 0:
-            continue
-        if _has_overlapping_writes(nest.body):
-            _run_nest_scalar(nest, pts, decls, data, written)
-        else:
-            _run_nest_vectorized(nest, pts, decls, data, written)
+        pts = _point_cache.points(nest.box)
+        if pts.shape[0]:
+            _run_nest(nest, pts, decls, data, written)
 
-    outputs = {
-        t.name: data[t.name].reshape(t.shape).copy()
-        for t in program.tensors
-        if t.origin is Origin.MODEL_OUTPUT
-    }
+    outputs = {}
     for t in program.tensors:
-        if t.origin is Origin.MODEL_OUTPUT and not written[t.name].all():
-            raise PoisonRead(f"model output '{t.name}' is not fully written")
-    return TensorStore.from_arrays(outputs)
+        if t.origin is Origin.MODEL_OUTPUT:
+            if not written[t.name].all():
+                cell = np.unravel_index(int(np.argmin(written[t.name])), t.shape)
+                raise PoisonRead(
+                    f"model output '{t.name}' is not fully written: cell {_tuple(cell)} never is"
+                )
+            trial_axis = () if inputs.trials is None else (batch,)
+            outputs[t.name] = data[t.name].reshape(trial_axis + t.shape)
+    return TensorStore(outputs, inputs.trials)
 
 
-def _has_overlapping_writes(body: tuple[Statement, ...]) -> bool:
-    targets: list[str] = []
-    for s in body:
-        if isinstance(s, Store):
-            targets.append(s.tensor)
-        elif isinstance(s, Memcopy):
-            targets.append(s.dst)
-    return len(targets) != len(set(targets))
+def _tuple(values) -> tuple[int, ...]:
+    return tuple(int(v) for v in values)
 
 
-def _flat_indices(access, pts, decl, nest_name):
-    idx = access.evaluate_batch(pts)
-    shape = np.asarray(decl.shape, dtype=np.int64)
-    if idx.shape[1] != len(decl.shape) or (idx < 0).any() or (idx >= shape).any():
-        raise InterpError(f"access to '{decl.name}' out of bounds in nest '{nest_name}'")
-    return idx @ _strides_for(decl.shape)
+def _flat_indices(access, pts, decl, nest_name, si):
+    """Row-major cell of ``decl`` that ``access`` reaches at each point."""
+    if access.out_arity != len(decl.shape):
+        raise InterpError(
+            f"nest '{nest_name}' statement {si}: access to '{decl.name}' has "
+            f"{access.out_arity} indices, tensor has {len(decl.shape)} dimensions"
+        )
+    if access.exprs is not None:
+        cols = [e.evaluate_batch(pts) for e in access.exprs]
+    else:
+        cols = list(access.evaluate_batch(pts).T)
+    flat = np.zeros(pts.shape[0], dtype=np.int64)
+    bad = np.zeros(pts.shape[0], dtype=bool)
+    for col, extent in zip(cols, decl.shape):
+        bad |= (col < 0) | (col >= extent)
+        flat = flat * extent + col
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise InterpError(
+            f"nest '{nest_name}' statement {si}: access to '{decl.name}' out of bounds "
+            f"at point {_tuple(pts[row])}: index {_tuple(c[row] for c in cols)} outside shape {decl.shape}"
+        )
+    return flat
+
+
+def _check_written(mask, flat, pts, nest_name, si, verb, tensor):
+    """Raise PoisonRead naming the first point, in lexicographic order, that reads an unwritten cell."""
+    read = mask[flat]
+    if not read.all():
+        point = _tuple(pts[int(np.argmin(read))])
+        raise PoisonRead(
+            f"nest '{nest_name}' statement {si}: {verb} unwritten cell of '{tensor}' at point {point}"
+        )
 
 
 def _apply_compute(opcode: str, args: list[np.ndarray]) -> np.ndarray:
@@ -139,77 +214,55 @@ def _apply_compute(opcode: str, args: list[np.ndarray]) -> np.ndarray:
     raise InterpError(f"unknown opcode '{opcode}'")
 
 
-def _run_nest_vectorized(nest, pts, decls, data, written):
+def _run_nest(nest, pts, decls, data, written):
+    clash = set(nest.read_tensors()) & set(nest.written_tensors())
+    if clash:
+        raise InterpError(f"nest '{nest.name}' reads tensors it writes: {sorted(clash)}")
     env: dict[str, np.ndarray] = {}
-    for stmt in nest.body:
+    # per written tensor, (flat indices, values) of each writing statement in body order
+    writes: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
+    for si, stmt in enumerate(nest.body):
         if isinstance(stmt, Load):
-            decl = decls[stmt.tensor]
-            flat = _flat_indices(stmt.access, pts, decl, nest.name)
-            mask = written[stmt.tensor][flat]
-            if not mask.all():
-                p = pts[int(np.argmin(mask))]
-                raise PoisonRead(
-                    f"nest '{nest.name}' reads unwritten cell of '{stmt.tensor}' at point {tuple(int(v) for v in p)}"
-                )
-            env[stmt.result] = data[stmt.tensor][flat]
+            flat = _flat_indices(stmt.access, pts, decls[stmt.tensor], nest.name, si)
+            _check_written(written[stmt.tensor], flat, pts, nest.name, si, "load reads", stmt.tensor)
+            env[stmt.result] = data[stmt.tensor][:, flat]
         elif isinstance(stmt, Compute):
             env[stmt.result] = _apply_compute(stmt.opcode, [env[o] for o in stmt.operands])
         elif isinstance(stmt, Store):
-            decl = decls[stmt.tensor]
-            flat = _flat_indices(stmt.access, pts, decl, nest.name)
-            data[stmt.tensor][flat] = env[stmt.value]
-            written[stmt.tensor][flat] = True
+            flat = _flat_indices(stmt.access, pts, decls[stmt.tensor], nest.name, si)
+            writes.setdefault(stmt.tensor, []).append((flat, env[stmt.value]))
         elif isinstance(stmt, Memcopy):
-            sdecl, ddecl = decls[stmt.src], decls[stmt.dst]
-            sflat = _flat_indices(stmt.element_map, pts, sdecl, nest.name)
-            dflat = _flat_indices(stmt.element_map, pts, ddecl, nest.name)
-            mask = written[stmt.src][sflat]
-            if not mask.all():
-                p = pts[int(np.argmin(mask))]
-                raise PoisonRead(
-                    f"nest '{nest.name}' copies unwritten cell of '{stmt.src}' at point {tuple(int(v) for v in p)}"
-                )
-            data[stmt.dst][dflat] = data[stmt.src][sflat]
-            written[stmt.dst][dflat] = True
+            sflat = _flat_indices(stmt.element_map, pts, decls[stmt.src], nest.name, si)
+            dflat = _flat_indices(stmt.element_map, pts, decls[stmt.dst], nest.name, si)
+            _check_written(written[stmt.src], sflat, pts, nest.name, si, "memcopy reads", stmt.src)
+            writes.setdefault(stmt.dst, []).append((dflat, data[stmt.src][:, sflat]))
+    for name, stmt_writes in writes.items():
+        _write_last(data[name], written[name], stmt_writes)
 
 
-def _run_nest_scalar(nest, pts, decls, data, written):
-    # exact lexicographic, statement-in-order semantics
-    index_cache: dict[int, np.ndarray] = {}
-    for si, stmt in enumerate(nest.body):
-        if isinstance(stmt, Load):
-            index_cache[si] = _flat_indices(stmt.access, pts, decls[stmt.tensor], nest.name)
-        elif isinstance(stmt, Store):
-            index_cache[si] = _flat_indices(stmt.access, pts, decls[stmt.tensor], nest.name)
-        elif isinstance(stmt, Memcopy):
-            index_cache[si] = _flat_indices(stmt.element_map, pts, decls[stmt.dst], nest.name)
-            index_cache[-si - 1] = _flat_indices(stmt.element_map, pts, decls[stmt.src], nest.name)
-    for k in range(pts.shape[0]):
-        env: dict[str, int] = {}
-        for si, stmt in enumerate(nest.body):
-            if isinstance(stmt, Load):
-                flat = int(index_cache[si][k])
-                if not written[stmt.tensor][flat]:
-                    raise PoisonRead(
-                        f"nest '{nest.name}' reads unwritten cell of '{stmt.tensor}'"
-                    )
-                env[stmt.result] = int(data[stmt.tensor][flat])
-            elif isinstance(stmt, Compute):
-                args = [np.int64(env[o]) for o in stmt.operands]
-                env[stmt.result] = int(_apply_compute(stmt.opcode, args))
-            elif isinstance(stmt, Store):
-                flat = int(index_cache[si][k])
-                data[stmt.tensor][flat] = env[stmt.value]
-                written[stmt.tensor][flat] = True
-            elif isinstance(stmt, Memcopy):
-                sflat = int(index_cache[-si - 1][k])
-                dflat = int(index_cache[si][k])
-                if not written[stmt.src][sflat]:
-                    raise PoisonRead(
-                        f"nest '{nest.name}' copies unwritten cell of '{stmt.src}'"
-                    )
-                data[stmt.dst][dflat] = data[stmt.src][sflat]
-                written[stmt.dst][dflat] = True
+def _write_last(buf, mask, stmt_writes):
+    """Give each written cell of ``buf`` the value of its last write.
+
+    Writes are ordered by (point index, statement index): stacking each
+    statement's points as a column and reading the rows in order lists them
+    that way.  When some cell is hit more than once, a stable sort by cell
+    keeps each cell's final write.
+    """
+    if len(stmt_writes) == 1:
+        flat, vals = stmt_writes[0]
+    else:
+        flat = np.stack([f for f, _ in stmt_writes], axis=1).reshape(-1)
+        vals = np.stack([v for _, v in stmt_writes], axis=2).reshape(buf.shape[0], -1)
+    hit = np.zeros_like(mask)
+    hit[flat] = True
+    if np.count_nonzero(hit) != flat.size:
+        order = np.argsort(flat, kind="stable")
+        cells = flat[order]
+        last = np.append(cells[1:] != cells[:-1], True)
+        keep = order[last]
+        flat, vals = flat[keep], vals[:, keep]
+    buf[:, flat] = vals
+    mask |= hit
 
 
 # ---------------------------------------------------------------------------
@@ -253,22 +306,30 @@ def random_inputs(program: Program, seed: int, trial: int = 0) -> TensorStore:
 
 
 def equivalent(p1: Program, p2: Program, trials: int = 5, seed: int = 0) -> EquivalenceResult:
-    """Compare observable behaviour on deterministic random inputs, exactly."""
+    """Compare observable behaviour on deterministic random inputs, exactly.
+
+    Trial ``k`` feeds both programs ``random_inputs(p1, seed, k)``; each
+    program runs once over all trials.  The counterexample is the first
+    difference by trial, then output name, then cell.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     in1 = {(t.name, t.shape, t.elem_size) for t in p1.tensors if t.origin is Origin.MODEL_INPUT}
     in2 = {(t.name, t.shape, t.elem_size) for t in p2.tensors if t.origin is Origin.MODEL_INPUT}
     out1 = {(t.name, t.shape) for t in p1.tensors if t.origin is Origin.MODEL_OUTPUT}
     out2 = {(t.name, t.shape) for t in p2.tensors if t.origin is Origin.MODEL_OUTPUT}
     if in1 != in2 or out1 != out2:
         raise InterpError("programs do not share input/output declarations")
+    inputs = TensorStore.stack([random_inputs(p1, seed, trial) for trial in range(trials)])
+    r1 = run(p1, inputs)
+    r2 = run(p2, inputs)
+    names = sorted(r1.names())
     for trial in range(trials):
-        inputs = random_inputs(p1, seed, trial)
-        r1 = run(p1, inputs)
-        r2 = run(p2, inputs)
-        for name in sorted(r1.names()):
-            a, b = r1.array(name), r2.array(name)
+        for name in names:
+            a, b = r1.array(name)[trial], r2.array(name)[trial]
             if not np.array_equal(a, b):
                 flat = int(np.argmax((a != b).reshape(-1)))
-                idx = tuple(int(v) for v in np.unravel_index(flat, a.shape))
+                idx = _tuple(np.unravel_index(flat, a.shape))
                 return EquivalenceResult(
                     False,
                     trials,

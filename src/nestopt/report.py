@@ -3,15 +3,16 @@
 from __future__ import annotations
 
 from functools import cache
-from typing import Any
-
-import jsonschema
+from typing import TYPE_CHECKING, Any
 
 from . import __version__
 from .bankmap import MappingReport
 from .dme import DmeResult
 from .ir import BankMapping
 from .traffic import TrafficReport, compare
+
+if TYPE_CHECKING:
+    import jsonschema
 
 SCHEMA_VERSION = 1
 
@@ -180,13 +181,21 @@ def build_document(
 
 @cache
 def _validator() -> jsonschema.Draft202012Validator:
-    """The schema is checked against its metaschema once, not per document."""
+    """The schema is checked against its metaschema once, not per document.
+
+    ``jsonschema`` is imported here, not at module level, so that commands
+    that write no report do not pay for importing it.
+    """
+    import jsonschema
+
     jsonschema.Draft202012Validator.check_schema(REPORT_SCHEMA)
     return jsonschema.Draft202012Validator(REPORT_SCHEMA)
 
 
 def validate_document(doc: dict) -> None:
     """Raise the error ``jsonschema.validate`` would pick if ``doc`` is invalid."""
-    error = jsonschema.exceptions.best_match(_validator().iter_errors(doc))
+    from jsonschema.exceptions import best_match
+
+    error = best_match(_validator().iter_errors(doc))
     if error is not None:
         raise error

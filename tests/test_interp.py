@@ -269,3 +269,193 @@ nest n kind=elementwise (i0 in 0..4) {
     p = parse(src)
     s = store_of(a=[1, -2, 3, -4])
     assert np.array_equal(run(p, s).array("y"), run(p, s).array("y"))
+
+
+def test_equivalent_refuses_fewer_than_one_trial():
+    p = parse("tensor %a : 4x[2] @dram input\ntensor %y : 4x[2] @dram output\n")
+    for trials in (0, -2):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            equivalent(p, p, trials=trials)
+
+
+def test_stacked_run_keeps_each_trial_apart():
+    src = """\
+tensor %a : 4x[2, 3] @dram input
+tensor %y : 4x[3, 2] @dram output
+
+nest tr kind=transpose (i0 in 0..2, i1 in 0..3) {
+  %v = load %a[i0, i1]
+  %w = neg %v
+  store %y[i1, i0] = %w
+}
+"""
+    program = parse(src)
+    trials = [store_of(a=np.arange(6).reshape(2, 3) + 10 * k) for k in range(3)]
+    out = run(program, TensorStore.stack(trials))
+    assert out.trials == 3 and out.array("y").shape == (3, 3, 2)
+    for k, single in enumerate(trials):
+        assert np.array_equal(out.array("y")[k], run(program, single).array("y"))
+    with pytest.raises(InterpError):
+        TensorStore.stack([trials[0], store_of(b=[1])])
+
+
+def test_non_injective_store_keeps_the_last_point():
+    # cell k is written at points 2k and 2k+1; a literal walk leaves a[2k+1]
+    src = """\
+tensor %a : 4x[8] @dram input
+tensor %t : 4x[4] @dram output
+
+nest fold kind=other (i0 in 0..8) {
+  %v = load %a[i0]
+  store %t[(i0) floordiv 2] = %v
+}
+"""
+    program = parse(src)
+    assert validate(program) == []
+    out = run(program, store_of(a=[5, 4, 3, 2, 1, 0, -1, -2]))
+    assert out.array("t").tolist() == [4, 2, 0, -2]
+
+
+def test_nest_that_reads_what_it_writes_is_refused():
+    src = """\
+tensor %a : 4x[4] @dram input
+tensor %t : 4x[4] @sbuf
+tensor %y : 4x[4] @dram output
+
+nest first kind=copy (i0 in 0..4) {
+  %v = load %a[i0]
+  store %t[i0] = %v
+}
+
+nest shift kind=other (i0 in 0..3) {
+  %v = load %t[i0]
+  store %t[i0 + 1] = %v
+}
+
+nest out kind=copy (i0 in 0..4) {
+  %v = load %t[i0]
+  store %y[i0] = %v
+}
+"""
+    program = parse(src)
+    assert validate(program) != []
+    with pytest.raises(InterpError, match="nest 'shift' reads tensors it writes"):
+        run(program, store_of(a=[1, 2, 3, 4]))
+
+
+def test_out_of_bounds_error_names_nest_statement_tensor_and_first_point():
+    src = """\
+tensor %a : 4x[2, 3] @dram input
+tensor %y : 4x[2, 3] @dram output
+
+nest shift kind=other (i0 in 0..2, i1 in 0..3) {
+  %v = load %a[i0, i1]
+  %w = neg %v
+  store %y[i0, i1 + 1] = %w
+}
+"""
+    with pytest.raises(InterpError) as err:
+        run(parse(src), store_of(a=np.zeros((2, 3))))
+    message = str(err.value)
+    assert "nest 'shift'" in message
+    assert "statement 2" in message
+    assert "'y'" in message
+    # (0, 2) is the first point in lexicographic order that leaves the box
+    assert "at point (0, 2)" in message
+    assert "index (0, 3)" in message
+
+
+PARTIAL_T = """\
+tensor %a : 4x[4] @dram input
+tensor %t : 4x[8] @sbuf
+tensor %y : 4x[8] @dram output
+
+nest half kind=strided_slice (i0 in 0..4) {
+  %v = load %a[i0]
+  store %t[2*i0] = %v
+}
+"""
+
+
+def test_poison_read_names_nest_statement_tensor_and_first_point():
+    program = parse(
+        PARTIAL_T
+        + """
+nest all kind=elementwise (i0 in 0..8) {
+  %v = load %a[(i0) floordiv 2]
+  %u = load %t[i0]
+  %w = add %v %u
+  store %y[i0] = %w
+}
+"""
+    )
+    with pytest.raises(PoisonRead) as err:
+        run(program, store_of(a=[1, 2, 3, 4]))
+    message = str(err.value)
+    assert "nest 'all'" in message
+    assert "statement 1" in message
+    assert "load reads unwritten cell of 't'" in message
+    assert "at point (1,)" in message
+
+
+def test_memcopy_poison_read_names_nest_statement_tensor_and_first_point():
+    program = parse(
+        PARTIAL_T
+        + """
+nest move kind=copy (i0 in 0..8) {
+  memcopy %y <- %t
+}
+"""
+    )
+    with pytest.raises(PoisonRead) as err:
+        run(program, store_of(a=[1, 2, 3, 4]))
+    message = str(err.value)
+    assert "nest 'move'" in message
+    assert "statement 0" in message
+    assert "memcopy reads unwritten cell of 't'" in message
+    assert "at point (1,)" in message
+
+
+def test_partly_written_output_names_its_first_unwritten_cell():
+    src = """\
+tensor %a : 4x[2] @dram input
+tensor %y : 4x[2, 2] @dram output
+
+nest diag kind=other (i0 in 0..2) {
+  %v = load %a[i0]
+  store %y[i0, i0] = %v
+}
+"""
+    with pytest.raises(PoisonRead) as err:
+        run(parse(src), store_of(a=[1, 2]))
+    assert "model output 'y'" in str(err.value)
+    assert "cell (0, 1)" in str(err.value)
+
+
+def test_point_cache_stays_under_its_byte_cap(monkeypatch):
+    from nestopt import interp
+    from nestopt.generators import generate_resnet_analog, generate_wavenet_analog
+
+    programs = [generate_wavenet_analog(4, 1, seed=s) for s in range(3)]
+    programs += [generate_resnet_analog(2, 1, seed=s) for s in range(3)]
+    interp._point_cache.clear()
+    expected = [equivalent(p, p, trials=2, seed=1) for p in programs]
+    expected_y = [run(p, interp.random_inputs(p, 4)).data for p in programs]
+
+    # 13 distinct boxes of 64 to 1056 bytes: some never fit, the rest must evict
+    cap = 1000
+    monkeypatch.setattr(interp, "POINT_CACHE_BYTES", cap)
+    interp._point_cache.clear()
+    try:
+        for p, want, want_y in zip(programs, expected, expected_y):
+            assert equivalent(p, p, trials=2, seed=1) == want
+            got = run(p, interp.random_inputs(p, 4)).data
+            assert got.keys() == want_y.keys()
+            assert all(np.array_equal(got[k], want_y[k]) for k in got)
+            cached = interp._point_cache.arrays.values()
+            assert interp._point_cache.nbytes == sum(a.nbytes for a in cached) <= cap
+        boxes = {n.box for p in programs for n in p.nests}
+        assert len(interp._point_cache.arrays) < len(boxes)
+        assert sum(b.cardinality * b.ndim * 8 for b in boxes) > 2 * cap
+    finally:
+        interp._point_cache.clear()

@@ -1,5 +1,10 @@
 """Report document construction and schema validation."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from jsonschema import ValidationError
 
@@ -63,5 +68,20 @@ def test_schema_rejects_negative_bytes():
         validate_document(doc)
 
 
+def test_build_document_validates_what_it_builds():
+    program = generate_wavenet_analog(2, 0, seed=0)
+    with pytest.raises(ValidationError):
+        build_document([], [{"pass": "unknown"}], account(program), None)
+
+
 def test_schema_is_draft_2020():
     assert REPORT_SCHEMA["$schema"].endswith("2020-12/schema")
+
+
+def test_importing_the_cli_does_not_import_jsonschema(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys, nestopt.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'jsonschema'))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, cwd=tmp_path, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

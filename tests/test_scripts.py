@@ -33,3 +33,16 @@ def test_script_runs_from_checkout(tmp_path, script, args, agreed):
     )
     assert proc.returncode == 0, proc.stderr
     assert agreed in proc.stdout
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_copy_elimination_refuses_fewer_than_one_verify_trial(tmp_path, trials):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "run_copy_elimination.py"), "--pairs", "4", "--verify-trials", trials],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 2
+    assert "--verify-trials: must be >= 1" in proc.stderr
+    assert "oracle agreed" not in proc.stdout

@@ -3,7 +3,8 @@
 Two oracles that share no code with the paths they check:
 
 * a direct per-point dictionary interpreter, compared against the
-  vectorized one on generated programs;
+  vectorized one on generated and hand-written programs, one trial at a
+  time and with all trials in one run;
 * pure copy chains (no compute between data movements), where each
   elimination rewrites the next copy's load map, compounding compositions
   through every structural map class.
@@ -19,9 +20,17 @@ from nestopt.affine import TermKind
 from nestopt.bankmap import run_global_mapping, run_local_baseline
 from nestopt.dme import run_dme
 from nestopt.generators import generate_resnet_analog, generate_wavenet_analog
-from nestopt.interp import TensorStore, equivalent, random_inputs, run
+from nestopt.interp import (
+    Counterexample,
+    EquivalenceResult,
+    PoisonRead,
+    TensorStore,
+    equivalent,
+    random_inputs,
+    run,
+)
 from nestopt.ir import Compute, Load, Memcopy, Origin, Store, validate
-from nestopt.textual import parse
+from nestopt.textual import parse, print_program
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +119,241 @@ def test_reference_agrees_on_transformed_programs():
     b = ref_run(optimized, raw)
     for name in a:
         assert np.array_equal(a[name], b[name])
+
+
+# ---------------------------------------------------------------------------
+# all trials in one run against one run per trial and the literal walk
+
+
+def _generated(seed):
+    """Wavenet chains, resnet blocks, and bank-mapped blocks with memcopies."""
+    if seed % 2 == 0:
+        return generate_wavenet_analog(3 + seed % 4, seed % 2, seed=seed)
+    program = generate_resnet_analog(1 + seed % 3, 1 + seed % 3, seed=seed)
+    return run_global_mapping(program)[0] if seed % 4 == 1 else program
+
+
+def _assert_matches_reference(program, seed, trials=3):
+    stores = [random_inputs(program, seed, k) for k in range(trials)]
+    batched = run(program, TensorStore.stack(stores))
+    assert batched.trials == trials
+    for k, inputs in enumerate(stores):
+        single = run(program, inputs)
+        slow = ref_run(program, {n: inputs.array(n) for n in inputs.names()})
+        assert batched.names() == single.names() == set(slow)
+        for name in slow:
+            assert np.array_equal(batched.array(name)[k], single.array(name)), (k, name)
+            assert np.array_equal(single.array(name), slow[name]), (k, name)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_batched_run_matches_per_trial_runs_and_reference(seed):
+    _assert_matches_reference(_generated(seed), seed)
+
+
+def test_generated_corpus_reaches_memcopies():
+    assert any(
+        isinstance(stmt, Memcopy)
+        for seed in range(12)
+        for nest in _generated(seed).nests
+        for stmt in nest.body
+    )
+
+
+OVERLAPPING = {
+    # two stores, each non-injective, whose cells overlap
+    "stores": """\
+tensor %a : 4x[3, 3] @dram input
+tensor %t : 4x[5] @sbuf
+tensor %y : 4x[5] @dram output
+
+nest mix kind=other (i0 in 0..3, i1 in 0..3) {
+  %v = load %a[i0, i1]
+  %w = neg %v
+  store %t[i0 + i1] = %v
+  store %t[4 - i0] = %w
+}
+
+nest out kind=copy (i0 in 0..5) {
+  %v = load %t[i0]
+  store %y[i0] = %v
+}
+""",
+    # a store and a later memcopy into one tensor: each wins some cells
+    "memcopy": """\
+tensor %a : 4x[4] @dram input
+tensor %b : 4x[2] @dram input
+tensor %s : 4x[4] @sbuf
+tensor %u : 4x[4] @sbuf
+tensor %y : 4x[4] @dram output
+
+nest stage kind=copy (i0 in 0..4) {
+  %v = load %a[i0]
+  store %s[i0] = %v
+}
+
+nest both kind=other (i0 in 0..4) {
+  %v = load %b[(i0) floordiv 2]
+  store %u[3 - i0] = %v
+  memcopy %u <- %s
+}
+
+nest out kind=copy (i0 in 0..4) {
+  %v = load %u[i0]
+  store %y[i0] = %v
+}
+""",
+    # three stores over a 2-d box, the middle one folding points together
+    "three": """\
+tensor %a : 4x[3, 4] @dram input
+tensor %t : 4x[6] @dram output
+
+nest d kind=other (i0 in 0..3, i1 in 0..4) {
+  %v = load %a[i0, i1]
+  %w = add %v %v
+  %x = max %v %w
+  store %t[i0 + i1] = %w
+  store %t[(i1) floordiv 2] = %x
+  store %t[5 - i1] = %v
+}
+""",
+    # one store whose access is not injective
+    "fold": """\
+tensor %a : 4x[8] @dram input
+tensor %t : 4x[4] @dram output
+
+nest fold kind=other (i0 in 0..8) {
+  %v = load %a[i0]
+  store %t[(i0) floordiv 2] = %v
+}
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERLAPPING))
+def test_overlapping_writes_match_reference(name):
+    program = parse(OVERLAPPING[name])
+    assert validate(program) == []
+    for seed in range(3):
+        _assert_matches_reference(program, seed, trials=4)
+
+
+def test_poisoned_program_raises_the_same_error_batched_or_not():
+    program = parse(
+        """\
+tensor %a : 4x[4] @dram input
+tensor %t : 4x[8] @sbuf
+tensor %y : 4x[8] @dram output
+
+nest half kind=strided_slice (i0 in 0..4) {
+  %v = load %a[i0]
+  store %t[2*i0 + 1] = %v
+}
+
+nest all kind=copy (i0 in 0..8) {
+  %v = load %t[i0]
+  store %y[i0] = %v
+}
+"""
+    )
+    stores = [random_inputs(program, 0, k) for k in range(3)]
+    with pytest.raises(PoisonRead) as single:
+        run(program, stores[0])
+    with pytest.raises(PoisonRead) as batched:
+        run(program, TensorStore.stack(stores))
+    with pytest.raises(PoisonRead) as oracle:
+        equivalent(program, program, trials=3)
+    assert str(single.value) == str(batched.value) == str(oracle.value)
+    assert "at point (0,)" in str(single.value)
+    with pytest.raises(AssertionError, match="unwritten"):
+        ref_run(program, {n: stores[0].array(n) for n in stores[0].names()})
+
+
+def _loop_equivalent(p1, p2, trials, seed):
+    """The oracle as a loop: both programs run once per trial, stop at the first difference."""
+    for trial in range(trials):
+        inputs = random_inputs(p1, seed, trial)
+        r1, r2 = run(p1, inputs), run(p2, inputs)
+        for name in sorted(r1.names()):
+            a, b = r1.array(name), r2.array(name)
+            if not np.array_equal(a, b):
+                idx = tuple(int(v) for v in np.argwhere(a != b)[0])
+                return EquivalenceResult(False, trials, Counterexample(trial, name, idx, int(a[idx]), int(b[idx])))
+    return EquivalenceResult(True, trials)
+
+
+ONE_OP = """\
+tensor %a : 4x[3] @dram input
+tensor %y : 4x[3] @dram output
+
+nest n kind=elementwise (i0 in 0..3) {{
+  %v = load %a[i0]
+  {body}
+}}
+"""
+
+
+def test_copy_vs_negate_counterexample_matches_the_loop():
+    copy = parse(ONE_OP.format(body="store %y[i0] = %v"))
+    neg = parse(ONE_OP.format(body="%w = neg %v\n  store %y[i0] = %w"))
+    for seed in range(5):
+        res = equivalent(copy, neg, trials=4, seed=seed)
+        assert not res.equivalent
+        assert res == _loop_equivalent(copy, neg, 4, seed)
+
+
+TWO_OUTPUTS = """\
+tensor %a : 4x[2] @dram input
+tensor %b : 4x[2] @dram input
+tensor %c : 4x[2] @dram input
+tensor %y : 4x[2] @dram output
+tensor %z : 4x[2] @dram output
+
+nest n kind=other (i0 in 0..2) {{
+  %u = load %a[i0]
+  %v = load %b[i0]
+  %w = load %c[i0]
+  %m = max %u %v
+  {body}
+}}
+"""
+
+
+def test_counterexample_order_is_trial_then_output_then_cell():
+    # y differs where c > max(a, b), z where c > b: so a trial, an output
+    # or a cell may agree and the first difference lies anywhere
+    plain = parse(TWO_OUTPUTS.format(body="store %y[i0] = %m\n  store %z[i0] = %v"))
+    maxed = parse(
+        TWO_OUTPUTS.format(
+            body="%n = max %m %w\n  %k = max %v %w\n  store %y[i0] = %n\n  store %z[i0] = %k"
+        )
+    )
+    seen = set()
+    for seed in range(40):
+        res = equivalent(plain, maxed, trials=3, seed=seed)
+        assert res == _loop_equivalent(plain, maxed, 3, seed)
+        if res.counterexample is not None:
+            c = res.counterexample
+            seen.update({("trial", c.trial > 0), ("tensor", c.tensor), ("index", c.index)})
+    assert {("trial", True), ("tensor", "y"), ("tensor", "z"), ("index", (1,))} <= seen
+
+
+_SWAPS = (("neg", "identity"), ("mul", "add"), ("add", "max"), ("max", "add"))
+
+
+def _mutant(program):
+    text = print_program(program)
+    for old, new in _SWAPS:
+        if f"= {old} " in text:
+            return parse(text.replace(f"= {old} ", f"= {new} ", 1))
+    raise AssertionError("no compute to mutate")
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_oracle_verdicts_match_the_loop_on_generated_programs(seed):
+    program = _generated(seed)
+    for other in (run_dme(program).program, _mutant(program)):
+        assert equivalent(program, other, trials=3, seed=seed) == _loop_equivalent(program, other, 3, seed)
 
 
 # ---------------------------------------------------------------------------
