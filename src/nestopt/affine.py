@@ -1,12 +1,15 @@
 """Exact integer quasi-affine map algebra over bounded box domains.
 
 A map sends points of an integer box (a loop iteration space) to integer
-vectors (tensor coordinates).  Outputs are sums of linear parts plus
-weighted floor-division / modulo terms by positive constants, with div/mod
-nesting depth at most one.  The module provides evaluation, symbolic
-composition with a point-table fallback, structural classification,
-image computation, and reversal (symbolic for recognized normal forms,
-tabulated for small general maps).
+vectors (tensor coordinates).  Every output is an expression, never a list
+of points: a linear part plus weighted floor-division / modulo terms by
+positive constants, with div/mod nesting depth at most one.  The module
+provides evaluation, symbolic composition (``UnrepresentableComposition``
+when substitution would leave the depth-one language), structural
+classification, image computation, and reversal.  ``reverse`` answers one
+of three ways: a symbolic inverse for the recognized normal forms,
+``InjectiveOnly`` for a general map that is injective but has no symbolic
+inverse, or ``NotInvertible``.
 
 floordiv rounds toward -inf and mod is always non-negative, so
 ``x == d * (x floordiv d) + (x mod d)`` holds unconditionally.
@@ -46,11 +49,14 @@ class DomainTooLarge(AffineError):
     pass
 
 
+class UnrepresentableComposition(AffineError):
+    """Substitution would nest div/mod deeper than one level."""
+
+
 @dataclass(frozen=True)
 class Limits:
-    """Resource limits for enumeration-based fallbacks."""
+    """Resource limit for the enumeration of a map's domain."""
 
-    tabulate_limit: int = 1 << 20
     enumerate_limit: int = 1 << 20
 
 
@@ -368,28 +374,17 @@ class MapClass(Enum):
 
 @dataclass(frozen=True)
 class QuasiAffineMap:
-    """Map from a box domain to integer vectors.
-
-    Either expression-backed (``exprs`` per output dimension) or, for
-    compositions that escape the depth-one expression language,
-    point-table-backed (``table`` sorted point->point pairs).
-    """
+    """Map from a box domain to integer vectors, one expression per output dimension."""
 
     domain: IntBox
-    exprs: tuple[QuasiAffineExpr, ...] | None
-    table: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] | None = None
+    exprs: tuple[QuasiAffineExpr, ...]
 
     def __post_init__(self) -> None:
-        if (self.exprs is None) == (self.table is None):
-            raise ValueError("exactly one of exprs/table must be given")
-        if self.exprs is not None:
-            exprs = tuple(_box_simplify(e, self.domain) for e in self.exprs)
-            object.__setattr__(self, "exprs", exprs)
-            for e in exprs:
-                if e.arity != self.domain.ndim:
-                    raise ValueError("output expression arity != domain arity")
-        else:
-            object.__setattr__(self, "table", tuple(sorted(self.table)))
+        exprs = tuple(_box_simplify(e, self.domain) for e in self.exprs)
+        object.__setattr__(self, "exprs", exprs)
+        for e in exprs:
+            if e.arity != self.domain.ndim:
+                raise ValueError("output expression arity != domain arity")
 
     @property
     def in_arity(self) -> int:
@@ -397,24 +392,12 @@ class QuasiAffineMap:
 
     @property
     def out_arity(self) -> int:
-        if self.exprs is not None:
-            return len(self.exprs)
-        if not self.table:
-            return 0
-        return len(self.table[0][1])
-
-    @property
-    def is_symbolic(self) -> bool:
-        return self.exprs is not None
+        return len(self.exprs)
 
     @property
     def is_pure_affine(self) -> bool:
         """True when representable as C@i + b (no div/mod terms)."""
-        return self.exprs is not None and all(e.is_linear for e in self.exprs)
-
-    @cached_property
-    def _table_dict(self) -> dict:
-        return dict(self.table or ())
+        return all(e.is_linear for e in self.exprs)
 
     @cached_property
     def map_class(self) -> MapClass:
@@ -424,20 +407,13 @@ class QuasiAffineMap:
         point = tuple(int(p) for p in point)
         if not self.domain.contains(point):
             raise PointOutsideDomain(f"{point} outside domain")
-        if self.exprs is not None:
-            return tuple(e.evaluate(point) for e in self.exprs)
-        return self._table_dict[point]
+        return tuple(e.evaluate(point) for e in self.exprs)
 
     def evaluate_batch(self, pts: np.ndarray) -> np.ndarray:
         """Evaluate on (N, in_arity) int64 points, assumed inside the domain."""
-        if self.exprs is not None:
-            if pts.shape[0] == 0:
-                return np.zeros((0, self.out_arity), dtype=np.int64)
-            return np.stack([e.evaluate_batch(pts) for e in self.exprs], axis=-1)
-        d = self._table_dict
-        return np.asarray([d[tuple(int(v) for v in p)] for p in pts], dtype=np.int64).reshape(
-            pts.shape[0], self.out_arity
-        )
+        if pts.shape[0] == 0:
+            return np.zeros((0, self.out_arity), dtype=np.int64)
+        return np.stack([e.evaluate_batch(pts) for e in self.exprs], axis=-1)
 
 
 def affine_map(box: IntBox, exprs) -> QuasiAffineMap:
@@ -446,10 +422,6 @@ def affine_map(box: IntBox, exprs) -> QuasiAffineMap:
 
 def identity_map(box: IntBox) -> QuasiAffineMap:
     return affine_map(box, variables(box.ndim))
-
-
-def evaluate(m: QuasiAffineMap, point) -> tuple[int, ...]:
-    return m.evaluate(point)
 
 
 # ---------------------------------------------------------------------------
@@ -522,8 +494,6 @@ def _match_unflatten(m: QuasiAffineMap) -> tuple[int, tuple[int, ...]] | None:
 
 
 def _classify(m: QuasiAffineMap) -> MapClass:
-    if m.exprs is None:
-        return MapClass.GENERAL
     n, k = m.in_arity, m.out_arity
     if n == k and n > 0:
         sv = [_single_var(e) for e in m.exprs]
@@ -678,16 +648,8 @@ class SymbolicInverse:
 
 
 @dataclass(frozen=True)
-class TabulatedInverse:
-    table: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-    image: ImageSet
-
-    @cached_property
-    def _dict(self) -> dict:
-        return dict(self.table)
-
-    def apply(self, point) -> tuple[int, ...]:
-        return self._dict[tuple(point)]
+class InjectiveOnly:
+    """The map is injective, but no symbolic inverse is known for it."""
 
 
 @dataclass(frozen=True)
@@ -695,7 +657,7 @@ class NotInvertible:
     reason: str
 
 
-InverseResult = Union[SymbolicInverse, TabulatedInverse, NotInvertible]
+InverseResult = Union[SymbolicInverse, InjectiveOnly, NotInvertible]
 
 
 def reverse(m: QuasiAffineMap, limits: Limits = DEFAULT_LIMITS) -> InverseResult:
@@ -703,8 +665,10 @@ def reverse(m: QuasiAffineMap, limits: Limits = DEFAULT_LIMITS) -> InverseResult
 
     Symbolic for the PermShift / StridedEmbed / MixedRadix normal forms
     (the symbolic inverse's declared box is the image's bounding box; the
-    precise image accompanies the result).  General maps are tabulated up
-    to the configured limit.  Non-invertibility is a value, not an error.
+    precise image accompanies the result).  A general map of at most
+    ``limits.enumerate_limit`` points is probed for a collision: the answer
+    is ``InjectiveOnly`` or ``NotInvertible`` naming the first collision in
+    point order.  Non-invertibility is a value, not an error.
     """
     if m.domain.is_empty:
         empty = IntBox(tuple(0 for _ in range(m.out_arity)), tuple(0 for _ in range(m.out_arity)))
@@ -750,20 +714,23 @@ def reverse(m: QuasiAffineMap, limits: Limits = DEFAULT_LIMITS) -> InverseResult
             acc = acc + w * y
         inv = QuasiAffineMap(img.bounding_box(), (acc,))
         return SymbolicInverse(inv, img)
-    # general: tabulate
     card = m.domain.cardinality
-    if card > limits.tabulate_limit:
+    if card > limits.enumerate_limit:
         return NotInvertible(f"domain too large to tabulate ({card} points)")
-    seen: dict[tuple[int, ...], tuple[int, ...]] = {}
     pts = m.domain.points_array()
     vals = m.evaluate_batch(pts)
-    for p, v in zip(pts.tolist(), vals.tolist()):
-        key = tuple(v)
-        if key in seen:
-            return NotInvertible(f"collision: f{tuple(seen[key])} == f{tuple(p)} == {key}")
-        seen[key] = tuple(p)
-    table = tuple(sorted(seen.items()))
-    return TabulatedInverse(table, ExplicitImage(frozenset(seen)))
+    # lexsort is stable, so equal values stay in point order and every row
+    # after a group's first is a repeat; the earliest repeat is the first
+    # collision a scan in point order meets
+    order = np.lexsort(vals.T)
+    ranked = vals[order]
+    repeat = (ranked[1:] == ranked[:-1]).all(axis=1)
+    if not repeat.any():
+        return InjectiveOnly()
+    j = int(order[1:][repeat].min())
+    i = int(np.argmax((vals == vals[j]).all(axis=1)))
+    key = tuple(vals[j].tolist())
+    return NotInvertible(f"collision: f{tuple(pts[i].tolist())} == f{tuple(pts[j].tolist())} == {key}")
 
 
 # ---------------------------------------------------------------------------
@@ -775,48 +742,32 @@ def compose(
 ) -> QuasiAffineMap:
     """outer after inner: evaluate(result, p) == outer(inner(p)).
 
-    Symbolic when substitution stays within depth-one div/mod; otherwise the
-    result is point-table-backed (class General) with identical semantics.
+    Raises ``UnrepresentableComposition`` when substitution would leave
+    depth-one div/mod.
     """
     if inner.out_arity != outer.in_arity:
         raise ArityMismatch(
             f"inner produces {inner.out_arity} values, outer consumes {outer.in_arity}"
         )
     _check_image_in_domain(inner, outer.domain, limits)
-    if outer.exprs is not None and inner.exprs is not None:
-        exprs = []
-        ok = True
-        for oe in outer.exprs:
-            acc = const_expr(inner.in_arity, oe.const)
-            for c, ie in zip(oe.coeffs, inner.exprs):
+    exprs = []
+    for oe in outer.exprs:
+        acc = const_expr(inner.in_arity, oe.const)
+        for c, ie in zip(oe.coeffs, inner.exprs):
+            if c:
+                acc = acc + c * ie
+        for t in oe.terms:
+            sub = const_expr(inner.in_arity, t.inner.const)
+            for c, ie in zip(t.inner.coeffs, inner.exprs):
                 if c:
-                    acc = acc + c * ie
-            for t in oe.terms:
-                sub = const_expr(inner.in_arity, t.inner.const)
-                for c, ie in zip(t.inner.coeffs, inner.exprs):
-                    if c:
-                        sub = sub + c * ie
-                sub = _box_simplify(sub, inner.domain)
-                if not sub.is_linear:
-                    ok = False
-                    break
-                kinded = sub.floordiv(t.divisor) if t.kind is TermKind.FLOORDIV else sub.mod(t.divisor)
-                acc = acc + t.weight * kinded
-            if not ok:
-                break
-            exprs.append(acc)
-        if ok:
-            return QuasiAffineMap(inner.domain, tuple(exprs))
-    card = inner.domain.cardinality
-    if card > limits.tabulate_limit:
-        raise DomainTooLarge(f"composition fallback cannot tabulate {card} points")
-    pts = inner.domain.points_array()
-    mids = inner.evaluate_batch(pts)
-    outs = outer.evaluate_batch(mids)
-    table = tuple(
-        (tuple(p), tuple(v)) for p, v in zip(pts.tolist(), outs.tolist())
-    )
-    return QuasiAffineMap(inner.domain, None, table)
+                    sub = sub + c * ie
+            sub = _box_simplify(sub, inner.domain)
+            if not sub.is_linear:
+                raise UnrepresentableComposition("substitution nests div/mod deeper than one level")
+            kinded = sub.floordiv(t.divisor) if t.kind is TermKind.FLOORDIV else sub.mod(t.divisor)
+            acc = acc + t.weight * kinded
+        exprs.append(acc)
+    return QuasiAffineMap(inner.domain, tuple(exprs))
 
 
 def _check_image_in_domain(inner: QuasiAffineMap, box: IntBox, limits: Limits) -> None:
@@ -827,8 +778,6 @@ def _check_image_in_domain(inner: QuasiAffineMap, box: IntBox, limits: Limits) -
     try:
         img = image(inner, limits)
     except DomainTooLarge:
-        if inner.exprs is None:
-            raise
         for e, lo, hi in zip(inner.exprs, box.los, box.his):
             elo, ehi = expr_interval(e, inner.domain)
             if elo < lo or ehi >= hi:

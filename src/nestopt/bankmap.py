@@ -187,7 +187,7 @@ class Blocked:
 
 def _axis_driver(m: QuasiAffineMap, axis: int) -> int | None:
     """Loop dimension driving a tensor axis with unit stride, if unique."""
-    if m.exprs is None or axis >= len(m.exprs):
+    if axis >= len(m.exprs):
         return None
     e = m.exprs[axis]
     if e.terms:
@@ -199,8 +199,6 @@ def _axis_driver(m: QuasiAffineMap, axis: int) -> int | None:
 
 
 def _axes_driven_by(m: QuasiAffineMap, dim: int) -> list[int]:
-    if m.exprs is None:
-        return []
     return [k for k in range(len(m.exprs)) if _axis_driver(m, k) == dim]
 
 

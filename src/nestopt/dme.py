@@ -32,10 +32,11 @@ from enum import Enum
 
 from .affine import (
     AffineError,
+    InjectiveOnly,
     InverseResult,
     NotInvertible,
     QuasiAffineMap,
-    TabulatedInverse,
+    UnrepresentableComposition,
     compose,
     reverse,
 )
@@ -115,7 +116,7 @@ def _eliminate(
     inv = inverses[store_map]
     if isinstance(inv, NotInvertible):
         return skip(SkipReason.NOT_INVERTIBLE, inv.reason)
-    if isinstance(inv, TabulatedInverse):
+    if isinstance(inv, InjectiveOnly):
         return skip(
             SkipReason.COMPOSITION_UNREPRESENTABLE,
             "store map is invertible only by tabulation",
@@ -128,10 +129,10 @@ def _eliminate(
 
     try:
         dst_to_src = compose(pair.load.access, inv.map)
+    except UnrepresentableComposition:
+        return skip(SkipReason.COMPOSITION_UNREPRESENTABLE, "store-to-load map left the expression language")
     except AffineError as exc:
         return skip(SkipReason.COMPOSITION_UNREPRESENTABLE, str(exc))
-    if not dst_to_src.is_symbolic:
-        return skip(SkipReason.COMPOSITION_UNREPRESENTABLE, "store-to-load map left the expression language")
 
     # plan every downstream rewrite before committing anything
     rewrites: list[tuple[Position, Load]] = []
@@ -141,14 +142,14 @@ def _eliminate(
         stmt = index.statement(load_pos)
         try:
             routed = compose(dst_to_src, stmt.access)
-        except AffineError as exc:
-            return skip(SkipReason.COMPOSITION_UNREPRESENTABLE, str(exc))
-        if not routed.is_symbolic:
+        except UnrepresentableComposition:
             return skip(
                 SkipReason.COMPOSITION_UNREPRESENTABLE,
                 f"rewritten load in nest '{index.program.nests[load_pos[0]].name}' "
                 "left the expression language",
             )
+        except AffineError as exc:
+            return skip(SkipReason.COMPOSITION_UNREPRESENTABLE, str(exc))
         rewrites.append((load_pos, Load(stmt.result, src_name, routed)))
 
     pair_load_pos = (nest_i, index.pairs[pos])

@@ -172,10 +172,7 @@ def _flat_indices(access, pts, decl, nest_name, si):
             f"nest '{nest_name}' statement {si}: access to '{decl.name}' has "
             f"{access.out_arity} indices, tensor has {len(decl.shape)} dimensions"
         )
-    if access.exprs is not None:
-        cols = [e.evaluate_batch(pts) for e in access.exprs]
-    else:
-        cols = list(access.evaluate_batch(pts).T)
+    cols = [e.evaluate_batch(pts) for e in access.exprs]
     flat = np.zeros(pts.shape[0], dtype=np.int64)
     bad = np.zeros(pts.shape[0], dtype=bool)
     for col, extent in zip(cols, decl.shape):

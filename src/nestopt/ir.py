@@ -214,22 +214,27 @@ class Violation:
 def _access_in_bounds(
     access: QuasiAffineMap, shape: tuple[int, ...], limits: Limits
 ) -> tuple[bool, tuple[int, ...] | None]:
-    """(out_of_bounds, first bad point in lexicographic order when known)."""
+    """(out_of_bounds, first bad point in lexicographic order when known).
+
+    The interval of each output is exact for a linear expression and an
+    over-approximation with floordiv terms, so when every interval fits no
+    point can escape.  Otherwise the points are enumerated, up to the limit,
+    to find the first witness or to rule out a false alarm; above the limit
+    the escaping interval is the answer, without a witness.
+    """
     if access.domain.is_empty:
         return False, None
-    if access.domain.cardinality <= limits.enumerate_limit:
-        pts = access.domain.points_array()
-        vals = access.evaluate_batch(pts)
-        bad = (vals < 0) | (vals >= np.asarray(shape, dtype=np.int64))
-        rows = bad.any(axis=1)
-        if rows.any():
-            return True, tuple(int(v) for v in pts[int(np.argmax(rows))])
+    intervals = [expr_interval(e, access.domain) for e in access.exprs]
+    if all(0 <= lo and hi < extent for (lo, hi), extent in zip(intervals, shape)):
         return False, None
-    # interval bound: conservative, no concrete witness
-    for e, extent in zip(access.exprs, shape):
-        lo, hi = expr_interval(e, access.domain)
-        if lo < 0 or hi >= extent:
-            return True, None
+    if access.domain.cardinality > limits.enumerate_limit:
+        return True, None
+    pts = access.domain.points_array()
+    vals = access.evaluate_batch(pts)
+    bad = (vals < 0) | (vals >= np.asarray(shape, dtype=np.int64))
+    rows = bad.any(axis=1)
+    if rows.any():
+        return True, tuple(int(v) for v in pts[int(np.argmax(rows))])
     return False, None
 
 

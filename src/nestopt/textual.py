@@ -83,8 +83,6 @@ def print_expr(expr: QuasiAffineExpr) -> str:
 
 
 def _print_access(tensor: str, access: QuasiAffineMap) -> str:
-    if access.exprs is None:
-        raise ValueError("table-backed access maps are not printable")
     inner = ", ".join(print_expr(e) for e in access.exprs)
     return f"%{tensor}[{inner}]"
 

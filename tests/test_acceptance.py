@@ -4,20 +4,22 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines and the recorded seeds.
 """
 
+import ast
 import json
 import pathlib
 import random
+import re
 import time
 
 import numpy as np
 import pytest
 
 from nestopt.affine import (
+    InjectiveOnly,
     IntBox,
     NotInvertible,
     QuasiAffineExpr,
     SymbolicInverse,
-    TabulatedInverse,
     affine_map,
     build_unflatten_exprs,
     compose,
@@ -192,28 +194,33 @@ def _map_corpus(total: int, rng: random.Random):
             yield affine_map(box, tuple(exprs))
 
 
+COLLISION = re.compile(r"collision: f(\([^)]*\)) == f(\([^)]*\)) == (\([^)]*\))")
+
+
 def test_criterion_5_affine_round_trip_corpus():
     rng = random.Random(20240501)
     total = 10_000
-    inverted = 0
+    symbolic = 0
+    injective = 0
     composed = 0
     for m in _map_corpus(total, rng):
         assert m.domain.cardinality <= 10_000
         pts = m.domain.points_array()
         vals = m.evaluate_batch(pts)
         inv = reverse(m)
-        if isinstance(inv, (SymbolicInverse, TabulatedInverse)):
-            inverted += 1
-            if isinstance(inv, SymbolicInverse):
-                back = inv.map.evaluate_batch(vals)
-            else:
-                table = dict(inv.table)
-                back = np.asarray([table[tuple(v)] for v in vals.tolist()], dtype=np.int64)
-                back = back.reshape(pts.shape)
+        if isinstance(inv, SymbolicInverse):
+            symbolic += 1
+            back = inv.map.evaluate_batch(vals)
             assert np.array_equal(back, pts), "reverse-then-apply is not the identity"
+        elif isinstance(inv, InjectiveOnly):
+            injective += 1
+            assert np.unique(vals, axis=0).shape[0] == pts.shape[0], "injective-only map repeats a value"
         else:
             assert isinstance(inv, NotInvertible)
-        if pts.shape[0] and m.exprs is not None:
+            if inv.reason.startswith("collision"):
+                p_i, p_j, v = (ast.literal_eval(t) for t in COLLISION.fullmatch(inv.reason).groups())
+                assert p_i != p_j and m.evaluate(p_i) == m.evaluate(p_j) == v, inv.reason
+        if pts.shape[0]:
             lo = vals.min(axis=0)
             hi = vals.max(axis=0) + 1
             outer_box = IntBox(tuple(int(v) for v in lo), tuple(int(v) for v in hi))
@@ -223,9 +230,14 @@ def test_criterion_5_affine_round_trip_corpus():
             direct = 2 * vals + 1
             assert np.array_equal(c.evaluate_batch(pts), direct), "compose disagrees pointwise"
             composed += 1
+    inverted = symbolic + injective
     assert inverted > total // 2
     assert composed == total
-    _pass(5, "map corpus round-trips", f"{total} maps, {inverted} invertible, seed 20240501")
+    _pass(
+        5,
+        "map corpus round-trips",
+        f"{total} maps, {inverted} invertible ({symbolic} symbolic, {injective} injective only), seed 20240501",
+    )
 
 
 def test_criterion_6_fixpoint_order_independence():

@@ -6,6 +6,7 @@ with the implementation under test.
 """
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from nestopt.affine import (
     DomainTooLarge,
     ExplicitImage,
     ImageEscapesDomain,
+    InjectiveOnly,
     IntBox,
     LatticeImage,
     Limits,
@@ -25,8 +27,8 @@ from nestopt.affine import (
     QuasiAffineExpr,
     QuasiAffineMap,
     SymbolicInverse,
-    TabulatedInverse,
     TermKind,
+    UnrepresentableComposition,
     affine_map,
     build_unflatten_exprs,
     classify,
@@ -59,8 +61,6 @@ def ref_eval_expr(expr, point):
 
 
 def ref_eval_map(m, point):
-    if m.exprs is None:
-        return dict(m.table)[tuple(point)]
     return tuple(ref_eval_expr(e, point) for e in m.exprs)
 
 
@@ -196,16 +196,13 @@ def test_compose_image_escape():
         compose(f, g)
 
 
-def test_compose_depth_overflow_falls_back_to_table():
+def test_compose_depth_overflow_is_unrepresentable():
     (x,) = variables(1)
     u = unflatten_map()
     # feeding a floordiv into an unflatten exceeds depth 1
     h = affine_map(box((0, 24)), (x.floordiv(2),))
-    c = compose(u, h)
-    assert not c.is_symbolic
-    assert classify(c) is MapClass.GENERAL
-    for p in range(24):
-        assert c.evaluate((p,)) == u.evaluate(h.evaluate((p,)))
+    with pytest.raises(UnrepresentableComposition):
+        compose(u, h)
 
 
 # ---------------------------------------------------------------------------
@@ -303,18 +300,45 @@ def test_reverse_general_tabulated():
     i0, i1 = variables(2)
     # bijective on a 2x2 box but no per-axis normal form
     m = affine_map(box((0, 2), (0, 2)), ((i0 + i1).mod(2), i1))
-    inv = reverse(m)
-    assert isinstance(inv, TabulatedInverse)
-    for p in m.domain.points():
-        assert inv.apply(m.evaluate(p)) == p
+    assert isinstance(reverse(m), InjectiveOnly)
+    vals = list(ref_graph(m).values())
+    assert len(set(vals)) == len(vals)
 
 
 def test_reverse_tabulate_limit():
     i0, i1 = variables(2)
     m = affine_map(box((0, 40), (0, 40)), (i0 + 41 * i1, i1 + i0))
-    res = reverse(m, Limits(tabulate_limit=100))
+    res = reverse(m, Limits(enumerate_limit=100))
     assert isinstance(res, NotInvertible)
     assert "too large" in res.reason
+
+
+def _ref_reverse_general(m):
+    """The general-map answer of ``reverse`` by a dict scan in point order."""
+    seen = {}
+    pts = m.domain.points_array()
+    for p, v in zip(pts.tolist(), m.evaluate_batch(pts).tolist()):
+        key = tuple(v)
+        if key in seen:
+            return NotInvertible(f"collision: f{seen[key]} == f{tuple(p)} == {key}")
+        seen[key] = tuple(p)
+    return InjectiveOnly()
+
+
+def test_reverse_general_matches_reference_scan():
+    from test_acceptance import _map_corpus
+
+    general = [m for m in _map_corpus(10_000, random.Random(20240501)) if classify(m) is MapClass.GENERAL]
+    assert len(general) == 3045
+    i0, i1 = variables(2)
+    large = box((0, 400), (0, 400))
+    general += [
+        affine_map(large, (i0 + i0.floordiv(7) + 1000 * i1,)),  # injective
+        affine_map(large, (i0.mod(399), i1)),  # first repeat at (399, 0)
+    ]
+    for m in general:
+        assert reverse(m) == _ref_reverse_general(m)
+    assert reverse(general[-1]) == NotInvertible("collision: f(0, 0) == f(399, 0) == (0, 0)")
 
 
 @pytest.mark.parametrize(
@@ -332,7 +356,7 @@ def test_reverse_tabulate_limit():
 def test_reverse_round_trip(make):
     m = make()
     inv = reverse(m)
-    assert isinstance(inv, (SymbolicInverse, TabulatedInverse))
+    assert isinstance(inv, SymbolicInverse)
     for p, v in ref_graph(m).items():
         assert inv.apply(v) == p
 
@@ -472,9 +496,11 @@ def test_strided_round_trip(m):
 @settings(max_examples=100)
 def test_general_reverse_sound(m):
     inv = reverse(m)
+    vals = list(ref_graph(m).values())
     if isinstance(inv, NotInvertible):
-        vals = list(ref_graph(m).values())
         assert len(set(vals)) < len(vals) or m.domain.cardinality > (1 << 20)
+    elif isinstance(inv, InjectiveOnly):
+        assert len(set(vals)) == len(vals)
     else:
         for p, v in ref_graph(m).items():
             assert inv.apply(v) == p

@@ -162,6 +162,33 @@ nest use kind=elementwise (i0 in 0..24) {
     out, record = try_eliminate_pair(program, pair_for(program, "flat"))
     assert out == program
     assert record.skipped is SkipReason.COMPOSITION_UNREPRESENTABLE
+    assert record.detail == "rewritten load in nest 'use' left the expression language"
+
+
+def test_unrepresentable_store_to_load_map_skipped():
+    # the pair's own load reads through a floordiv, and the flatten's
+    # inverse feeds it a mod: the store-to-load map needs depth two
+    src = """\
+tensor %t0 : 4x[2, 3] @dram input
+tensor %t1 : 4x[12] @sbuf
+tensor %y : 4x[12] @dram output
+
+nest flat kind=reshape (i0 in 0..3, i1 in 0..4) {
+  %v = load %t0[(i1) floordiv 2, i0]
+  store %t1[4*i0 + i1] = %v
+}
+
+nest use kind=elementwise (i0 in 0..12) {
+  %v = load %t1[i0]
+  %w = neg %v
+  store %y[i0] = %w
+}
+"""
+    program = parse(src)
+    out, record = try_eliminate_pair(program, pair_for(program, "flat"))
+    assert out == program
+    assert record.skipped is SkipReason.COMPOSITION_UNREPRESENTABLE
+    assert record.detail == "store-to-load map left the expression language"
 
 
 def test_tabulated_inverse_skipped():
@@ -184,6 +211,7 @@ nest use kind=elementwise (i0 in 0..2, i1 in 0..2) {
     program = parse(src)
     _, record = try_eliminate_pair(program, pair_for(program, "weird"))
     assert record.skipped is SkipReason.COMPOSITION_UNREPRESENTABLE
+    assert record.detail == "store map is invertible only by tabulation"
 
 
 THREE_TRANSPOSES = """\
@@ -254,6 +282,7 @@ def test_generated_chain_eliminates_all_but_colliders():
     result = run_dme(program)
     assert len(result.eliminated) == 7
     assert [r.skipped for r in result.skipped] == [SkipReason.NOT_INVERTIBLE]
+    assert result.skipped[0].detail == "collision: f(0, 1) == f(1, 0) == (1,)"
     assert validate(result.program) == []
     assert equivalent(program, result.program, trials=3, seed=4).equivalent
 

@@ -1,8 +1,15 @@
 """Structural IR checks: validation, dependence edges, copy pairs."""
 
+import dataclasses
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nestopt.ir
+from nestopt.dme import run_dme
+from nestopt.generators import generate_resnet_analog, generate_wavenet_analog
 from nestopt.ir import (
     Compute,
     Load,
@@ -55,6 +62,64 @@ nest shift kind=copy (i0 in 0..4) {
     # independent enumeration oracle for the witness
     first_bad = next(i for i in range(4) if not 0 <= i + 5 < 8)
     assert v.witness == (first_bad,)
+
+
+def _ref_access_in_bounds(access, shape, limits):
+    """Bounds check by evaluating every point in lexicographic order."""
+    for p in access.domain.points():
+        if not all(0 <= v < e for v, e in zip(access.evaluate(p), shape)):
+            return True, p
+    return False, None
+
+
+def _ref_validate(program):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nestopt.ir, "_access_in_bounds", _ref_access_in_bounds)
+        return validate(program)
+
+
+def _shrink_some(program, rng):
+    """Shrink one axis of about a third of the tensors by one cell."""
+    tensors = []
+    for t in program.tensors:
+        if rng.random() < 0.3 and max(t.shape) > 1:
+            axis = rng.choice([k for k, d in enumerate(t.shape) if d > 1])
+            shape = tuple(d - (k == axis) for k, d in enumerate(t.shape))
+            t = dataclasses.replace(t, shape=shape)
+        tensors.append(t)
+    return dataclasses.replace(program, tensors=tuple(tensors))
+
+
+def test_validate_matches_enumeration_on_shrunk_tensors():
+    rng = random.Random(5)
+    programs = [generate_wavenet_analog(12, 3, seed=s) for s in range(4)]
+    programs += [generate_resnet_analog(2, 2, seed=s) for s in range(2)]
+    # copy elimination composes maps, which brings in floordiv accesses
+    programs += [run_dme(p).program for p in programs]
+    violations = 0
+    for program in programs:
+        assert validate(program) == _ref_validate(program) == []
+        shrunk = _shrink_some(program, rng)
+        report = validate(shrunk)
+        assert report == _ref_validate(shrunk)
+        violations += sum(v.rule == "OutOfBoundsAccess" for v in report)
+    assert violations > 0
+
+
+def test_validate_floordiv_interval_false_alarm():
+    # the interval of i0 mod 2 (i0 - 2*(i0 floordiv 2)) over [0, 4) is
+    # [-2, 3], but every value lies in [0, 2)
+    src = """\
+tensor %a : 4x[2] @dram input
+tensor %b : 4x[4] @sbuf
+
+nest fold kind=copy (i0 in 0..4) {
+  %v = load %a[(i0) mod 2]
+  store %b[i0] = %v
+}
+"""
+    program = parse(src)
+    assert validate(program) == _ref_validate(program) == []
 
 
 def test_validate_store_to_input():
