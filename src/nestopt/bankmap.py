@@ -10,6 +10,9 @@ front of the first consumer that needs it.
 
 A local baseline assigns templates/defaults per operator with no
 propagation and pays a memcopy on every mismatched dependence edge.
+
+Producers, readers and access maps come from one ``UseDefIndex``, and
+both modes insert their memcopies through the same rewrite.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ from .ir import (
     OnChip,
     Program,
     Statement,
-    Store,
     TensorDecl,
+    UseDefIndex,
     dependence_edges,
 )
 
@@ -150,20 +153,24 @@ class MappingState:
 # Seeding
 
 
-def seed_anchors(program: Program, registry: AnchorRegistry) -> MappingState:
-    """Assign template mappings to every tensor of every anchored nest."""
-    values: dict[str, LatticeValue] = {t.name: UNKNOWN for t in program.tensors}
-    requirements: dict[tuple[str, str], BankMapping] = {}
-    anchored = set()
-    for nest in program.nests:
-        template = registry.templates.get(nest.kind)
-        if template is None:
-            continue
-        anchored.add(nest.name)
-        slots = list(zip(nest.read_tensors(), template.operands)) + list(
-            zip(nest.written_tensors(), template.results)
-        )
-        for tname, mapping in slots:
+def _template_slots(
+    program: Program, registry: AnchorRegistry, nest: OperatorNest
+) -> tuple[dict[str, BankMapping], dict[str, BankMapping]]:
+    """The mappings the template for ``nest``'s kind requires of the tensors
+    it reads and of those it writes; both empty when no template covers it.
+
+    Raises RankMismatchError when a slot banks an axis its tensor lacks.
+    """
+    template = registry.templates.get(nest.kind)
+    if template is None:
+        return {}, {}
+    sides = []
+    for names, slots in (
+        (nest.read_tensors(), template.operands),
+        (nest.written_tensors(), template.results),
+    ):
+        side = {}
+        for tname, mapping in zip(names, slots):
             if mapping is None:
                 continue
             decl = program.tensor_map.get(tname)
@@ -171,8 +178,24 @@ def seed_anchors(program: Program, registry: AnchorRegistry) -> MappingState:
                 raise RankMismatchError(
                     f"nest '{nest.name}': template banks axis {mapping.axis} of rank-{decl.rank} '{tname}'"
                 )
-            requirements[(nest.name, tname)] = mapping
-            values[tname] = join(values[tname], mapping, f"anchor:{nest.name}")
+            side[tname] = mapping
+        sides.append(side)
+    return sides[0], sides[1]
+
+
+def seed_anchors(program: Program, registry: AnchorRegistry) -> MappingState:
+    """Assign template mappings to every tensor of every anchored nest."""
+    values: dict[str, LatticeValue] = {t.name: UNKNOWN for t in program.tensors}
+    requirements: dict[tuple[str, str], BankMapping] = {}
+    anchored = set()
+    for nest in program.nests:
+        if nest.kind not in registry.templates:
+            continue
+        anchored.add(nest.name)
+        for side in _template_slots(program, registry, nest):
+            for tname, mapping in side.items():
+                requirements[(nest.name, tname)] = mapping
+                values[tname] = join(values[tname], mapping, f"anchor:{nest.name}")
     return MappingState(values, frozenset(anchored), requirements, registry.banks)
 
 
@@ -224,25 +247,14 @@ def transfer(
     return BankMapping(axes[0], mapping.banks, mapping.policy)
 
 
-def _read_maps(nest: OperatorNest, tensor: str) -> list[QuasiAffineMap]:
-    maps = [s.access for s in nest.body if isinstance(s, Load) and s.tensor == tensor]
-    maps += [s.element_map for s in nest.body if isinstance(s, Memcopy) and s.src == tensor]
-    return maps
-
-
-def _write_maps(nest: OperatorNest, tensor: str) -> list[QuasiAffineMap]:
-    maps = [s.access for s in nest.body if isinstance(s, Store) and s.tensor == tensor]
-    maps += [s.element_map for s in nest.body if isinstance(s, Memcopy) and s.dst == tensor]
-    return maps
-
-
 def _nest_transfer(
-    nest: OperatorNest, operand: str, result: str, mapping: BankMapping, direction: str
+    index: UseDefIndex, ni: int, operand: str, result: str, mapping: BankMapping, direction: str
 ) -> BankMapping | None:
-    """Transfer through a whole nest; None when blocked or ambiguous."""
+    """Transfer through nest ``ni`` as a whole; None when blocked or ambiguous."""
     results = set()
-    for lm in _read_maps(nest, operand):
-        for sm in _write_maps(nest, result):
+    write_maps = index.write_maps(result, ni)
+    for lm in index.read_maps(operand, ni):
+        for sm in write_maps:
             r = transfer(mapping, lm, sm, direction)
             if isinstance(r, Blocked):
                 return None
@@ -265,14 +277,15 @@ def propagate(
     the contributions; the join is commutative/associative/idempotent, so
     any task permutation yields the same fixpoint.
     """
-    tasks: list[tuple[OperatorNest, str, str, str]] = []
-    for nest in program.nests:
+    index = UseDefIndex(program)
+    tasks: list[tuple[int, str, str, str]] = []
+    for ni, nest in enumerate(program.nests):
         if nest.name in seeded.anchored:
             continue
         for u in nest.read_tensors():
             for w in nest.written_tensors():
-                tasks.append((nest, "forward", u, w))
-                tasks.append((nest, "backward", u, w))
+                tasks.append((ni, "forward", u, w))
+                tasks.append((ni, "backward", u, w))
     if task_order is not None:
         tasks = [tasks[i] for i in task_order]
 
@@ -280,14 +293,14 @@ def propagate(
     updates = seeded.updates
     while True:
         contributions: list[tuple[str, BankMapping, str]] = []
-        for nest, direction, u, w in tasks:
+        for ni, direction, u, w in tasks:
             src, dst = (u, w) if direction == "forward" else (w, u)
             val = values.get(src, UNKNOWN)
             if not isinstance(val, Exactly):
                 continue
-            carried = _nest_transfer(nest, u, w, val.mapping, direction)
+            carried = _nest_transfer(index, ni, u, w, val.mapping, direction)
             if carried is not None:
-                contributions.append((dst, carried, f"{nest.name}:{direction}:{src}"))
+                contributions.append((dst, carried, f"{program.nests[ni].name}:{direction}:{src}"))
         new_values = dict(values)
         for tname, mapping, source in contributions:
             new_values[tname] = join(new_values.get(tname, UNKNOWN), mapping, source)
@@ -330,37 +343,24 @@ class MappingReport:
         return sum(c.bytes for c in self.inserted)
 
 
-def _consumer_requirement(
-    program: Program, state: MappingState, consumer: OperatorNest, tensor: str
+def _nest_requirement(
+    state: MappingState, index: UseDefIndex, ni: int, tensor: str, direction: str
 ) -> BankMapping | None:
-    req = state.requirements.get((consumer.name, tensor))
+    """The mapping nest ``ni`` gives ``tensor`` (forward: a tensor it writes)
+    or needs of it (backward: a tensor it reads): its template's, else one
+    carried through the nest from an exact tensor on the other side."""
+    nest = index.program.nests[ni]
+    req = state.requirements.get((nest.name, tensor))
     if req is not None:
         return req
-    if consumer.name in state.anchored:
+    if nest.name in state.anchored:
         return None
-    for w in consumer.written_tensors():
-        val = state.values.get(w, UNKNOWN)
+    others = nest.read_tensors() if direction == "forward" else nest.written_tensors()
+    for other in others:
+        val = state.values.get(other, UNKNOWN)
         if isinstance(val, Exactly):
-            r = _nest_transfer(consumer, tensor, w, val.mapping, "backward")
-            if r is not None:
-                return r
-    return None
-
-
-def _producer_mapping(
-    program: Program, state: MappingState, producer: OperatorNest | None, tensor: str
-) -> BankMapping | None:
-    if producer is None:
-        return None
-    req = state.requirements.get((producer.name, tensor))
-    if req is not None:
-        return req
-    if producer.name in state.anchored:
-        return None
-    for u in producer.read_tensors():
-        val = state.values.get(u, UNKNOWN)
-        if isinstance(val, Exactly):
-            r = _nest_transfer(producer, u, tensor, val.mapping, "forward")
+            operand, result = (other, tensor) if direction == "forward" else (tensor, other)
+            r = _nest_transfer(index, ni, operand, result, val.mapping, direction)
             if r is not None:
                 return r
     return None
@@ -384,21 +384,91 @@ def _retarget_reads(nest: OperatorNest, old: str, new: str) -> OperatorNest:
     return replace(nest, body=tuple(body))
 
 
+# (tensor, mapping its consumers need, indices of those consumers, ascending)
+_Fix = tuple[str, BankMapping, list[int]]
+
+
+def _rebank(
+    program: Program,
+    mode: str,
+    final: dict[str, BankMapping],
+    fixes: list[_Fix],
+    defaulted: tuple[str, ...] = (),
+    conflicts: tuple[str, ...] = (),
+    ignored_offchip: tuple[str, ...] = (),
+) -> tuple[Program, MappingReport]:
+    """Annotate every on-chip tensor with its ``final`` mapping, then apply
+    ``fixes`` in order.
+
+    A fix declares a twin of its tensor banked as its consumers need, fills
+    it with a ``bankfix_`` identity-memcopy nest placed before the first
+    consumer, and makes every consumer read the twin.  Twins are named
+    ``<tensor>__r<k>`` in global mode and ``<tensor>__l<k>`` in local mode,
+    with one counter for all fixes that skips names already taken.
+    """
+    tag = "r" if mode == "global" else "l"
+    new_tensors = []
+    for decl in program.tensors:
+        if isinstance(decl.location, OnChip):
+            new_tensors.append(replace(decl, location=OnChip(final[decl.name])))
+        else:
+            new_tensors.append(decl)
+
+    inserted: list[InsertedCopy] = []
+    nest_replacements: dict[int, OperatorNest] = {}
+    inserts_at: dict[int, list[OperatorNest]] = {}
+    existing = {t.name for t in program.tensors}
+    counter = 0
+    for tensor, req, consumers in fixes:
+        new_name = f"{tensor}__{tag}{counter}"
+        while new_name in existing:
+            counter += 1
+            new_name = f"{tensor}__{tag}{counter}"
+        existing.add(new_name)
+        counter += 1
+        decl = program.tensor(tensor)
+        new_tensors.append(TensorDecl(new_name, decl.elem_size, decl.shape, OnChip(req)))
+        copy_nest = _identity_copy_nest(f"bankfix_{new_name}", new_name, tensor, decl)
+        inserts_at.setdefault(consumers[0], []).append(copy_nest)
+        for ni in consumers:
+            base = nest_replacements.get(ni, program.nests[ni])
+            nest_replacements[ni] = _retarget_reads(base, tensor, new_name)
+        inserted.append(
+            InsertedCopy(
+                tensor,
+                new_name,
+                copy_nest.name,
+                final[tensor],
+                req,
+                tuple(program.nests[ni].name for ni in consumers),
+                decl.footprint_bytes,
+            )
+        )
+
+    new_nests: list[OperatorNest] = []
+    for ni, nest in enumerate(program.nests):
+        new_nests.extend(inserts_at.get(ni, ()))
+        new_nests.append(nest_replacements.get(ni, nest))
+    out = Program(tuple(new_tensors), tuple(new_nests))
+    report = MappingReport(
+        mode,
+        tuple(inserted),
+        {t: m for t, m in final.items() if isinstance(program.tensor(t).location, OnChip)},
+        defaulted,
+        conflicts,
+        ignored_offchip,
+    )
+    return out, report
+
+
 def materialize(program: Program, state: MappingState) -> tuple[Program, MappingReport]:
     """Annotate final mappings and insert memcopies for conflicting tensors."""
     default = default_mapping(state.default_banks)
-    producer_of: dict[str, OperatorNest] = {}
-    for nest in program.nests:
-        for t in nest.written_tensors():
-            producer_of.setdefault(t, nest)
-
+    index = UseDefIndex(program)
     final: dict[str, BankMapping] = {}
     defaulted: list[str] = []
     ignored_offchip: list[str] = []
-    plans = []  # (insert_index, tensor, new_name, to_mapping, consumer nest names)
-    counter = 0
-    existing = {t.name for t in program.tensors}
-
+    fixes: list[_Fix] = []
     for decl in program.tensors:
         value = state.values.get(decl.name, UNKNOWN)
         if isinstance(value, Unknown):
@@ -409,12 +479,13 @@ def materialize(program: Program, state: MappingState) -> tuple[Program, Mapping
         if isinstance(value, Exactly):
             final[decl.name] = value.mapping
             continue
-        keeper = _producer_mapping(program, state, producer_of.get(decl.name), decl.name)
+        keeper = None
+        producer = index.producer(decl.name)
+        if producer is not None:
+            keeper = _nest_requirement(state, index, producer, decl.name, "forward")
         groups: dict[BankMapping, list[int]] = {}
-        for ni, nest in enumerate(program.nests):
-            if decl.name not in nest.read_tensors():
-                continue
-            req = _consumer_requirement(program, state, nest, decl.name)
+        for ni in index.readers(decl.name):
+            req = _nest_requirement(state, index, ni, decl.name, "backward")
             if req is None:
                 continue
             if keeper is None:
@@ -426,61 +497,13 @@ def materialize(program: Program, state: MappingState) -> tuple[Program, Mapping
             if groups:
                 ignored_offchip.append(decl.name)
             continue
-        for req, consumer_idxs in sorted(
+        for req, consumers in sorted(
             groups.items(), key=lambda kv: (min(kv[1]), kv[0].axis, kv[0].policy.value)
         ):
-            new_name = f"{decl.name}__r{counter}"
-            while new_name in existing:
-                counter += 1
-                new_name = f"{decl.name}__r{counter}"
-            existing.add(new_name)
-            counter += 1
-            plans.append((min(consumer_idxs), decl.name, new_name, req, consumer_idxs))
-
-    new_tensors = []
-    for decl in program.tensors:
-        if isinstance(decl.location, OnChip):
-            new_tensors.append(replace(decl, location=OnChip(final[decl.name])))
-        else:
-            new_tensors.append(decl)
-
-    inserted: list[InsertedCopy] = []
-    nest_replacements: dict[int, OperatorNest] = {}
-    inserts_at: dict[int, list[OperatorNest]] = {}
-    for insert_idx, tensor, new_name, req, consumer_idxs in plans:
-        decl = program.tensor(tensor)
-        new_tensors.append(TensorDecl(new_name, decl.elem_size, decl.shape, OnChip(req)))
-        copy_nest = _identity_copy_nest(f"bankfix_{new_name}", new_name, tensor, decl)
-        inserts_at.setdefault(insert_idx, []).append(copy_nest)
-        for ni in consumer_idxs:
-            base = nest_replacements.get(ni, program.nests[ni])
-            nest_replacements[ni] = _retarget_reads(base, tensor, new_name)
-        inserted.append(
-            InsertedCopy(
-                tensor,
-                new_name,
-                copy_nest.name,
-                final[tensor],
-                req,
-                tuple(program.nests[ni].name for ni in consumer_idxs),
-                decl.footprint_bytes,
-            )
-        )
-
-    new_nests: list[OperatorNest] = []
-    for ni, nest in enumerate(program.nests):
-        new_nests.extend(inserts_at.get(ni, ()))
-        new_nests.append(nest_replacements.get(ni, nest))
-    out = Program(tuple(new_tensors), tuple(new_nests))
-    report = MappingReport(
-        "global",
-        tuple(inserted),
-        {t: m for t, m in final.items() if isinstance(program.tensor(t).location, OnChip)},
-        tuple(defaulted),
-        state.conflicts(),
-        tuple(ignored_offchip),
+            fixes.append((decl.name, req, consumers))
+    return _rebank(
+        program, "global", final, fixes, tuple(defaulted), state.conflicts(), tuple(ignored_offchip)
     )
-    return out, report
 
 
 def run_global_mapping(
@@ -503,84 +526,21 @@ def run_local_baseline(
     dependence edge, no propagation."""
     registry = registry or AnchorRegistry.default()
     default = default_mapping(registry.banks)
-
-    def slot_mapping(nest: OperatorNest, tensor: str, reads: bool) -> BankMapping:
-        template = registry.templates.get(nest.kind)
-        if template is None:
-            return default
-        names = nest.read_tensors() if reads else nest.written_tensors()
-        slots = template.operands if reads else template.results
-        idx = names.index(tensor)
-        if idx < len(slots) and slots[idx] is not None:
-            return slots[idx]
-        return default
-
-    producer_nest: dict[str, OperatorNest] = {}
-    for nest in program.nests:
-        for t in nest.written_tensors():
-            producer_nest.setdefault(t, nest)
+    index = UseDefIndex(program)
+    slots = [_template_slots(program, registry, nest) for nest in program.nests]
 
     final: dict[str, BankMapping] = {}
     for decl in program.tensors:
-        p = producer_nest.get(decl.name)
-        final[decl.name] = slot_mapping(p, decl.name, reads=False) if p else default
+        p = index.producer(decl.name)
+        final[decl.name] = default if p is None else slots[p][1].get(decl.name, default)
 
-    nest_index = {n.name: i for i, n in enumerate(program.nests)}
-    new_tensors = []
-    for decl in program.tensors:
-        if isinstance(decl.location, OnChip):
-            new_tensors.append(replace(decl, location=OnChip(final[decl.name])))
-        else:
-            new_tensors.append(decl)
-
-    inserted: list[InsertedCopy] = []
-    nest_replacements: dict[int, OperatorNest] = {}
-    inserts_at: dict[int, list[OperatorNest]] = {}
-    existing = {t.name for t in program.tensors}
-    counter = 0
+    position = {n.name: i for i, n in enumerate(program.nests)}
+    fixes: list[_Fix] = []
     for edge in dependence_edges(program):
-        decl = program.tensor(edge.tensor)
-        if not isinstance(decl.location, OnChip):
+        if not isinstance(program.tensor(edge.tensor).location, OnChip):
             continue
-        consumer = program.nest(edge.consumer)
-        needed = slot_mapping(consumer, edge.tensor, reads=True)
-        if needed == final[edge.tensor]:
-            continue
-        new_name = f"{edge.tensor}__l{counter}"
-        while new_name in existing:
-            counter += 1
-            new_name = f"{edge.tensor}__l{counter}"
-        existing.add(new_name)
-        counter += 1
-        new_tensors.append(TensorDecl(new_name, decl.elem_size, decl.shape, OnChip(needed)))
-        copy_nest = _identity_copy_nest(f"bankfix_{new_name}", new_name, edge.tensor, decl)
-        ci = nest_index[edge.consumer]
-        inserts_at.setdefault(ci, []).append(copy_nest)
-        base = nest_replacements.get(ci, program.nests[ci])
-        nest_replacements[ci] = _retarget_reads(base, edge.tensor, new_name)
-        inserted.append(
-            InsertedCopy(
-                edge.tensor,
-                new_name,
-                copy_nest.name,
-                final[edge.tensor],
-                needed,
-                (edge.consumer,),
-                decl.footprint_bytes,
-            )
-        )
-
-    new_nests: list[OperatorNest] = []
-    for ni, nest in enumerate(program.nests):
-        new_nests.extend(inserts_at.get(ni, ()))
-        new_nests.append(nest_replacements.get(ni, nest))
-    out = Program(tuple(new_tensors), tuple(new_nests))
-    report = MappingReport(
-        "local",
-        tuple(inserted),
-        {t: m for t, m in final.items() if isinstance(program.tensor(t).location, OnChip)},
-        (),
-        (),
-        (),
-    )
-    return out, report
+        ci = position[edge.consumer]
+        needed = slots[ci][0].get(edge.tensor, default)
+        if needed != final[edge.tensor]:
+            fixes.append((edge.tensor, needed, [ci]))
+    return _rebank(program, "local", final, fixes)

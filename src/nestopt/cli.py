@@ -9,8 +9,8 @@ Subcommands:
     gen wavenet <pairs> <non_invertible> [--seed S] -o <out>
     gen resnet <blocks> <transposes> [--seed S] -o <out>
 
-Exit status: 0 success, 1 diagnostics (invalid program, non-equivalence),
-2 usage error.
+Exit status: 0 success, 1 diagnostics (invalid program, an anchor template
+banking an axis its tensor lacks, non-equivalence), 2 usage error.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import json
 import sys
 from pathlib import Path
 
-from .bankmap import AnchorRegistry, run_global_mapping, run_local_baseline
+from .bankmap import AnchorRegistry, RankMismatchError, run_global_mapping, run_local_baseline
 from .dme import run_dme
 from .generators import generate_resnet_analog, generate_wavenet_analog
 from .interp import equivalent
@@ -140,10 +140,14 @@ def _cmd_optimize(args) -> int:
             pipeline.append({"pass": "dme"})
             pass_entries.append(dme_pass_entry(result))
         else:
-            if args.mode == "global":
-                current, _, report = run_global_mapping(current, registry)
-            else:
-                current, report = run_local_baseline(current, registry)
+            try:
+                if args.mode == "global":
+                    current, _, report = run_global_mapping(current, registry)
+                else:
+                    current, report = run_local_baseline(current, registry)
+            except RankMismatchError as exc:
+                print(f"{args.input}: {exc}", file=sys.stderr)
+                raise _Diagnostic()
             pipeline.append({"pass": "bankmap", "options": {"mode": args.mode, "banks": registry.banks}})
             pass_entries.append(bankmap_pass_entry(report, registry.banks))
     violations = validate(current)
@@ -190,7 +194,7 @@ def _cmd_report(args) -> int:
 
 def _cmd_gen(args) -> int:
     if args.benchmark == "wavenet":
-        if args.non_invertible > args.pairs or args.pairs < 0:
+        if not 0 <= args.non_invertible <= args.pairs:
             print("gen wavenet: need 0 <= non_invertible <= pairs", file=sys.stderr)
             return 2
         program = generate_wavenet_analog(args.pairs, args.non_invertible, args.seed)

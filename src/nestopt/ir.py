@@ -184,14 +184,6 @@ class Program:
                 return n
         raise KeyError(name)
 
-    def producer_index(self) -> dict[str, int]:
-        """Tensor name -> index of the first nest that writes it."""
-        out: dict[str, int] = {}
-        for i, n in enumerate(self.nests):
-            for t in n.written_tensors():
-                out.setdefault(t, i)
-        return out
-
 
 # ---------------------------------------------------------------------------
 # Validation
@@ -379,16 +371,16 @@ class DependenceEdge:
 
 
 def dependence_edges(program: Program) -> list[DependenceEdge]:
-    """Producer/consumer nest pairs connected through a tensor, program order."""
-    producer_of: dict[str, str] = {}
+    """Producer/consumer nest pairs connected through a tensor, in consumer
+    order; a consumer's edges follow the order it first reads the tensors.
+    The producer is a tensor's first definer, and only an earlier one counts."""
+    index = UseDefIndex(program)
     edges: list[DependenceEdge] = []
-    for nest in program.nests:
+    for ri, nest in enumerate(program.nests):
         for tname in nest.read_tensors():
-            p = producer_of.get(tname)
-            if p is not None and p != nest.name:
-                edges.append(DependenceEdge(p, nest.name, tname))
-        for tname in nest.written_tensors():
-            producer_of.setdefault(tname, nest.name)
+            p = index.producer(tname)
+            if p is not None and p < ri:
+                edges.append(DependenceEdge(program.nests[p].name, nest.name, tname))
     return edges
 
 
@@ -424,6 +416,10 @@ Position = tuple[int, int]
 class UseDefIndex:
     """Where each tensor is defined and read, kept current while a pass
     edits the program in place.
+
+    It is the one place that finds a tensor's definers and readers: copy
+    elimination edits it, while bank mapping and ``dependence_edges`` only
+    query a fresh one.
 
     A statement is addressed by its position ``(nest, stmt)``: indices into
     the input program's nests and their bodies.  Positions never shift, so
@@ -480,6 +476,30 @@ class UseDefIndex:
                     if stmt is pair.store and (ni, si) in self.pairs:
                         return ni, si
         raise ValueError(f"no copy pair with that store in nest '{pair.nest}'")
+
+    def producer(self, tensor: str) -> int | None:
+        """Index of the first nest that defines ``tensor``, if any."""
+        defs = self.defs.get(tensor)
+        return defs[0][0] if defs else None
+
+    def readers(self, tensor: str) -> list[int]:
+        """Indices of the nests that load ``tensor`` or copy from it, in
+        program order."""
+        nests = {ni for ni, sis in self.loads.get(tensor, {}).items() if sis}
+        nests.update(ni for ni, _ in self.memcopy_readers.get(tensor, ()))
+        return sorted(nests)
+
+    def read_maps(self, tensor: str, nest: int) -> list[QuasiAffineMap]:
+        """Access maps of the loads and memcopies in ``nest`` reading ``tensor``."""
+        body = self.bodies[nest]
+        maps = [body[si].access for si in self.loads.get(tensor, {}).get(nest, ())]
+        maps += [body[si].element_map for ni, si in self.memcopy_readers.get(tensor, ()) if ni == nest]
+        return maps
+
+    def write_maps(self, tensor: str, nest: int) -> list[QuasiAffineMap]:
+        """Access maps of the stores and memcopies in ``nest`` writing ``tensor``."""
+        stmts = (self.bodies[ni][si] for ni, si in self.defs.get(tensor, ()) if ni == nest)
+        return [s.element_map if isinstance(s, Memcopy) else s.access for s in stmts]
 
     def loads_of(self, tensor: str) -> Iterator[Position]:
         """Loads reading ``tensor``, in program order."""

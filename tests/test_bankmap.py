@@ -1,5 +1,7 @@
 """Bank-mapping pass: seeding, transfer, propagation, materialization."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -23,7 +25,8 @@ from nestopt.bankmap import (
 from nestopt.generators import generate_resnet_analog, generate_wavenet_analog
 from nestopt.interp import equivalent
 from nestopt.ir import BankMapping, BankPolicy, IntBox, validate
-from nestopt.textual import parse
+from nestopt.report import bankmap_pass_entry
+from nestopt.textual import parse, print_program
 
 B8 = 8
 
@@ -124,8 +127,7 @@ nest mm2 kind=matmul (i0 in 0..4, i1 in 0..4) {
     assert state.values["w"] == Exactly(cyclic(0))
 
 
-def test_seed_rank_mismatch_raises():
-    src = """\
+RANK1_CONV = """\
 tensor %x : 4x[4] @dram input
 tensor %w : 4x[4] @dram input
 tensor %u : 4x[4] @sbuf
@@ -137,9 +139,21 @@ nest conv kind=conv2d (i0 in 0..4) {
   store %u[i0] = %c
 }
 """
+
+
+def test_seed_rank_mismatch_raises():
     with pytest.raises(RankMismatchError) as err:
-        seed_anchors(parse(src), AnchorRegistry.default())
+        seed_anchors(parse(RANK1_CONV), AnchorRegistry.default())
     assert "conv" in str(err.value)
+
+
+def test_local_rank_mismatch_raises():
+    # the default conv2d template banks axis 1 of its first operand, which
+    # is the off-chip rank-1 input %x: no memcopy would ever touch it, but
+    # the template still does not fit the program
+    with pytest.raises(RankMismatchError) as err:
+        run_local_baseline(parse(RANK1_CONV), AnchorRegistry.default())
+    assert str(err.value) == "nest 'conv': template banks axis 1 of rank-1 'x'"
 
 
 def test_transfer_identity_elementwise():
@@ -167,6 +181,41 @@ def test_transfer_blocked_on_flatten():
     store = affine_map(box, (4 * i0 + i1,))
     res = transfer(cyclic(0), load, store, "forward")
     assert isinstance(res, Blocked)
+
+
+def test_propagate_through_memcopy_nest():
+    # conv's first operand must bank axis 1; the requirement travels back
+    # through the memcopy onto %u, which then needs no default
+    src = """\
+tensor %x : 4x[4, 4] @dram input
+tensor %w : 4x[4, 4] @dram input
+tensor %u : 4x[4, 4] @sbuf
+tensor %v : 4x[4, 4] @sbuf
+tensor %z : 4x[4, 4] @dram output
+
+nest pre kind=elementwise (i0 in 0..4, i1 in 0..4) {
+  %a = load %x[i0, i1]
+  %b = neg %a
+  store %u[i0, i1] = %b
+}
+
+nest cp kind=copy (i0 in 0..4, i1 in 0..4) {
+  memcopy %v <- %u
+}
+
+nest conv kind=conv2d (i0 in 0..4, i1 in 0..4) {
+  %a = load %v[i0, i1]
+  %b = load %w[i0, i1]
+  %c = mul %a %b
+  store %z[i0, i1] = %c
+}
+"""
+    program = parse(src)
+    out, state, report = run_global_mapping(program)
+    assert state.values["u"] == Exactly(cyclic(1))
+    assert report.defaulted == ()
+    assert report.inserted == ()
+    assert out.tensor("u").location.mapping == cyclic(1)
 
 
 def test_propagate_matching_chain_has_no_conflicts():
@@ -388,6 +437,31 @@ nest conv2 kind=conv2d (i0 in 0..4, i1 in 0..4) {
     # backward transfer through the transpose reconciles what local must copy
     assert g_report.inserted_bytes == 0
     assert l_report.inserted_bytes == 4 * 4 * 4
+
+
+# sha256 over the printed output and the report entry of every program of
+# criterion 4's grid: any change to the mapped IR, twin names, insertion
+# order or report fields changes it
+GRID_DIGESTS = {
+    "global": "336305887c1eb2d71fc94afa5e8dd2820114bd8786f0ae1c2e9f4067765d5ec2",
+    "local": "60ee610e97958ee932741c4819eb4a8fde80c09c5c8f93114944cfc8207bb564",
+}
+
+
+@pytest.mark.parametrize("mode", ["global", "local"])
+def test_mapped_grid_outputs_are_unchanged(mode):
+    digest = hashlib.sha256()
+    for blocks in range(1, 9):
+        for transposes in range(4):
+            program = generate_resnet_analog(blocks, transposes, seed=1)
+            registry = AnchorRegistry.default()
+            if mode == "global":
+                out, _, report = run_global_mapping(program, registry)
+            else:
+                out, report = run_local_baseline(program, registry)
+            digest.update(print_program(out).encode())
+            digest.update(json.dumps(bankmap_pass_entry(report, registry.banks), indent=2).encode())
+    assert digest.hexdigest() == GRID_DIGESTS[mode]
 
 
 def test_local_empty_program():

@@ -148,9 +148,12 @@ def test_missing_subcommand_exits_two():
     assert main([]) == 2
 
 
-def test_gen_rejects_bad_counts(tmp_path):
+def test_gen_rejects_bad_counts(tmp_path, capsys):
     out = tmp_path / "w.ir"
-    assert main(["gen", "wavenet", "2", "5", "-o", str(out)]) == 2
+    for pairs, non_invertible in (("2", "5"), ("5", "-1")):
+        assert main(["gen", "wavenet", pairs, non_invertible, "-o", str(out)]) == 2
+        assert capsys.readouterr().err == "gen wavenet: need 0 <= non_invertible <= pairs\n"
+    assert not out.exists()
 
 
 def test_module_entry_point(tmp_path):
@@ -208,3 +211,46 @@ def test_bad_option_values_are_usage_errors(tmp_path, argv, message):
     assert message in proc.stderr
     assert proc.stdout == ""
     assert not (tmp_path / "o.ir").exists()
+
+
+RANK1_CONV = """\
+tensor %x : 4x[4] @dram input
+tensor %w : 4x[4] @dram input
+tensor %u : 4x[4] @sbuf
+
+nest conv kind=conv2d (i0 in 0..4) {
+  %a = load %x[i0]
+  %b = load %w[i0]
+  %c = mul %a %b
+  store %u[i0] = %c
+}
+"""
+
+
+@pytest.mark.parametrize("mode", ["global", "local"])
+@pytest.mark.parametrize(
+    "trigger, expected",
+    [
+        # the default conv2d template banks axis 1 of a rank-1 operand
+        pytest.param("rank1", "nest 'conv': template banks axis 1 of rank-1 'x'", id="rank1"),
+        # a custom template banks axis 7 of a resnet's rank-2 operand
+        pytest.param("axis7", "nest 'conv1': template banks axis 7 of rank-2 'x1'", id="axis7"),
+    ],
+)
+def test_template_rank_mismatch_is_a_diagnostic(tmp_path, capsys, mode, trigger, expected):
+    src = tmp_path / "p.ir"
+    argv = ["optimize", str(src), "--pass", "bankmap", "--mode", mode]
+    if trigger == "rank1":
+        src.write_text(RANK1_CONV)
+    else:
+        assert main(["gen", "resnet", "2", "1", "-o", str(src)]) == 0
+        anchors = tmp_path / "a.json"
+        anchors.write_text(json.dumps({"operators": {"conv2d": {"operands": [{"axis": 7}]}}}))
+        argv += ["--anchors", str(anchors)]
+    argv += ["-o", str(tmp_path / "o.ir"), "--report", str(tmp_path / "o.json")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{src}: {expected}\n"
+    assert not (tmp_path / "o.ir").exists()
+    assert not (tmp_path / "o.json").exists()

@@ -8,12 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nestopt.ir
+from nestopt.bankmap import run_global_mapping, run_local_baseline
 from nestopt.dme import run_dme
 from nestopt.generators import generate_resnet_analog, generate_wavenet_analog
 from nestopt.ir import (
     Compute,
+    DependenceEdge,
     Load,
     Store,
+    UseDefIndex,
     dependence_edges,
     find_copy_pairs,
     is_pure_copy_nest,
@@ -253,6 +256,45 @@ nest nd kind=elementwise (i0 in 0..4) {
 
 def test_dependence_edges_single_nest():
     assert dependence_edges(parse(TRANSPOSE_SRC)) == []
+
+
+def _ref_dependence_edges(program):
+    """The walk over the nests that ``dependence_edges`` replaced."""
+    producer_of = {}
+    edges = []
+    for nest in program.nests:
+        for tname in nest.read_tensors():
+            p = producer_of.get(tname)
+            if p is not None and p != nest.name:
+                edges.append(DependenceEdge(p, nest.name, tname))
+        for tname in nest.written_tensors():
+            producer_of.setdefault(tname, nest.name)
+    return edges
+
+
+def test_dependence_edges_and_index_queries_match_reference_walk():
+    programs = []
+    for blocks in range(1, 9):
+        for transposes in range(4):
+            program = generate_resnet_analog(blocks, transposes, seed=1)
+            programs += [
+                program,
+                run_dme(program).program,
+                run_global_mapping(program)[0],
+                run_local_baseline(program)[0],
+            ]
+    memcopy_edges = 0
+    for program in programs:
+        edges = dependence_edges(program)
+        assert edges == _ref_dependence_edges(program)
+        memcopy_edges += sum(e.consumer.startswith("bankfix_") for e in edges)
+        index = UseDefIndex(program)
+        for t in program.tensors:
+            writers = [ni for ni, n in enumerate(program.nests) if t.name in n.written_tensors()]
+            readers = [ni for ni, n in enumerate(program.nests) if t.name in n.read_tensors()]
+            assert index.producer(t.name) == (writers[0] if writers else None)
+            assert index.readers(t.name) == readers
+    assert memcopy_edges > 0
 
 
 def test_find_copy_pairs_transpose():
