@@ -24,6 +24,7 @@ from typing import Sequence, Union
 
 from .affine import QuasiAffineMap, affine_map, variables
 from .ir import (
+    OPERATOR_KINDS,
     BankMapping,
     BankPolicy,
     Load,
@@ -61,6 +62,12 @@ class AnchorTemplate:
     results: tuple[BankMapping | None, ...]
 
 
+def _reject_unknown_keys(entry: dict, allowed: set[str], where: str) -> None:
+    unknown = sorted(set(entry) - allowed)
+    if unknown:
+        raise ValueError(f"{where} has unknown key(s) {', '.join(map(repr, unknown))}")
+
+
 @dataclass(frozen=True)
 class AnchorRegistry:
     """Per-operator-kind required mappings for each operand/result slot."""
@@ -70,18 +77,26 @@ class AnchorRegistry:
 
     @staticmethod
     def from_dict(doc: dict, banks: int | None = None) -> "AnchorRegistry":
+        """Registry from an anchors document; a key nothing reads is an error, not a no-op."""
+        if "operators" not in doc:
+            raise ValueError("anchors document has no 'operators' key")
+        _reject_unknown_keys(doc, {"banks", "operators"}, "anchors document")
         bank_count = banks if banks is not None else int(doc.get("banks", DEFAULT_BANKS))
 
-        def slot(entry) -> BankMapping | None:
+        def slot(entry, where: str) -> BankMapping | None:
             if entry is None:
                 return None
+            _reject_unknown_keys(entry, {"axis", "policy"}, where)
             return BankMapping(int(entry["axis"]), bank_count, BankPolicy(entry.get("policy", "cyclic")))
 
         templates = {}
-        for kind, spec in doc.get("operators", {}).items():
+        for kind, spec in doc["operators"].items():
+            if kind not in OPERATOR_KINDS:
+                raise ValueError(f"anchors document names unknown operator kind '{kind}'")
+            _reject_unknown_keys(spec, {"operands", "results"}, f"operator '{kind}'")
             templates[kind] = AnchorTemplate(
-                tuple(slot(e) for e in spec.get("operands", [])),
-                tuple(slot(e) for e in spec.get("results", [])),
+                tuple(slot(e, f"operator '{kind}' operand") for e in spec.get("operands", [])),
+                tuple(slot(e, f"operator '{kind}' result") for e in spec.get("results", [])),
             )
         return AnchorRegistry(templates, bank_count)
 

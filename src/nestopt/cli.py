@@ -10,7 +10,8 @@ Subcommands:
     gen resnet <blocks> <transposes> [--seed S] -o <out>
 
 Exit status: 0 success, 1 diagnostics (invalid program, an anchor template
-banking an axis its tensor lacks, non-equivalence), 2 usage error.
+banking an axis its tensor lacks, non-equivalence, an input that cannot be
+read as UTF-8, an output that cannot be written), 2 usage error.
 """
 
 from __future__ import annotations
@@ -84,6 +85,8 @@ def _load_program(path: Path) -> Program:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise SystemExit(f"nestopt: cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise SystemExit(f"nestopt: cannot read {path}: not UTF-8 (byte {exc.start})")
     try:
         program = parse(text)
     except ParseError as exc:
@@ -95,6 +98,13 @@ def _load_program(path: Path) -> Program:
             print(f"{path}: {v}", file=sys.stderr)
         raise _Diagnostic()
     return program
+
+
+def _write_text(path: Path, text: str) -> None:
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise SystemExit(f"nestopt: cannot write {path}: {exc.strerror}")
 
 
 class _Diagnostic(Exception):
@@ -156,10 +166,10 @@ def _cmd_optimize(args) -> int:
             print(f"optimized program is invalid: {v}", file=sys.stderr)
         return 1
     after = account(current, **traffic_opts, copy_pairs_eliminated=eliminated_pairs)
-    args.output.write_text(print_program(current), encoding="utf-8")
+    _write_text(args.output, print_program(current))
     if args.report is not None:
         doc = build_document(pipeline, pass_entries, before, after)
-        args.report.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        _write_text(args.report, json.dumps(doc, indent=2) + "\n")
     return 0
 
 
@@ -186,7 +196,7 @@ def _cmd_report(args) -> int:
     doc = build_document([], [], report, None)
     text = json.dumps(doc, indent=2)
     if args.json_out is not None:
-        args.json_out.write_text(text + "\n", encoding="utf-8")
+        _write_text(args.json_out, text + "\n")
     else:
         print(text)
     return 0
@@ -203,7 +213,7 @@ def _cmd_gen(args) -> int:
             print("gen resnet: need blocks >= 1 and transposes >= 0", file=sys.stderr)
             return 2
         program = generate_resnet_analog(args.blocks, args.transposes, args.seed)
-    args.output.write_text(print_program(program), encoding="utf-8")
+    _write_text(args.output, print_program(program))
     return 0
 
 

@@ -247,6 +247,8 @@ def validate(program: Program, limits: Limits = DEFAULT_LIMITS) -> list[Violatio
                 )
 
     decls = program.tensor_map
+    # programs repeat accesses; one answer per distinct (map, shape) in this call
+    bounds: dict[tuple[QuasiAffineMap, tuple[int, ...]], tuple[bool, tuple[int, ...] | None]] = {}
     produced: set[str] = {t.name for t in program.tensors if t.origin is Origin.MODEL_INPUT}
     produced_by: dict[str, str] = {}
     seen_nests: set[str] = set()
@@ -284,7 +286,11 @@ def validate(program: Program, limits: Limits = DEFAULT_LIMITS) -> list[Violatio
                         )
                     )
                     continue
-                bad, witness = _access_in_bounds(access, decl.shape, limits)
+                key = (access, decl.shape)
+                found = bounds.get(key)
+                if found is None:
+                    found = bounds[key] = _access_in_bounds(access, decl.shape, limits)
+                bad, witness = found
                 if bad:
                     where = f" at {witness}" if witness is not None else ""
                     out.append(

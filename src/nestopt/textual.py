@@ -18,9 +18,16 @@ is canonical and stable, and ``parse(print(p)) == p`` for valid programs.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
-from .affine import IntBox, QuasiAffineExpr, QuasiAffineMap, TermKind, affine_map, variables
+from .affine import (
+    DivModTerm,
+    IntBox,
+    QuasiAffineExpr,
+    QuasiAffineMap,
+    TermKind,
+    affine_map,
+    variables,
+)
 from .ir import (
     BankMapping,
     BankPolicy,
@@ -162,6 +169,17 @@ def _tokenize_expr(text: str, line: int, col0: int) -> list[tuple[str, str, int]
 
 
 class _ExprParser:
+    """Recursive descent straight into one linear part and one term list.
+
+    Each production adds its monomials into the caller's coefficient list
+    and term list, scaled by the product of the constants in front of it,
+    and returns its constant.  Only ``parse`` builds a ``QuasiAffineExpr``,
+    so the expression is normalized once.  A parenthesized group followed by
+    floordiv/mod is the exception: it is normalized on its own first,
+    because the depth check needs its canonical form (``(2*i0) floordiv 2``
+    is linear, ``(i0) floordiv 2`` is not).
+    """
+
     def __init__(self, toks, arity: int, line: int, end_col: int):
         self.toks = toks
         self.arity = arity
@@ -183,29 +201,29 @@ class _ExprParser:
             raise ParseError(f"expected '{sym}'", self.line, col)
 
     def parse(self) -> QuasiAffineExpr:
-        e = self.parse_sum()
+        coeffs = [0] * self.arity
+        terms: list[DivModTerm] = []
+        const = self.parse_sum(coeffs, terms, 1)
         kind, val, col = self.peek()
         if kind is not None:
             raise ParseError(f"trailing '{val}' in expression", self.line, col)
-        return e
+        return QuasiAffineExpr(tuple(coeffs), const, tuple(terms))
 
-    def parse_sum(self) -> QuasiAffineExpr:
-        e = self.parse_term(allow_sign=True)
+    def parse_sum(self, coeffs: list[int], terms: list[DivModTerm], scale: int) -> int:
+        const = self.parse_term(coeffs, terms, scale, allow_sign=True)
         while True:
             kind, val, _ = self.peek()
             if kind == "sym" and val in "+-":
                 self.take()
-                rhs = self.parse_term(allow_sign=False)
-                e = e + rhs if val == "+" else e - rhs
+                const += self.parse_term(coeffs, terms, scale if val == "+" else -scale, allow_sign=False)
             else:
-                return e
+                return const
 
-    def parse_term(self, allow_sign: bool) -> QuasiAffineExpr:
-        sign = 1
+    def parse_term(self, coeffs: list[int], terms: list[DivModTerm], scale: int, allow_sign: bool) -> int:
         kind, val, col = self.peek()
         if allow_sign and kind == "sym" and val == "-":
             self.take()
-            sign = -1
+            scale = -scale
             kind, val, col = self.peek()
         if kind == "int":
             self.take()
@@ -213,20 +231,22 @@ class _ExprParser:
             nk, nv, _ = self.peek()
             if nk == "sym" and nv == "*":
                 self.take()
-                return sign * k * self.parse_factor()
-            return QuasiAffineExpr(tuple(0 for _ in range(self.arity)), sign * k)
-        return sign * self.parse_factor()
+                return self.parse_factor(coeffs, terms, scale * k)
+            return scale * k
+        return self.parse_factor(coeffs, terms, scale)
 
-    def parse_factor(self) -> QuasiAffineExpr:
+    def parse_factor(self, coeffs: list[int], terms: list[DivModTerm], scale: int) -> int:
         kind, val, col = self.take()
         if kind == "var":
             idx = int(val[1:])
             if idx >= self.arity:
                 raise ParseError(f"unknown loop variable {val}", self.line, col)
-            coeffs = tuple(1 if j == idx else 0 for j in range(self.arity))
-            return QuasiAffineExpr(coeffs)
+            coeffs[idx] += scale
+            return 0
         if kind == "sym" and val == "(":
-            inner = self.parse_sum()
+            inner_coeffs = [0] * self.arity
+            inner_terms: list[DivModTerm] = []
+            inner_const = self.parse_sum(inner_coeffs, inner_terms, 1)
             self.expect_sym(")")
             nk, nv, ncol = self.peek()
             if nk == "op":
@@ -237,11 +257,16 @@ class _ExprParser:
                 d = int(dv)
                 if d <= 0:
                     raise ParseError("divisor must be positive", self.line, dcol)
-                try:
-                    return inner.floordiv(d) if nv == "floordiv" else inner.mod(d)
-                except ValueError as exc:
-                    raise ParseError(str(exc), self.line, ncol) from None
-            return inner
+                inner = QuasiAffineExpr(tuple(inner_coeffs), inner_const, tuple(inner_terms))
+                if not inner.is_linear:
+                    message = f"{nv} of a non-linear expression exceeds nesting depth 1"
+                    raise ParseError(message, self.line, ncol)
+                terms.append(DivModTerm(inner, d, TermKind(nv), scale))
+                return 0
+            for j, c in enumerate(inner_coeffs):
+                coeffs[j] += scale * c
+            terms.extend(DivModTerm(t.inner, t.divisor, t.kind, scale * t.weight) for t in inner_terms)
+            return scale * inner_const
         raise ParseError("expected a loop variable, constant or '('", self.line, col)
 
 
@@ -267,12 +292,73 @@ _COMPUTE_RE = re.compile(r"%(\w+)\s*=\s*([a-z_]+)\s+(%\w+(?:\s+%\w+)*)\s*$")
 _MEMCOPY_RE = re.compile(r"memcopy\s+%(\w+)\s*<-\s*%(\w+)\s*$")
 
 
-def _parse_access(exprs_text: str, box: IntBox, line: int) -> QuasiAffineMap:
-    parts = exprs_text.split(",") if exprs_text.strip() else []
-    exprs = tuple(parse_expr(p.strip(), box.ndim, line) for p in parts)
-    if not exprs:
-        raise ParseError("access needs at least one index expression", line)
-    return affine_map(box, exprs)
+class _CallMemo:
+    """One value per distinct text, for the length of one ``parse`` call.
+
+    A whole-model program repeats a few access texts and loop headers many
+    times.  Maps and expressions are frozen, so every repeat can share one.
+    The box is part of a map's key because ``QuasiAffineMap`` simplifies its
+    expressions against its domain.  Only successful results are stored, so
+    a bad text still raises on its own line and column.  Nothing outlives
+    the call: a process that parses once would never see a shared cache pay
+    off, so none is kept.
+    """
+
+    def __init__(self) -> None:
+        self.maps: dict[tuple[str | None, IntBox], QuasiAffineMap] = {}
+        self.exprs: dict[tuple[str, int], QuasiAffineExpr] = {}
+        self.boxes: dict[str, IntBox] = {}
+
+    def box(self, loops_text: str, line: int) -> IntBox:
+        box = self.boxes.get(loops_text)
+        if box is None:
+            los: list[int] = []
+            his: list[int] = []
+            specs = [s.strip() for s in loops_text.split(",") if s.strip()]
+            for j, spec in enumerate(specs):
+                lm = _LOOP_RE.match(spec)
+                if lm is None:
+                    raise ParseError(f"bad loop spec '{spec}'", line)
+                if int(lm.group(1)) != j:
+                    raise ParseError(f"loop variables must be i0..i{len(specs)-1} in order", line)
+                los.append(int(lm.group(2)))
+                his.append(int(lm.group(3)))
+            try:
+                box = self.boxes[loops_text] = IntBox(tuple(los), tuple(his))
+            except ValueError as exc:
+                raise ParseError(str(exc), line) from None
+        return box
+
+    def access(self, exprs_text: str, box: IntBox, line: int, col0: int) -> QuasiAffineMap:
+        """Map of the text between an access's brackets, which starts at column ``col0``."""
+        key = (exprs_text, box)
+        access = self.maps.get(key)
+        if access is None:
+            exprs = []
+            col = col0
+            for part in exprs_text.split(",") if exprs_text.strip() else ():
+                text = part.lstrip()
+                exprs.append(self.expr(text.rstrip(), box.ndim, line, col + len(part) - len(text)))
+                col += len(part) + 1
+            if not exprs:
+                raise ParseError("access needs at least one index expression", line)
+            access = self.maps[key] = affine_map(box, exprs)
+        return access
+
+    def identity(self, box: IntBox) -> QuasiAffineMap:
+        """A memcopy's element map, keyed apart from every access text."""
+        key = (None, box)
+        access = self.maps.get(key)
+        if access is None:
+            access = self.maps[key] = affine_map(box, variables(box.ndim))
+        return access
+
+    def expr(self, text: str, ndim: int, line: int, col0: int) -> QuasiAffineExpr:
+        key = (text, ndim)
+        expr = self.exprs.get(key)
+        if expr is None:
+            expr = self.exprs[key] = parse_expr(text, ndim, line, col0)
+        return expr
 
 
 def parse(text: str) -> Program:
@@ -280,6 +366,7 @@ def parse(text: str) -> Program:
     tensors: list[TensorDecl] = []
     nests: list[OperatorNest] = []
     current: dict | None = None
+    memo = _CallMemo()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -312,26 +399,12 @@ def parse(text: str) -> Program:
             m = _NEST_RE.match(line)
             if m:
                 name, kind, loops_text = m.groups()
-                los: list[int] = []
-                his: list[int] = []
-                specs = [s.strip() for s in loops_text.split(",") if s.strip()]
-                for j, spec in enumerate(specs):
-                    lm = _LOOP_RE.match(spec)
-                    if lm is None:
-                        raise ParseError(f"bad loop spec '{spec}'", lineno)
-                    if int(lm.group(1)) != j:
-                        raise ParseError(f"loop variables must be i0..i{len(specs)-1} in order", lineno)
-                    los.append(int(lm.group(2)))
-                    his.append(int(lm.group(3)))
-                try:
-                    box = IntBox(tuple(los), tuple(his))
-                except ValueError as exc:
-                    raise ParseError(str(exc), lineno) from None
+                box = memo.box(loops_text, lineno)
                 current = {"name": name, "kind": kind, "box": box, "body": [], "line": lineno}
                 continue
             raise ParseError(f"expected a tensor declaration or nest header, got '{line}'", lineno)
 
-        # inside a nest
+        # inside a nest; an access's column counts from the start of the raw line
         if line == "}":
             nests.append(
                 OperatorNest(
@@ -341,21 +414,23 @@ def parse(text: str) -> Program:
             current = None
             continue
         box = current["box"]
+        indent = len(raw) - len(raw.lstrip())
         m = _LOAD_RE.match(line)
         if m:
             result, tensor, exprs_text = m.groups()
-            current["body"].append(Load(result, tensor, _parse_access(exprs_text, box, lineno)))
+            access = memo.access(exprs_text, box, lineno, indent + m.start(3) + 1)
+            current["body"].append(Load(result, tensor, access))
             continue
         m = _STORE_RE.match(line)
         if m:
             tensor, exprs_text, value = m.groups()
-            current["body"].append(Store(tensor, _parse_access(exprs_text, box, lineno), value))
+            access = memo.access(exprs_text, box, lineno, indent + m.start(2) + 1)
+            current["body"].append(Store(tensor, access, value))
             continue
         m = _MEMCOPY_RE.match(line)
         if m:
             dst, src = m.groups()
-            ident = affine_map(box, variables(box.ndim))
-            current["body"].append(Memcopy(dst, src, ident))
+            current["body"].append(Memcopy(dst, src, memo.identity(box)))
             continue
         m = _COMPUTE_RE.match(line)
         if m:

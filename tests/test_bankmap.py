@@ -141,6 +141,41 @@ nest conv kind=conv2d (i0 in 0..4) {
 """
 
 
+def test_bundled_anchors_file_loads_unchanged():
+    from importlib import resources
+
+    doc = json.loads(resources.files("nestopt").joinpath("data/anchors.json").read_text("utf-8"))
+    registry = AnchorRegistry.from_dict(doc)
+    assert registry == AnchorRegistry.default()
+    assert registry.banks == 8
+    assert sorted(registry.templates) == ["conv2d", "matmul", "pooling"]
+    assert registry.templates["conv2d"].operands == (cyclic(1), cyclic(0))
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"conv2d": {"operands": [{"axis": 7}]}}, "no 'operators' key"),
+        ({"banks": 4}, "no 'operators' key"),
+        ({"operators": {}, "bank": 4}, "anchors document has unknown key(s) 'bank'"),
+        ({"operators": {"conv3d": {}}}, "unknown operator kind 'conv3d'"),
+        ({"operators": {"conv2d": {"operand": []}}}, "operator 'conv2d' has unknown key(s) 'operand'"),
+        (
+            {"operators": {"conv2d": {"operands": [{"axis": 1, "banks": 4}]}}},
+            "operator 'conv2d' operand has unknown key(s) 'banks'",
+        ),
+        (
+            {"operators": {"matmul": {"results": [None, {"axis": 0, "polcy": "blocked"}]}}},
+            "operator 'matmul' result has unknown key(s) 'polcy'",
+        ),
+    ],
+)
+def test_anchor_registry_rejects_keys_nothing_reads(doc, message):
+    with pytest.raises(ValueError) as err:
+        AnchorRegistry.from_dict(doc)
+    assert message in str(err.value)
+
+
 def test_seed_rank_mismatch_raises():
     with pytest.raises(RankMismatchError) as err:
         seed_anchors(parse(RANK1_CONV), AnchorRegistry.default())

@@ -254,3 +254,46 @@ def test_template_rank_mismatch_is_a_diagnostic(tmp_path, capsys, mode, trigger,
     assert captured.err == f"{src}: {expected}\n"
     assert not (tmp_path / "o.ir").exists()
     assert not (tmp_path / "o.json").exists()
+
+
+def test_anchors_file_without_operators_key_is_a_usage_error(tmp_path):
+    assert main(["gen", "resnet", "2", "1", "-o", str(tmp_path / "r.ir")]) == 0
+    (tmp_path / "a.json").write_text(json.dumps({"conv2d": {"operands": [{"axis": 7}]}}))
+    proc = _run_module(
+        tmp_path, "optimize", "r.ir", "--pass", "bankmap", "--anchors", "a.json", "-o", "o.ir"
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [
+        "nestopt optimize: malformed anchors file a.json: ValueError: "
+        "anchors document has no 'operators' key"
+    ]
+    assert not (tmp_path / "o.ir").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["report", "latin1.ir"], "nestopt: cannot read latin1.ir: not UTF-8 (byte 1)"),
+        (["verify", "w.ir", "latin1.ir"], "nestopt: cannot read latin1.ir: not UTF-8 (byte 1)"),
+        (
+            ["optimize", "w.ir", "--pass", "dme", "-o", "no/o.ir"],
+            "nestopt: cannot write no/o.ir: No such file or directory",
+        ),
+        (
+            ["optimize", "w.ir", "--pass", "dme", "-o", "o.ir", "--report", "no/r.json"],
+            "nestopt: cannot write no/r.json: No such file or directory",
+        ),
+        (["report", "w.ir", "--json", "no/r.json"], "nestopt: cannot write no/r.json: No such file or directory"),
+        (["gen", "wavenet", "3", "0", "-o", "no/w.ir"], "nestopt: cannot write no/w.ir: No such file or directory"),
+        (["gen", "resnet", "1", "0", "-o", "."], "nestopt: cannot write .: Is a directory"),
+    ],
+)
+def test_unreadable_input_and_unwritable_output_exit_one(tmp_path, argv, message):
+    assert main(["gen", "wavenet", "3", "0", "-o", str(tmp_path / "w.ir")]) == 0
+    (tmp_path / "latin1.ir").write_bytes(b"#\xe9\n")
+    proc = _run_module(tmp_path, *argv)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [message]
+    assert proc.stdout == ""
