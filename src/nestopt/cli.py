@@ -10,8 +10,9 @@ Subcommands:
     gen resnet <blocks> <transposes> [--seed S] -o <out>
 
 Exit status: 0 success, 1 diagnostics (invalid program, an anchor template
-banking an axis its tensor lacks, non-equivalence, an input that cannot be
-read as UTF-8, an output that cannot be written), 2 usage error.
+banking an axis its tensor lacks, non-equivalence, a program the interpreter
+cannot run, an input that cannot be read as UTF-8, an output that cannot be
+written), 2 usage error.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from pathlib import Path
 from .bankmap import AnchorRegistry, RankMismatchError, run_global_mapping, run_local_baseline
 from .dme import run_dme
 from .generators import generate_resnet_analog, generate_wavenet_analog
-from .interp import equivalent
+from .interp import InterpError, equivalent
 from .ir import Program, validate
 from .report import bankmap_pass_entry, build_document, dme_pass_entry
 from .textual import ParseError, parse, print_program
@@ -178,7 +179,11 @@ def _cmd_verify(args) -> int:
         raise _UsageError(f"--trials must be >= 1, got {args.trials}")
     left = _load_program(args.left)
     right = _load_program(args.right)
-    result = equivalent(left, right, trials=args.trials, seed=args.seed)
+    try:
+        result = equivalent(left, right, trials=args.trials, seed=args.seed)
+    except InterpError as exc:
+        print(f"nestopt verify: {exc}", file=sys.stderr)
+        return 1
     if result.equivalent:
         print(f"equivalent: {args.trials} trial(s), seed {args.seed}")
         return 0

@@ -5,12 +5,17 @@ Runs a program on concrete integer tensors with per-cell poison tracking
 those of a literal walk: each nest visits its box's points in lexicographic
 order and runs its body statements in order at each point.
 
-There is one execution path, vectorized over the whole box.  Each
-statement's flat indices are computed once per nest and bounds-checked
-there; a nest's loads and memcopy sources are checked for poison before any
-of its writes land.  This is exact because a nest never reads a tensor it
-writes (validation forbids it, and the interpreter refuses such a nest), so
-the only order a reader can observe is the order of writes to one cell.
+There is one execution path, vectorized over the whole box.  A statement's
+flat cell indices, and their arity and bounds checks, depend only on (access
+map, nest box, tensor shape).  A whole-model program repeats a few such keys
+many times, so one ``run`` call computes and checks each distinct key once
+and shares the read-only result with every later statement that has it; a
+bad key raises at its first occurrence, naming that statement.  Nothing is
+kept past the call.  A nest's loads and memcopy sources are checked for
+poison, statement by statement, before any of its writes land.  This is
+exact because a nest never reads a tensor it writes (validation forbids it,
+and the interpreter refuses such a nest), so the only order a reader can
+observe is the order of writes to one cell.
 The last-writer rule settles it: a cell's final value is the write with the
 greatest (point index, statement index), picked with a stable sort whenever
 some cell is written more than once, whether by several statements or by
@@ -30,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .affine import IntBox
+from .affine import IntBox, QuasiAffineMap
 from .ir import Compute, Load, Memcopy, Origin, Program, Store
 
 
@@ -143,10 +148,12 @@ def run(program: Program, inputs: TensorStore) -> TensorStore:
             written[t.name] = np.zeros(size, dtype=bool)
 
     decls = program.tensor_map
+    # flat indices by (access, box, shape), shared by every statement of this call
+    indices: dict[tuple[QuasiAffineMap, IntBox, tuple[int, ...]], np.ndarray] = {}
     for nest in program.nests:
         pts = _point_cache.points(nest.box)
         if pts.shape[0]:
-            _run_nest(nest, pts, decls, data, written)
+            _run_nest(nest, pts, decls, data, written, indices)
 
     outputs = {}
     for t in program.tensors:
@@ -211,26 +218,36 @@ def _apply_compute(opcode: str, args: list[np.ndarray]) -> np.ndarray:
     raise InterpError(f"unknown opcode '{opcode}'")
 
 
-def _run_nest(nest, pts, decls, data, written):
+def _run_nest(nest, pts, decls, data, written, indices):
     clash = set(nest.read_tensors()) & set(nest.written_tensors())
     if clash:
         raise InterpError(f"nest '{nest.name}' reads tensors it writes: {sorted(clash)}")
+
+    def cells(access, tensor, si):
+        decl = decls[tensor]
+        key = (access, nest.box, decl.shape)
+        flat = indices.get(key)
+        if flat is None:
+            flat = indices[key] = _flat_indices(access, pts, decl, nest.name, si)
+            flat.flags.writeable = False
+        return flat
+
     env: dict[str, np.ndarray] = {}
     # per written tensor, (flat indices, values) of each writing statement in body order
     writes: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
     for si, stmt in enumerate(nest.body):
         if isinstance(stmt, Load):
-            flat = _flat_indices(stmt.access, pts, decls[stmt.tensor], nest.name, si)
+            flat = cells(stmt.access, stmt.tensor, si)
             _check_written(written[stmt.tensor], flat, pts, nest.name, si, "load reads", stmt.tensor)
             env[stmt.result] = data[stmt.tensor][:, flat]
         elif isinstance(stmt, Compute):
             env[stmt.result] = _apply_compute(stmt.opcode, [env[o] for o in stmt.operands])
         elif isinstance(stmt, Store):
-            flat = _flat_indices(stmt.access, pts, decls[stmt.tensor], nest.name, si)
+            flat = cells(stmt.access, stmt.tensor, si)
             writes.setdefault(stmt.tensor, []).append((flat, env[stmt.value]))
         elif isinstance(stmt, Memcopy):
-            sflat = _flat_indices(stmt.element_map, pts, decls[stmt.src], nest.name, si)
-            dflat = _flat_indices(stmt.element_map, pts, decls[stmt.dst], nest.name, si)
+            sflat = cells(stmt.element_map, stmt.src, si)
+            dflat = cells(stmt.element_map, stmt.dst, si)
             _check_written(written[stmt.src], sflat, pts, nest.name, si, "memcopy reads", stmt.src)
             writes.setdefault(stmt.dst, []).append((dflat, data[stmt.src][:, sflat]))
     for name, stmt_writes in writes.items():

@@ -376,7 +376,10 @@ def parse(text: str) -> Program:
             m = _TENSOR_RE.match(line)
             if m:
                 name, es, shape_text, loc, axis, banks, policy, origin = m.groups()
-                shape = tuple(int(s.strip()) for s in shape_text.split(",") if s.strip())
+                try:
+                    shape = tuple(int(s.strip()) for s in shape_text.split(",") if s.strip())
+                except ValueError:
+                    raise ParseError(f"bad tensor extents '{shape_text}'", lineno) from None
                 if not shape:
                     raise ParseError("tensor needs at least one extent", lineno)
                 location: Location
@@ -387,7 +390,10 @@ def parse(text: str) -> Program:
                 else:
                     mapping = None
                     if axis is not None:
-                        mapping = BankMapping(int(axis), int(banks), BankPolicy(policy))
+                        try:
+                            mapping = BankMapping(int(axis), int(banks), BankPolicy(policy))
+                        except ValueError as exc:
+                            raise ParseError(str(exc), lineno) from None
                     location = OnChip(mapping)
                 org = {
                     None: Origin.INTERMEDIATE,

@@ -297,3 +297,60 @@ def test_unreadable_input_and_unwritable_output_exit_one(tmp_path, argv, message
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines() == [message]
     assert proc.stdout == ""
+
+
+HALF_WRITTEN_T = """\
+tensor %x : 4x[4] @dram input
+tensor %t : 4x[8] @sbuf
+tensor %y : 4x[8] @dram output
+
+nest a kind=copy (i0 in 0..4) {
+  %v = load %x[i0]
+  store %t[i0] = %v
+}
+
+nest b kind=copy (i0 in 0..8) {
+  %v = load %t[i0]
+  store %y[i0] = %v
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("interfaces", "nestopt verify: programs do not share input/output declarations"),
+        ("poison", "nestopt verify: nest 'b' statement 0: load reads unwritten cell of 't' at point (4,)"),
+    ],
+)
+def test_verify_reports_interpreter_errors_in_one_line(tmp_path, case, message):
+    if case == "interfaces":
+        assert main(["gen", "wavenet", "3", "0", "-o", str(tmp_path / "l.ir")]) == 0
+        assert main(["gen", "resnet", "1", "0", "-o", str(tmp_path / "r.ir")]) == 0
+    else:
+        (tmp_path / "l.ir").write_text(HALF_WRITTEN_T)
+        (tmp_path / "r.ir").write_text(HALF_WRITTEN_T)
+    proc = _run_module(tmp_path, "verify", "l.ir", "r.ir")
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [message]
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "decl, message",
+    [
+        ("tensor %x : 4x[4 8] @dram input", "bad.ir: line 1, col 1: bad tensor extents '4 8'"),
+        (
+            "tensor %x : 4x[4] @sbuf banked(axis=0, banks=0, policy=cyclic) input",
+            "bad.ir: line 1, col 1: bank count must be >= 1",
+        ),
+    ],
+)
+def test_malformed_tensor_declaration_is_a_parse_error(tmp_path, decl, message):
+    (tmp_path / "bad.ir").write_text(decl + "\n")
+    proc = _run_module(tmp_path, "report", "bad.ir")
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [message]
+    assert proc.stdout == ""

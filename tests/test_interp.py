@@ -11,7 +11,7 @@ from nestopt.interp import (
     equivalent,
     run,
 )
-from nestopt.ir import validate
+from nestopt.ir import Load, Memcopy, Store, validate
 from nestopt.textual import parse
 
 
@@ -459,3 +459,83 @@ def test_point_cache_stays_under_its_byte_cap(monkeypatch):
         assert sum(b.cardinality * b.ndim * 8 for b in boxes) > 2 * cap
     finally:
         interp._point_cache.clear()
+
+
+def _index_keys(program):
+    """Distinct (access, box, tensor shape) keys of the program's index uses, and the number of uses."""
+    shapes = {t.name: t.shape for t in program.tensors}
+    keys = []
+    for nest in program.nests:
+        for stmt in nest.body:
+            if isinstance(stmt, (Load, Store)):
+                keys.append((stmt.access, nest.box, shapes[stmt.tensor]))
+            elif isinstance(stmt, Memcopy):
+                keys.append((stmt.element_map, nest.box, shapes[stmt.src]))
+                keys.append((stmt.element_map, nest.box, shapes[stmt.dst]))
+    return set(keys), len(keys)
+
+
+def test_run_computes_each_distinct_index_vector_once_per_call(monkeypatch):
+    from nestopt import interp
+    from nestopt.bankmap import run_local_baseline
+    from nestopt.generators import generate_resnet_analog
+
+    computed = []
+    uncached = interp._flat_indices
+
+    def counting_flat_indices(access, pts, decl, nest_name, si):
+        flat = uncached(access, pts, decl, nest_name, si)
+        computed.append(((access, pts.shape[0], decl.shape), flat))
+        return flat
+
+    monkeypatch.setattr(interp, "_flat_indices", counting_flat_indices)
+    program = generate_resnet_analog(64, 3, seed=0)
+    for p in (program, run_local_baseline(program)[0]):
+        keys, uses = _index_keys(p)
+        assert uses > 20 * len(keys)
+        inputs = interp.random_inputs(p, 7)
+        computed.clear()
+        first = run(p, inputs)
+        assert len(computed) == len(keys)
+        assert {(a, b.cardinality, s) for a, b, s in keys} == {k for k, _ in computed}
+        assert not any(flat.flags.writeable for _, flat in computed)
+        # nothing outlives a call: a second run computes every vector again
+        second = run(p, inputs)
+        assert len(computed) == 2 * len(keys)
+        assert all(np.array_equal(first.array(n), second.array(n)) for n in first.names())
+    assert any(isinstance(s, Memcopy) for n in p.nests for s in n.body)
+
+
+SHARED_ACCESS = """\
+tensor %x : 4x[8] @dram input
+tensor %u : 4x[8] @dram output
+tensor %w : 4x[{shape}] @dram output
+
+nest big kind=copy (i0 in 0..8) {{
+  %v = load %x[i0]
+  store %u[i0] = %v
+}}
+
+nest small kind=copy (i0 in 0..8) {{
+  %v = load %x[i0]
+  store %w[i0] = %v
+}}
+"""
+
+
+@pytest.mark.parametrize(
+    "shape, message",
+    [
+        ("4", "nest 'small' statement 1: access to 'w' out of bounds at point (4,): index (4,) outside shape (4,)"),
+        ("8, 1", "nest 'small' statement 1: access to 'w' has 1 indices, tensor has 2 dimensions"),
+    ],
+)
+def test_error_of_a_shared_access_names_the_statement_that_first_fails(shape, message):
+    # the same map over the same box passes into 'u' and fails into 'w', so
+    # the tensor's shape must be part of the key the indices are shared by
+    program = parse(SHARED_ACCESS.format(shape=shape))
+    big, small = program.nests
+    assert big.body[1].access == small.body[1].access and big.box == small.box
+    with pytest.raises(InterpError) as err:
+        run(program, store_of(x=np.arange(8)))
+    assert str(err.value) == message

@@ -126,7 +126,19 @@ def test_reference_agrees_on_transformed_programs():
 
 
 def _generated(seed):
-    """Wavenet chains, resnet blocks, and bank-mapped blocks with memcopies."""
+    """Wavenet chains, resnet blocks, and bank-mapped blocks with memcopies.
+
+    Seeds past 11 give an 8-block resnet and its DME, global and local
+    outputs, where every nest shares one of a few access maps.
+    """
+    if seed >= 12:
+        program = generate_resnet_analog(8, 3, seed=seed)
+        stage = seed % 4
+        if stage == 1:
+            return run_dme(program).program
+        if stage == 2:
+            return run_global_mapping(program)[0]
+        return run_local_baseline(program)[0] if stage == 3 else program
     if seed % 2 == 0:
         return generate_wavenet_analog(3 + seed % 4, seed % 2, seed=seed)
     program = generate_resnet_analog(1 + seed % 3, 1 + seed % 3, seed=seed)
@@ -146,7 +158,7 @@ def _assert_matches_reference(program, seed, trials=3):
             assert np.array_equal(single.array(name), slow[name]), (k, name)
 
 
-@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("seed", range(16))
 def test_batched_run_matches_per_trial_runs_and_reference(seed):
     _assert_matches_reference(_generated(seed), seed)
 

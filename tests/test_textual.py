@@ -283,7 +283,10 @@ def _ref_parse(text):
             m = textual._TENSOR_RE.match(line)
             if m:
                 name, es, shape_text, loc, axis, banks, policy, origin = m.groups()
-                shape = tuple(int(s.strip()) for s in shape_text.split(",") if s.strip())
+                try:
+                    shape = tuple(int(s.strip()) for s in shape_text.split(",") if s.strip())
+                except ValueError:
+                    raise ParseError(f"bad tensor extents '{shape_text}'", lineno) from None
                 if not shape:
                     raise ParseError("tensor needs at least one extent", lineno)
                 if loc == "dram":
@@ -293,7 +296,10 @@ def _ref_parse(text):
                 else:
                     mapping = None
                     if axis is not None:
-                        mapping = BankMapping(int(axis), int(banks), BankPolicy(policy))
+                        try:
+                            mapping = BankMapping(int(axis), int(banks), BankPolicy(policy))
+                        except ValueError as exc:
+                            raise ParseError(str(exc), lineno) from None
                     location = OnChip(mapping)
                 org = {None: Origin.INTERMEDIATE, "input": Origin.MODEL_INPUT, "output": Origin.MODEL_OUTPUT}
                 tensors.append(TensorDecl(name, int(es), shape, location, org[origin]))
@@ -358,9 +364,6 @@ def _outcome(parser, *args):
         return parser(*args)
     except ParseError as exc:
         return ("ParseError", str(exc), exc.line, exc.col)
-    except ValueError as exc:
-        # e.g. a tensor extent list missing its comma: both parsers leak int()'s error
-        return (type(exc).__name__, str(exc))
 
 
 def _generated_texts():
@@ -414,6 +417,8 @@ _MUTATIONS = [
     ("8*i0 + i1", "8*3 + i1"),
     ("8*i0 + i1", "8*i0 + i1,"),
     ("[i0, i1]", "[]"),
+    # malformed tensor declarations
+    ("banks=8", "banks=0"),
 ]
 
 _TOKEN = re.compile(r"i\d+|\d+|floordiv|mod|%\w+|\w+|\S")
@@ -461,6 +466,8 @@ def test_parser_matches_reference_on_mutated_texts():
         "expected a loop variable, constant or '('",
         "access needs at least one index expression",
         "bad statement",
+        "bad tensor extents '4 8'",
+        "bank count must be >= 1",
     ):
         assert any(fragment in m for m in messages), fragment
 
