@@ -18,13 +18,20 @@ from nestopt.generators import generate_resnet_analog  # noqa: E402
 from nestopt.interp import equivalent  # noqa: E402
 
 
+def seed_value(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-blocks", type=int, default=8)
     ap.add_argument("--max-transposes", type=int, default=3)
     ap.add_argument("--banks", type=int, default=None)
     ap.add_argument("--anchors", type=str, default=None, help="anchor registry JSON")
-    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--seed", type=seed_value, default=1)
     ap.add_argument("--verify", action="store_true", help="also run the interpreter oracle")
     args = ap.parse_args()
 

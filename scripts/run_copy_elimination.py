@@ -31,11 +31,18 @@ def trial_count(text: str) -> int:
     return n
 
 
+def seed_value(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--pairs", type=int, default=124)
     ap.add_argument("--non-invertible", type=int, default=1)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=seed_value, default=0)
     ap.add_argument("--verify-trials", type=trial_count, default=3)
     args = ap.parse_args()
 

@@ -11,6 +11,19 @@ of three ways: a symbolic inverse for the recognized normal forms,
 ``InjectiveOnly`` for a general map that is injective but has no symbolic
 inverse, or ``NotInvertible``.
 
+Every expression is kept in one normal form, and building a map puts each
+output into it once.  ``compose`` is a pullback by substitution: per outer
+output it sums the scaled coefficients, constants and div/mod terms of the
+inner outputs into one coefficient list and one term list, then normalizes
+(the inner expression of a substituted div/mod term is normalized on its
+own first, for its depth check).  ``reverse`` and ``build_unflatten_exprs``
+write their unit, shifted and floordiv terms straight into one expression
+per output.  The operator algebra on ``QuasiAffineExpr`` (``+``, ``*``,
+``floordiv``, ``mod``) normalizes after every operation; it is there for
+building expressions by hand.  Before substituting, ``compose`` checks that
+the inner image lies in the outer domain interval-first: the exact image is
+computed only when some output's value interval leaves the domain.
+
 floordiv rounds toward -inf and mod is always non-negative, so
 ``x == d * (x floordiv d) + (x mod d)`` holds unconditionally.
 """
@@ -290,17 +303,21 @@ def _normalize_expr(coeffs, const, terms):
                 continue
         key = (d, tuple(ic), ib)
         bucket[key] = bucket.get(key, 0) + w
-    out_terms = []
-    for (d, ic, ib), w in bucket.items():
-        if w == 0:
-            continue
-        inner = object.__new__(QuasiAffineExpr)
-        object.__setattr__(inner, "coeffs", ic)
-        object.__setattr__(inner, "const", ib)
-        object.__setattr__(inner, "terms", ())
-        out_terms.append(DivModTerm(inner, d, TermKind.FLOORDIV, w))
+    out_terms = [
+        DivModTerm(_linear(ic, ib), d, TermKind.FLOORDIV, w) for (d, ic, ib), w in bucket.items() if w
+    ]
     out_terms.sort(key=lambda t: (t.divisor, t.inner.coeffs, t.inner.const))
     return tuple(coeffs), const, tuple(out_terms)
+
+
+def _linear(coeffs: tuple[int, ...], const: int) -> QuasiAffineExpr:
+    """A linear expression that is already in normal form, built without
+    normalizing: integer coefficients in a tuple and an integer constant."""
+    expr = object.__new__(QuasiAffineExpr)
+    object.__setattr__(expr, "coeffs", coeffs)
+    object.__setattr__(expr, "const", const)
+    object.__setattr__(expr, "terms", ())
+    return expr
 
 
 def _linear_interval(coeffs, const, box: IntBox) -> tuple[int, int]:
@@ -323,7 +340,7 @@ def _box_simplify(expr: QuasiAffineExpr, box: IntBox) -> QuasiAffineExpr:
     coefficients in [0, d); when the value range of r over the box lies in
     [0, d), ``inner fd d`` is exactly q and ``inner mod d`` is exactly r.
     """
-    if box.is_empty or not expr.terms:
+    if not expr.terms or box.is_empty:
         return expr
     coeffs = list(expr.coeffs)
     const = expr.const
@@ -447,17 +464,30 @@ def _suffix_products(extents: tuple[int, ...]) -> tuple[int, ...]:
 
 def build_unflatten_exprs(base: int, radices: tuple[int, ...]) -> tuple[QuasiAffineExpr, ...]:
     """Digit-extraction expressions for a 1-d domain value x in [base, base+prod)."""
-    (x,) = variables(1)
-    shifted = x - base
-    weights = _suffix_products(radices)
+    return _unflatten_exprs(base, radices, tuple(0 for _ in radices))
+
+
+def _unflatten_exprs(base: int, radices, offsets) -> tuple[QuasiAffineExpr, ...]:
+    """``build_unflatten_exprs`` with ``offsets[j]`` added to digit j.
+
+    Digit j is ``(x - base) floordiv w_j - r_j * ((x - base) floordiv (w_j * r_j))``
+    for suffix product w_j, with ``floordiv 1`` written as ``x - base``;
+    each digit is normalized once.
+    """
+    shifted = _linear((1,), -base)
+    fd = TermKind.FLOORDIV
     exprs = []
-    for j, (w, r) in enumerate(zip(weights, radices)):
+    for j, (w, r, off) in enumerate(zip(_suffix_products(radices), radices, offsets)):
         if j == 0:
-            exprs.append(shifted.floordiv(w) if w > 1 else shifted)
+            if w > 1:
+                exprs.append(QuasiAffineExpr((0,), off, (DivModTerm(shifted, w, fd, 1),)))
+            else:
+                exprs.append(QuasiAffineExpr((1,), off - base))
         elif w == 1:
-            exprs.append(shifted - r * shifted.floordiv(r))
+            exprs.append(QuasiAffineExpr((1,), off - base, (DivModTerm(shifted, r, fd, -r),)))
         else:
-            exprs.append(shifted.floordiv(w) - r * shifted.floordiv(w * r))
+            terms = (DivModTerm(shifted, w, fd, 1), DivModTerm(shifted, w * r, fd, -r))
+            exprs.append(QuasiAffineExpr((0,), off, terms))
     return tuple(exprs)
 
 
@@ -679,40 +709,30 @@ def reverse(m: QuasiAffineMap, limits: Limits = DEFAULT_LIMITS) -> InverseResult
     if cls in (MapClass.PERM_SHIFT, MapClass.STRIDED_EMBED, MapClass.MIXED_RADIX):
         img = image(m, limits)
     if cls in (MapClass.PERM_SHIFT, MapClass.STRIDED_EMBED):
+        # output k == s*i_j + b inverts to i_j == (sign(s)*(x_k - b)) floordiv |s|,
+        # which divides exactly on the image
         n = m.in_arity
-        by_dim = {}
-        for k, e in enumerate(m.exprs):
-            dim, s = _single_var(e)
-            by_dim[dim] = (k, s, e.const)
-        xs = variables(n)
+        zeros = tuple(0 for _ in range(n))
         inv_exprs: list[QuasiAffineExpr] = [None] * n  # type: ignore[list-item]
-        for j in range(n):
-            k, s, b = by_dim[j]
-            if s == 1:
-                inv_exprs[j] = xs[k] - b
-            elif s == -1:
-                inv_exprs[j] = -(xs[k] - b)
-            elif s > 0:
-                inv_exprs[j] = (xs[k] - b).floordiv(s)
+        for k, e in enumerate(m.exprs):
+            j, s = _single_var(e)
+            b = e.const
+            sign = 1 if s > 0 else -1
+            unit = tuple(sign if i == k else 0 for i in range(n))
+            if s == sign:
+                inv_exprs[j] = QuasiAffineExpr(unit, -sign * b)
             else:
-                inv_exprs[j] = (const_expr(n, b) - xs[k]).floordiv(-s)
+                term = DivModTerm(_linear(unit, -sign * b), sign * s, TermKind.FLOORDIV, 1)
+                inv_exprs[j] = QuasiAffineExpr(zeros, 0, (term,))
         inv = QuasiAffineMap(img.bounding_box(), tuple(inv_exprs))
         return SymbolicInverse(inv, img)
     if cls is MapClass.MIXED_RADIX:
         if m.out_arity == 1:  # row-major flatten -> digit extraction
-            base = img.los[0]
-            ext = m.domain.extents
-            digit = build_unflatten_exprs(base, ext)
-            inv_exprs = tuple(d + lo for d, lo in zip(digit, m.domain.los))
+            inv_exprs = _unflatten_exprs(img.los[0], m.domain.extents, m.domain.los)
             inv = QuasiAffineMap(img.bounding_box(), inv_exprs)
             return SymbolicInverse(inv, img)
         base, radices = _match_unflatten(m)
-        weights = _suffix_products(radices)
-        ys = variables(len(radices))
-        acc = const_expr(len(radices), base)
-        for w, y in zip(weights, ys):
-            acc = acc + w * y
-        inv = QuasiAffineMap(img.bounding_box(), (acc,))
+        inv = QuasiAffineMap(img.bounding_box(), (QuasiAffineExpr(_suffix_products(radices), base),))
         return SymbolicInverse(inv, img)
     card = m.domain.cardinality
     if card > limits.enumerate_limit:
@@ -742,8 +762,14 @@ def compose(
 ) -> QuasiAffineMap:
     """outer after inner: evaluate(result, p) == outer(inner(p)).
 
-    Raises ``UnrepresentableComposition`` when substitution would leave
-    depth-one div/mod.
+    A pullback by substitution, in one pass per output: each inner output,
+    scaled by its outer coefficient, adds its coefficients, constant and
+    div/mod terms into one coefficient list, constant and term list, which
+    is normalized once.  The inner expression of an outer div/mod term is
+    summed the same way and normalized and box-simplified over the inner
+    domain on its own, because the depth check needs its canonical form;
+    ``UnrepresentableComposition`` when it is still not linear.  The inner
+    image is checked against the outer domain first (``ImageEscapesDomain``).
     """
     if inner.out_arity != outer.in_arity:
         raise ArityMismatch(
@@ -752,34 +778,51 @@ def compose(
     _check_image_in_domain(inner, outer.domain, limits)
     exprs = []
     for oe in outer.exprs:
-        acc = const_expr(inner.in_arity, oe.const)
-        for c, ie in zip(oe.coeffs, inner.exprs):
-            if c:
-                acc = acc + c * ie
+        coeffs, const, terms = _substitute(oe, inner)
         for t in oe.terms:
-            sub = const_expr(inner.in_arity, t.inner.const)
-            for c, ie in zip(t.inner.coeffs, inner.exprs):
-                if c:
-                    sub = sub + c * ie
-            sub = _box_simplify(sub, inner.domain)
+            sub = _box_simplify(QuasiAffineExpr(*_substitute(t.inner, inner)), inner.domain)
             if not sub.is_linear:
                 raise UnrepresentableComposition("substitution nests div/mod deeper than one level")
-            kinded = sub.floordiv(t.divisor) if t.kind is TermKind.FLOORDIV else sub.mod(t.divisor)
-            acc = acc + t.weight * kinded
-        exprs.append(acc)
+            terms.append(DivModTerm(sub, t.divisor, t.kind, t.weight))
+        exprs.append(QuasiAffineExpr(coeffs, const, tuple(terms)))
     return QuasiAffineMap(inner.domain, tuple(exprs))
 
 
+def _substitute(e: QuasiAffineExpr, inner: QuasiAffineMap):
+    """The linear part of ``e`` with ``inner``'s outputs substituted for its
+    variables, unnormalized: a coefficient tuple, a constant and a list of
+    scaled div/mod terms."""
+    out = [0] * inner.in_arity
+    const = e.const
+    terms: list[DivModTerm] = []
+    for c, ie in zip(e.coeffs, inner.exprs):
+        if c:
+            for j, a in enumerate(ie.coeffs):
+                out[j] += c * a
+            const += c * ie.const
+            terms.extend(DivModTerm(t.inner, t.divisor, t.kind, c * t.weight) for t in ie.terms)
+    return tuple(out), const, terms
+
+
 def _check_image_in_domain(inner: QuasiAffineMap, box: IntBox, limits: Limits) -> None:
+    """Raise ``ImageEscapesDomain`` unless every inner output lands in ``box``.
+
+    Interval-first, as ``ir`` checks accesses: each output's interval is
+    exact when linear and an over-approximation otherwise, so when all fit
+    no point escapes.  Otherwise the exact image decides, and above the
+    enumeration limit the first escaping interval is the answer.
+    """
     if inner.domain.is_empty:
         return
     if inner.out_arity != box.ndim:
         raise ArityMismatch("image arity != domain arity")
+    intervals = [expr_interval(e, inner.domain) for e in inner.exprs]
+    if all(lo <= elo and ehi < hi for (elo, ehi), lo, hi in zip(intervals, box.los, box.his)):
+        return
     try:
         img = image(inner, limits)
     except DomainTooLarge:
-        for e, lo, hi in zip(inner.exprs, box.los, box.his):
-            elo, ehi = expr_interval(e, inner.domain)
+        for (elo, ehi), lo, hi in zip(intervals, box.los, box.his):
             if elo < lo or ehi >= hi:
                 raise ImageEscapesDomain(
                     f"output range [{elo}, {ehi}] escapes [{lo}, {hi})"

@@ -177,12 +177,15 @@ def _cmd_optimize(args) -> int:
 def _cmd_verify(args) -> int:
     if args.trials < 1:
         raise _UsageError(f"--trials must be >= 1, got {args.trials}")
+    if args.seed < 0:
+        raise _UsageError(f"--seed must be >= 0, got {args.seed}")
     left = _load_program(args.left)
     right = _load_program(args.right)
     try:
         result = equivalent(left, right, trials=args.trials, seed=args.seed)
     except InterpError as exc:
-        print(f"nestopt verify: {exc}", file=sys.stderr)
+        where = "" if exc.side is None else f"{(args.left, args.right)[exc.side]}: "
+        print(f"nestopt verify: {where}{exc}", file=sys.stderr)
         return 1
     if result.equivalent:
         print(f"equivalent: {args.trials} trial(s), seed {args.seed}")

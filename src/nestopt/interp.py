@@ -40,7 +40,13 @@ from .ir import Compute, Load, Memcopy, Origin, Program, Store
 
 
 class InterpError(Exception):
-    pass
+    """A program the interpreter cannot run.
+
+    ``equivalent`` sets ``side`` to 0 or 1, the argument whose run raised;
+    it stays None for an error that concerns both programs.
+    """
+
+    side: int | None = None
 
 
 class PoisonRead(InterpError):
@@ -324,10 +330,14 @@ def equivalent(p1: Program, p2: Program, trials: int = 5, seed: int = 0) -> Equi
 
     Trial ``k`` feeds both programs ``random_inputs(p1, seed, k)``; each
     program runs once over all trials.  The counterexample is the first
-    difference by trial, then output name, then cell.
+    difference by trial, then output name, then cell.  Raises ValueError
+    for ``trials < 1`` or ``seed < 0`` before running anything; an
+    ``InterpError`` from a run names that program in its ``side``.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     in1 = {(t.name, t.shape, t.elem_size) for t in p1.tensors if t.origin is Origin.MODEL_INPUT}
     in2 = {(t.name, t.shape, t.elem_size) for t in p2.tensors if t.origin is Origin.MODEL_INPUT}
     out1 = {(t.name, t.shape) for t in p1.tensors if t.origin is Origin.MODEL_OUTPUT}
@@ -335,8 +345,14 @@ def equivalent(p1: Program, p2: Program, trials: int = 5, seed: int = 0) -> Equi
     if in1 != in2 or out1 != out2:
         raise InterpError("programs do not share input/output declarations")
     inputs = TensorStore.stack([random_inputs(p1, seed, trial) for trial in range(trials)])
-    r1 = run(p1, inputs)
-    r2 = run(p2, inputs)
+    results = []
+    for side, program in enumerate((p1, p2)):
+        try:
+            results.append(run(program, inputs))
+        except InterpError as exc:
+            exc.side = side
+            raise
+    r1, r2 = results
     names = sorted(r1.names())
     for trial in range(trials):
         for name in names:

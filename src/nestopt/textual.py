@@ -105,6 +105,7 @@ def _print_location(loc: Location) -> str:
 
 def print_program(program: Program) -> str:
     lines: list[str] = []
+    identities: dict[IntBox, QuasiAffineMap] = {}  # memcopy element maps, one per box, this call only
     for t in program.tensors:
         shape = ", ".join(str(d) for d in t.shape)
         line = f"tensor %{t.name} : {t.elem_size}x[{shape}] {_print_location(t.location)}"
@@ -121,12 +122,14 @@ def print_program(program: Program) -> str:
         )
         lines.append(f"nest {nest.name} kind={nest.kind} ({loops}) {{")
         for stmt in nest.body:
-            lines.append("  " + _print_statement(stmt, nest))
+            lines.append("  " + _print_statement(stmt, nest, identities))
         lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def _print_statement(stmt: Statement, nest: OperatorNest) -> str:
+def _print_statement(
+    stmt: Statement, nest: OperatorNest, identities: dict[IntBox, QuasiAffineMap]
+) -> str:
     if isinstance(stmt, Load):
         return f"%{stmt.result} = load {_print_access(stmt.tensor, stmt.access)}"
     if isinstance(stmt, Store):
@@ -135,7 +138,9 @@ def _print_statement(stmt: Statement, nest: OperatorNest) -> str:
         ops = " ".join(f"%{o}" for o in stmt.operands)
         return f"%{stmt.result} = {stmt.opcode} {ops}"
     if isinstance(stmt, Memcopy):
-        ident = affine_map(nest.box, variables(nest.box.ndim))
+        ident = identities.get(nest.box)
+        if ident is None:
+            ident = identities[nest.box] = affine_map(nest.box, variables(nest.box.ndim))
         if stmt.element_map != ident:
             raise ValueError("memcopy with a non-identity element map is not printable")
         return f"memcopy %{stmt.dst} <- %{stmt.src}"

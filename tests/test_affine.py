@@ -5,6 +5,7 @@ evaluator / full enumeration below, which deliberately does not share code
 with the implementation under test.
 """
 
+import collections
 import itertools
 import random
 
@@ -12,7 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nestopt.dme
+from nestopt import affine as affine_module
 from nestopt.affine import (
+    DEFAULT_LIMITS,
     ArityMismatch,
     DomainTooLarge,
     ExplicitImage,
@@ -37,8 +41,14 @@ from nestopt.affine import (
     identity_map,
     image,
     reverse,
+    _box_simplify,
+    _match_unflatten,
+    _single_var,
+    _suffix_products,
+    expr_interval,
     variables,
 )
+from nestopt.generators import generate_resnet_analog, generate_wavenet_analog
 
 
 # ---------------------------------------------------------------------------
@@ -546,3 +556,283 @@ def test_compose_associativity(b, data):
     right = compose(h, compose(g, f))
     for p in b.points():
         assert left.evaluate(p) == right.evaluate(p)
+
+
+# ---------------------------------------------------------------------------
+# one-normalization builders against the operator-algebra references
+#
+# ``ref_compose``, ``ref_reverse`` and ``ref_build_unflatten_exprs`` build
+# every map through ``+``, ``*``, ``floordiv`` and ``mod``, which normalize
+# after each operation; ``ref_check_image_in_domain`` computes the image
+# before any interval.  The module builds each output in one normalization
+# and checks intervals first, and must agree with them byte for byte.
+
+
+def ref_build_unflatten_exprs(base, radices):
+    (x,) = variables(1)
+    shifted = x - base
+    weights = _suffix_products(radices)
+    exprs = []
+    for j, (w, r) in enumerate(zip(weights, radices)):
+        if j == 0:
+            exprs.append(shifted.floordiv(w) if w > 1 else shifted)
+        elif w == 1:
+            exprs.append(shifted - r * shifted.floordiv(r))
+        else:
+            exprs.append(shifted.floordiv(w) - r * shifted.floordiv(w * r))
+    return tuple(exprs)
+
+
+def ref_reverse(m, limits=DEFAULT_LIMITS):
+    if m.domain.is_empty:
+        empty = IntBox(tuple(0 for _ in range(m.out_arity)), tuple(0 for _ in range(m.out_arity)))
+        exprs = tuple(const_expr(m.out_arity, 0) for _ in range(m.in_arity))
+        return SymbolicInverse(QuasiAffineMap(empty, exprs), ExplicitImage(frozenset()))
+    cls = classify(m)
+    if cls is MapClass.GENERAL:
+        return reverse(m, limits)  # the tabulating branch builds no expression
+    img = image(m, limits)
+    if cls in (MapClass.PERM_SHIFT, MapClass.STRIDED_EMBED):
+        n = m.in_arity
+        by_dim = {}
+        for k, e in enumerate(m.exprs):
+            dim, s = _single_var(e)
+            by_dim[dim] = (k, s, e.const)
+        xs = variables(n)
+        inv_exprs = [None] * n
+        for j in range(n):
+            k, s, b = by_dim[j]
+            if s == 1:
+                inv_exprs[j] = xs[k] - b
+            elif s == -1:
+                inv_exprs[j] = -(xs[k] - b)
+            elif s > 0:
+                inv_exprs[j] = (xs[k] - b).floordiv(s)
+            else:
+                inv_exprs[j] = (const_expr(n, b) - xs[k]).floordiv(-s)
+        return SymbolicInverse(QuasiAffineMap(img.bounding_box(), tuple(inv_exprs)), img)
+    if m.out_arity == 1:
+        digit = ref_build_unflatten_exprs(img.los[0], m.domain.extents)
+        inv_exprs = tuple(d + lo for d, lo in zip(digit, m.domain.los))
+        return SymbolicInverse(QuasiAffineMap(img.bounding_box(), inv_exprs), img)
+    base, radices = _match_unflatten(m)
+    acc = const_expr(len(radices), base)
+    for w, y in zip(_suffix_products(radices), variables(len(radices))):
+        acc = acc + w * y
+    return SymbolicInverse(QuasiAffineMap(img.bounding_box(), (acc,)), img)
+
+
+def ref_check_image_in_domain(inner, b, limits):
+    if inner.domain.is_empty:
+        return
+    if inner.out_arity != b.ndim:
+        raise ArityMismatch("image arity != domain arity")
+    try:
+        img = image(inner, limits)
+    except DomainTooLarge:
+        for e, lo, hi in zip(inner.exprs, b.los, b.his):
+            elo, ehi = expr_interval(e, inner.domain)
+            if elo < lo or ehi >= hi:
+                raise ImageEscapesDomain(f"output range [{elo}, {ehi}] escapes [{lo}, {hi})")
+        return
+    if not img.is_subset_of_box(b):
+        raise ImageEscapesDomain("inner image escapes outer domain")
+
+
+def ref_compose(outer, inner, limits=DEFAULT_LIMITS):
+    if inner.out_arity != outer.in_arity:
+        raise ArityMismatch(f"inner produces {inner.out_arity} values, outer consumes {outer.in_arity}")
+    ref_check_image_in_domain(inner, outer.domain, limits)
+    exprs = []
+    for oe in outer.exprs:
+        acc = const_expr(inner.in_arity, oe.const)
+        for c, ie in zip(oe.coeffs, inner.exprs):
+            if c:
+                acc = acc + c * ie
+        for t in oe.terms:
+            sub = const_expr(inner.in_arity, t.inner.const)
+            for c, ie in zip(t.inner.coeffs, inner.exprs):
+                if c:
+                    sub = sub + c * ie
+            sub = _box_simplify(sub, inner.domain)
+            if not sub.is_linear:
+                raise UnrepresentableComposition("substitution nests div/mod deeper than one level")
+            kinded = sub.floordiv(t.divisor) if t.kind is TermKind.FLOORDIV else sub.mod(t.divisor)
+            acc = acc + t.weight * kinded
+        exprs.append(acc)
+    return QuasiAffineMap(inner.domain, tuple(exprs))
+
+
+def _outcome(f, *args):
+    """The result's repr (which shows every int's type), or the exception's type and message."""
+    try:
+        return repr(f(*args))
+    except Exception as exc:  # the type and message are the compared outcome
+        return type(exc), str(exc)
+
+
+def _assert_compose_matches(outer, inner, limits=DEFAULT_LIMITS):
+    got = _outcome(compose, outer, inner, limits)
+    assert got == _outcome(ref_compose, outer, inner, limits), (outer, inner)
+    return got
+
+
+def _hull_outer(inner, rng):
+    """A map whose domain is the interval hull of ``inner``'s outputs, with
+    random linear and div/mod outputs (so ``compose`` substitutes into both)."""
+    hull = [expr_interval(e, inner.domain) for e in inner.exprs]
+    b = IntBox(tuple(lo for lo, _ in hull), tuple(hi + 1 for _, hi in hull))
+    ys = variables(b.ndim)
+    exprs = []
+    for _ in range(rng.randint(1, 3)):
+        e = const_expr(b.ndim, rng.randint(-4, 4))
+        for y in ys:
+            e = e + rng.randint(-3, 3) * y
+        lin = const_expr(b.ndim, rng.randint(-3, 3))
+        for y in ys:
+            lin = lin + rng.randint(-2, 2) * y
+        d = rng.randint(1, 6)
+        e = e + rng.randint(-2, 2) * (lin.floordiv(d) if rng.random() < 0.5 else lin.mod(d))
+        exprs.append(e)
+    return affine_map(b, tuple(exprs))
+
+
+def test_builders_match_operator_algebra_on_criterion_5_corpus():
+    from test_acceptance import _map_corpus
+
+    rng = random.Random(7)
+    # the first 1 500 of criterion 5's maps: every kind, 250 times
+    corpus = list(_map_corpus(1_500, random.Random(20240501)))
+    pairs = []
+    for k, m in enumerate(corpus):
+        assert _outcome(reverse, m) == _outcome(ref_reverse, m), m
+        inv = reverse(m)
+        if isinstance(inv, SymbolicInverse):
+            pairs += [(inv.map, m), (m, inv.map)]
+        if not m.domain.is_empty:
+            # criterion 5's outer: 2*y + 1 over the bounding box of the image
+            vals = m.evaluate_batch(m.domain.points_array())
+            tight = IntBox(tuple(int(v) for v in vals.min(axis=0)), tuple(int(v) + 1 for v in vals.max(axis=0)))
+            pairs.append((affine_map(tight, tuple(2 * y + 1 for y in variables(tight.ndim))), m))
+            pairs.append((_hull_outer(m, rng), m))
+        # the neighbouring map: mostly an arity mismatch or an escaping image
+        pairs.append((corpus[k - 1], m))
+    outcomes = collections.Counter()
+    for outer, inner in pairs:
+        got = _assert_compose_matches(outer, inner)
+        outcomes[got[0].__name__ if isinstance(got, tuple) else "composed"] += 1
+    # every outcome the comparison is meant to cover occurs
+    assert outcomes["composed"] > 3_000
+    for error in ("ArityMismatch", "ImageEscapesDomain", "UnrepresentableComposition"):
+        assert outcomes[error] > 50, outcomes
+
+
+@pytest.mark.parametrize(
+    "base, radices",
+    [
+        (0, (2, 3, 4)), (-3, (4, 2)), (5, (7,)), (0, (1,)), (2, (3, 1, 2)), (0, (1, 1)),
+        (1, (2, 0, 3)), (0, (0, 2)), (0, (2, -3)),
+    ],
+)
+def test_build_unflatten_exprs_matches_operator_algebra(base, radices):
+    assert _outcome(build_unflatten_exprs, base, radices) == _outcome(ref_build_unflatten_exprs, base, radices)
+
+
+def _recorded_dme_calls(monkeypatch, programs):
+    """Every (outer, inner) pair ``run_dme`` hands to ``compose``, and every
+    map it hands to ``reverse``."""
+    pairs, reversed_maps = [], []
+
+    def recording_compose(outer, inner, *rest):
+        pairs.append((outer, inner))
+        return compose(outer, inner, *rest)
+
+    def recording_reverse(m, *rest):
+        reversed_maps.append(m)
+        return reverse(m, *rest)
+
+    monkeypatch.setattr(nestopt.dme, "compose", recording_compose)
+    monkeypatch.setattr(nestopt.dme, "reverse", recording_reverse)
+    for p in programs:
+        nestopt.dme.run_dme(p)
+    return pairs, reversed_maps
+
+
+@pytest.mark.parametrize(
+    "programs",
+    [
+        pytest.param(lambda: [generate_wavenet_analog(200, 20, seed=s) for s in range(8)], id="wavenet"),
+        pytest.param(lambda: [generate_resnet_analog(8, 3, seed=s) for s in range(4)], id="resnet"),
+    ],
+)
+def test_builders_match_operator_algebra_on_dme_calls(monkeypatch, programs):
+    pairs, reversed_maps = _recorded_dme_calls(monkeypatch, programs())
+    assert pairs and reversed_maps
+    for outer, inner in pairs:
+        _assert_compose_matches(outer, inner)
+    for m in reversed_maps:
+        assert _outcome(reverse, m) == _outcome(ref_reverse, m)
+
+
+# i0 mod 21 over 0..42: the floordiv term widens its interval to [-21, 41],
+# but every value lies in [0, 21)
+WRAPPED = affine_map(box((0, 42)), (variables(1)[0].mod(21),))
+
+
+@pytest.mark.parametrize(
+    "outer_box, limits, expected",
+    [
+        ((0, 21), DEFAULT_LIMITS, None),
+        ((0, 20), DEFAULT_LIMITS, "inner image escapes outer domain"),
+        ((0, 21), Limits(enumerate_limit=10), "output range [-21, 41] escapes [0, 21)"),
+    ],
+)
+def test_compose_falls_back_to_the_image_when_an_interval_escapes(outer_box, limits, expected):
+    assert expr_interval(WRAPPED.exprs[0], WRAPPED.domain) == (-21, 41)
+    (y,) = variables(1)
+    outer = affine_map(box(outer_box), (3 * y + 1,))
+    _assert_compose_matches(outer, WRAPPED, limits)
+    if expected is None:
+        c = compose(outer, WRAPPED, limits)
+        assert [c.evaluate((p,)) for p in range(42)] == [(3 * (p % 21) + 1,) for p in range(42)]
+    else:
+        with pytest.raises(ImageEscapesDomain) as exc:
+            compose(outer, WRAPPED, limits)
+        assert str(exc.value) == expected
+
+
+def _count_normalizations(monkeypatch):
+    calls = [0]
+    original = affine_module._normalize_expr
+
+    def counting(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(affine_module, "_normalize_expr", counting)
+    return calls
+
+
+def test_compose_normalizes_each_output_once(monkeypatch):
+    i0, i1 = variables(2)
+    t = transpose_map()
+    t_back = affine_map(box((0, 8), (0, 4)), (i1 + 2 * i0 - 1, 3 * i0))
+    u, f = unflatten_map(), flatten_map()
+    calls = _count_normalizations(monkeypatch)
+    compose(t_back, t)
+    # one per output; the operator algebra took 8
+    assert calls[0] == 2
+    calls[0] = 0
+    compose(u, f)
+    # per output: the div/mod term's inner expression, the output, and the
+    # output again when box simplification resolves the term; the operator
+    # algebra took 18
+    assert calls[0] == 6
+
+
+def test_run_dme_normalizes_under_half_as_often(monkeypatch):
+    program = generate_wavenet_analog(100, 10, seed=5)
+    calls = _count_normalizations(monkeypatch)
+    nestopt.dme.run_dme(program)
+    # 315 today; the operator algebra took 1 079
+    assert calls[0] < 1_079 // 2

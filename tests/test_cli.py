@@ -199,6 +199,7 @@ def _run_module(tmp_path, *args):
         (["optimize", "w.ir", "--pass", "bankmap", "--banks", "-2", "-o", "o.ir"], "--banks must be >= 1"),
         (["optimize", "w.ir", "--pass", "bankmap", "--anchors", "missing.json", "-o", "o.ir"], "cannot read"),
         (["optimize", "w.ir", "--pass", "bankmap", "--anchors", "bad.json", "-o", "o.ir"], "malformed"),
+        (["verify", "w.ir", "w.ir", "--seed", "-1"], "--seed must be >= 0, got -1"),
     ],
 )
 def test_bad_option_values_are_usage_errors(tmp_path, argv, message):
@@ -316,11 +317,18 @@ nest b kind=copy (i0 in 0..8) {
 """
 
 
+FULLY_WRITTEN_T = HALF_WRITTEN_T.replace("(i0 in 0..4) {\n  %v = load %x[i0]", "(i0 in 0..8) {\n  %v = load %x[(i0) mod 4]")
+POISON = "nest 'b' statement 0: load reads unwritten cell of 't' at point (4,)"
+
+
 @pytest.mark.parametrize(
     "case, message",
     [
         ("interfaces", "nestopt verify: programs do not share input/output declarations"),
-        ("poison", "nestopt verify: nest 'b' statement 0: load reads unwritten cell of 't' at point (4,)"),
+        # both sides read the unwritten cell; the left one runs first
+        ("poison", f"nestopt verify: l.ir: {POISON}"),
+        ("poison_left_only", f"nestopt verify: l.ir: {POISON}"),
+        ("poison_right_only", f"nestopt verify: r.ir: {POISON}"),
     ],
 )
 def test_verify_reports_interpreter_errors_in_one_line(tmp_path, case, message):
@@ -328,8 +336,9 @@ def test_verify_reports_interpreter_errors_in_one_line(tmp_path, case, message):
         assert main(["gen", "wavenet", "3", "0", "-o", str(tmp_path / "l.ir")]) == 0
         assert main(["gen", "resnet", "1", "0", "-o", str(tmp_path / "r.ir")]) == 0
     else:
-        (tmp_path / "l.ir").write_text(HALF_WRITTEN_T)
-        (tmp_path / "r.ir").write_text(HALF_WRITTEN_T)
+        poisoned = {"poison": "lr", "poison_left_only": "l", "poison_right_only": "r"}[case]
+        for side in "lr":
+            (tmp_path / f"{side}.ir").write_text(HALF_WRITTEN_T if side in poisoned else FULLY_WRITTEN_T)
     proc = _run_module(tmp_path, "verify", "l.ir", "r.ir")
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr

@@ -278,6 +278,46 @@ def test_equivalent_refuses_fewer_than_one_trial():
             equivalent(p, p, trials=trials)
 
 
+def test_equivalent_refuses_a_negative_seed_before_running(monkeypatch):
+    import nestopt.interp
+
+    def unreachable(*args):
+        raise AssertionError("ran a program")
+
+    monkeypatch.setattr(nestopt.interp, "run", unreachable)
+    p = parse("tensor %a : 4x[2] @dram input\ntensor %y : 4x[2] @dram output\n")
+    for seed in (-1, -7):
+        with pytest.raises(ValueError, match=f"seed must be >= 0, got {seed}$"):
+            equivalent(p, p, seed=seed)
+
+
+def test_equivalent_names_the_side_whose_run_raised():
+    half = """\
+tensor %a : 4x[4] @dram input
+tensor %t : 4x[4] @sbuf
+tensor %y : 4x[4] @dram output
+
+nest w kind=copy (i0 in 0..{n}) {{
+  %v = load %a[i0]
+  store %t[i0] = %v
+}}
+
+nest r kind=copy (i0 in 0..4) {{
+  %v = load %t[i0]
+  store %y[i0] = %v
+}}
+"""
+    good, bad = parse(half.format(n=4)), parse(half.format(n=2))
+    for left, right, side in ((bad, good, 0), (good, bad, 1), (bad, bad, 0)):
+        with pytest.raises(PoisonRead) as exc:
+            equivalent(left, right)
+        assert exc.value.side == side
+    interfaces = parse("tensor %b : 4x[4] @dram input\ntensor %y : 4x[4] @dram output\n")
+    with pytest.raises(InterpError) as exc:
+        equivalent(good, interfaces)
+    assert exc.value.side is None
+
+
 def test_stacked_run_keeps_each_trial_apart():
     src = """\
 tensor %a : 4x[2, 3] @dram input

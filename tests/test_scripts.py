@@ -46,3 +46,23 @@ def test_copy_elimination_refuses_fewer_than_one_verify_trial(tmp_path, trials):
     assert proc.returncode == 2
     assert "--verify-trials: must be >= 1" in proc.stderr
     assert "oracle agreed" not in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "script, args",
+    [
+        ("run_copy_elimination.py", ["--pairs", "4"]),
+        ("run_bank_mapping.py", ["--max-blocks", "1", "--max-transposes", "0", "--verify"]),
+    ],
+)
+def test_scripts_refuse_a_negative_seed(tmp_path, script, args):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / script), *args, "--seed", "-1"],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 2
+    assert "argument --seed: must be >= 0, got -1" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""

@@ -555,3 +555,22 @@ def test_parse_builds_one_map_per_distinct_access_and_box(monkeypatch):
     # nothing is kept across calls: a second parse builds every map again
     assert parse(text) == program
     assert len(built) == 2 * len(distinct)
+
+
+def test_print_builds_one_memcopy_identity_per_distinct_box(monkeypatch):
+    local, _ = run_local_baseline(generate_resnet_analog(64, 3, seed=0))
+    expected = print_program(local)
+    memcopy_boxes = [n.box for n in local.nests for s in n.body if isinstance(s, Memcopy)]
+    assert len(memcopy_boxes) > 20 * len(set(memcopy_boxes))
+    built = []
+
+    def counting_affine_map(box, exprs):
+        built.append(box)
+        return affine_map(box, exprs)
+
+    monkeypatch.setattr(textual, "affine_map", counting_affine_map)
+    assert print_program(local) == expected
+    assert sorted(built, key=repr) == sorted(set(memcopy_boxes), key=repr)
+    # nothing is kept across calls: a second print builds them again
+    assert print_program(local) == expected
+    assert len(built) == 2 * len(set(memcopy_boxes))
