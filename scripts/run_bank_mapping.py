@@ -18,20 +18,25 @@ from nestopt.generators import generate_resnet_analog  # noqa: E402
 from nestopt.interp import equivalent  # noqa: E402
 
 
-def seed_value(text: str) -> int:
-    n = int(text)
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
-    return n
+def at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+
+    def integer(text: str) -> int:
+        n = int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {n}")
+        return n
+
+    return integer
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--max-blocks", type=int, default=8)
-    ap.add_argument("--max-transposes", type=int, default=3)
-    ap.add_argument("--banks", type=int, default=None)
+    ap.add_argument("--max-blocks", type=at_least(1), default=8)
+    ap.add_argument("--max-transposes", type=at_least(0), default=3)
+    ap.add_argument("--banks", type=at_least(1), default=None)
     ap.add_argument("--anchors", type=str, default=None, help="anchor registry JSON")
-    ap.add_argument("--seed", type=seed_value, default=1)
+    ap.add_argument("--seed", type=at_least(0), default=1)
     ap.add_argument("--verify", action="store_true", help="also run the interpreter oracle")
     args = ap.parse_args()
 

@@ -24,27 +24,27 @@ def fmt_bytes(n: int) -> str:
     return f"{n:,}"
 
 
-def trial_count(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
-    return n
+def at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
 
+    def integer(text: str) -> int:
+        n = int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {n}")
+        return n
 
-def seed_value(text: str) -> int:
-    n = int(text)
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
-    return n
+    return integer
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--pairs", type=int, default=124)
-    ap.add_argument("--non-invertible", type=int, default=1)
-    ap.add_argument("--seed", type=seed_value, default=0)
-    ap.add_argument("--verify-trials", type=trial_count, default=3)
+    ap.add_argument("--pairs", type=at_least(0), default=124)
+    ap.add_argument("--non-invertible", type=at_least(0), default=1)
+    ap.add_argument("--seed", type=at_least(0), default=0)
+    ap.add_argument("--verify-trials", type=at_least(1), default=3)
     args = ap.parse_args()
+    if args.non_invertible > args.pairs:
+        ap.error(f"argument --non-invertible: must be <= --pairs ({args.pairs}), got {args.non_invertible}")
 
     program = generate_wavenet_analog(args.pairs, args.non_invertible, args.seed)
     before = account(program)

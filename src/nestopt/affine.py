@@ -766,10 +766,12 @@ def compose(
     scaled by its outer coefficient, adds its coefficients, constant and
     div/mod terms into one coefficient list, constant and term list, which
     is normalized once.  The inner expression of an outer div/mod term is
-    summed the same way and normalized and box-simplified over the inner
-    domain on its own, because the depth check needs its canonical form;
-    ``UnrepresentableComposition`` when it is still not linear.  The inner
-    image is checked against the outer domain first (``ImageEscapesDomain``).
+    summed the same way and normalized on its own, because the depth check
+    needs its canonical form; ``UnrepresentableComposition`` when it is not
+    linear.  It needs no box simplification: every div/mod term it holds is
+    a scaled term of an inner output, which the inner map already
+    box-simplified over the same domain.  The inner image is checked
+    against the outer domain first (``ImageEscapesDomain``).
     """
     if inner.out_arity != outer.in_arity:
         raise ArityMismatch(
@@ -780,7 +782,7 @@ def compose(
     for oe in outer.exprs:
         coeffs, const, terms = _substitute(oe, inner)
         for t in oe.terms:
-            sub = _box_simplify(QuasiAffineExpr(*_substitute(t.inner, inner)), inner.domain)
+            sub = QuasiAffineExpr(*_substitute(t.inner, inner))
             if not sub.is_linear:
                 raise UnrepresentableComposition("substitution nests div/mod deeper than one level")
             terms.append(DivModTerm(sub, t.divisor, t.kind, t.weight))

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 from .bankmap import AnchorRegistry, RankMismatchError, run_global_mapping, run_local_baseline
@@ -32,7 +33,14 @@ from .textual import ParseError, parse, print_program
 from .traffic import account
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later one.
+
+    Sharing is safe because ``parse_args`` keeps no state between calls: each
+    returns a fresh namespace, and help, usage and errors look up the terminal
+    width and ``sys.stdout``/``sys.stderr`` when they print.
+    """
     parser = argparse.ArgumentParser(prog="nestopt")
     sub = parser.add_subparsers(dest="command", required=True)
 

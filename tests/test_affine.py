@@ -42,6 +42,7 @@ from nestopt.affine import (
     image,
     reverse,
     _box_simplify,
+    _substitute,
     _match_unflatten,
     _single_var,
     _suffix_products,
@@ -799,6 +800,17 @@ def test_compose_falls_back_to_the_image_when_an_interval_escapes(outer_box, lim
         with pytest.raises(ImageEscapesDomain) as exc:
             compose(outer, WRAPPED, limits)
         assert str(exc.value) == expected
+
+
+@given(quasi_maps(), st.data())
+@settings(max_examples=200)
+def test_substitution_needs_no_box_simplification(inner, data):
+    # compose substitutes an outer div/mod term's linear inner expression
+    # without box-simplifying it: each div/mod term it gets is a scaled term
+    # of an inner output, already box-simplified over the same domain
+    coeffs = tuple(data.draw(small_int) for _ in range(inner.out_arity))
+    sub = QuasiAffineExpr(*_substitute(QuasiAffineExpr(coeffs, data.draw(small_int)), inner))
+    assert _box_simplify(sub, inner.domain) == sub
 
 
 def _count_normalizations(monkeypatch):

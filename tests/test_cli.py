@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from nestopt.cli import main
+from nestopt.cli import _build_parser, main
 from nestopt.report import validate_document
 from nestopt.textual import parse
 
@@ -154,6 +154,40 @@ def test_gen_rejects_bad_counts(tmp_path, capsys):
         assert main(["gen", "wavenet", pairs, non_invertible, "-o", str(out)]) == 2
         assert capsys.readouterr().err == "gen wavenet: need 0 <= non_invertible <= pairs\n"
     assert not out.exists()
+
+
+def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
+    _build_parser.cache_clear()
+
+    def outcomes():
+        seen = []
+        for argv in (["--help"], ["report", "x.ir", "--grannular"], ["verify", "a.ir", "b.ir", "--trials", "0"]):
+            code = main(argv)
+            seen.append((code, *capsys.readouterr()))
+        return seen
+
+    # the first calls build the parser
+    first = outcomes()
+    assert [code for code, _, _ in first] == [0, 2, 2]
+    assert "usage: nestopt" in first[0][1]
+    assert first[1][2].endswith("unrecognized arguments: --grannular\n")
+    assert first[2][2] == "nestopt verify: --trials must be >= 1, got 0\n"
+
+    src = tmp_path / "r.ir"
+    assert main(["gen", "resnet", "2", "1", "--seed", "0", "-o", str(src)]) == 0
+    runs = [
+        (["--pass", "dme"], [{"pass": "dme"}]),
+        (["--pass", "bankmap", "--mode", "local"], [{"pass": "bankmap", "options": {"mode": "local", "banks": 8}}]),
+        (["--pass", "dme"], [{"pass": "dme"}]),
+    ]
+    for k, (passes, pipeline) in enumerate(runs):
+        rep = tmp_path / f"r{k}.json"
+        assert main(["optimize", str(src), *passes, "-o", str(tmp_path / "o.ir"), "--report", str(rep)]) == 0
+        # nothing accumulates in the shared --pass action between calls
+        assert json.loads(rep.read_text())["pipeline"] == pipeline
+
+    assert outcomes() == first
+    assert _build_parser() is _build_parser()
 
 
 def test_module_entry_point(tmp_path):

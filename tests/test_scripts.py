@@ -19,6 +19,7 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
             ["--max-blocks", "2", "--max-transposes", "1", "--verify"],
             "oracle agreed on all 8 mapped programs",
         ),
+        ("run_copy_elimination.py", ["--pairs", "0", "--non-invertible", "0"], "oracle agreed on 3 trials"),
     ],
 )
 def test_script_runs_from_checkout(tmp_path, script, args, agreed):
@@ -64,5 +65,39 @@ def test_scripts_refuse_a_negative_seed(tmp_path, script, args):
     )
     assert proc.returncode == 2
     assert "argument --seed: must be >= 0, got -1" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "script, args, message",
+    [
+        ("run_bank_mapping.py", ["--banks", "0"], "argument --banks: must be >= 1, got 0"),
+        ("run_bank_mapping.py", ["--max-blocks", "0"], "argument --max-blocks: must be >= 1, got 0"),
+        ("run_bank_mapping.py", ["--max-transposes", "-1"], "argument --max-transposes: must be >= 0, got -1"),
+        ("run_copy_elimination.py", ["--pairs", "-1"], "argument --pairs: must be >= 0, got -1"),
+        (
+            "run_copy_elimination.py",
+            ["--pairs", "3", "--non-invertible", "5"],
+            "argument --non-invertible: must be <= --pairs (3), got 5",
+        ),
+        (
+            "run_copy_elimination.py",
+            ["--pairs", "2", "--non-invertible", "-1"],
+            "argument --non-invertible: must be >= 0, got -1",
+        ),
+    ],
+)
+def test_scripts_refuse_out_of_range_counts(tmp_path, script, args, message):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / script), *args],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 2
+    # argparse's usage, then one error line
+    assert [line for line in proc.stderr.splitlines() if "error:" in line] == [f"{script}: error: {message}"]
+    assert proc.stderr.endswith(f"error: {message}\n")
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
