@@ -40,11 +40,17 @@ def main() -> int:
     ap.add_argument("--verify", action="store_true", help="also run the interpreter oracle")
     args = ap.parse_args()
 
-    registry = (
-        AnchorRegistry.from_file(args.anchors, args.banks)
-        if args.anchors
-        else AnchorRegistry.default(args.banks)
-    )
+    if args.anchors is None:
+        registry = AnchorRegistry.default(args.banks)
+    else:
+        try:
+            registry = AnchorRegistry.from_file(args.anchors, args.banks)
+        except OSError as exc:
+            ap.error(f"argument --anchors: cannot read {args.anchors}: {exc.strerror}")
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            # ValueError covers invalid JSON as well as bad axes, policies and bank counts
+            detail = " ".join(str(exc).split())
+            ap.error(f"argument --anchors: malformed {args.anchors}: {type(exc).__name__}: {detail}")
 
     print(f"{'B':>3}{'T':>3}{'global bytes':>14}{'local bytes':>13}{'saved':>9}")
     worst = 0.0

@@ -20,9 +20,9 @@ own first, for its depth check).  ``reverse`` and ``build_unflatten_exprs``
 write their unit, shifted and floordiv terms straight into one expression
 per output.  The operator algebra on ``QuasiAffineExpr`` (``+``, ``*``,
 ``floordiv``, ``mod``) normalizes after every operation; it is there for
-building expressions by hand.  Before substituting, ``compose`` checks that
-the inner image lies in the outer domain interval-first: the exact image is
-computed only when some output's value interval leaves the domain.
+building expressions by hand.  ``image_escape``, the one containment check,
+serves ``compose`` and ``ir.validate``: interval-first, it computes the exact
+image or enumerates only when some output's value interval leaves the box.
 
 floordiv rounds toward -inf and mod is always non-negative, so
 ``x == d * (x floordiv d) + (x mod d)`` holds unconditionally.
@@ -420,6 +420,11 @@ class QuasiAffineMap:
     def map_class(self) -> MapClass:
         return _classify(self)
 
+    @cached_property
+    def unflatten(self) -> tuple[int, tuple[int, ...]] | None:
+        """(base, radices) when the map is canonical digit extraction."""
+        return _match_unflatten(self)
+
     def evaluate(self, point) -> tuple[int, ...]:
         point = tuple(int(p) for p in point)
         if not self.domain.contains(point):
@@ -537,7 +542,7 @@ def _classify(m: QuasiAffineMap) -> MapClass:
         ext = m.domain.extents
         if all(x >= 1 for x in ext) and m.exprs[0].coeffs == _suffix_products(ext):
             return MapClass.MIXED_RADIX
-    if _match_unflatten(m) is not None:
+    if m.unflatten is not None:
         return MapClass.MIXED_RADIX
     return MapClass.GENERAL
 
@@ -651,7 +656,7 @@ def image(m: QuasiAffineMap, limits: Limits = DEFAULT_LIMITS) -> ImageSet:
         if m.out_arity == 1:
             base, _ = _linear_interval(m.exprs[0].coeffs, m.exprs[0].const, m.domain)
             return LatticeImage((base,), (1,), (m.domain.cardinality,))
-        base, radices = _match_unflatten(m)
+        _, radices = m.unflatten
         return LatticeImage(
             tuple(0 for _ in radices), tuple(1 for _ in radices), radices
         )
@@ -662,6 +667,57 @@ def image(m: QuasiAffineMap, limits: Limits = DEFAULT_LIMITS) -> ImageSet:
     pts = m.domain.points_array()
     vals = m.evaluate_batch(pts)
     return ExplicitImage(frozenset(map(tuple, vals.tolist())))
+
+
+@dataclass(frozen=True)
+class ImageEscape:
+    """A map's image leaves a box.  ``witness`` is the first domain point,
+    in lexicographic order, that lands outside, when the domain was
+    enumerated; ``interval`` is ``(lo, hi, box_lo, box_hi)`` for the first
+    output whose value range leaves the box, when that range is all the
+    verdict rests on."""
+
+    witness: tuple[int, ...] | None = None
+    interval: tuple[int, int, int, int] | None = None
+
+
+def image_escape(
+    m: QuasiAffineMap, los: tuple[int, ...], his: tuple[int, ...], limits: Limits = DEFAULT_LIMITS
+) -> ImageEscape | None:
+    """None when every image point of ``m`` lies in the box ``[los, his)``.
+
+    Each output's value interval is exact when linear and an
+    over-approximation otherwise, so when all fit no point escapes.
+    Otherwise the symbolic image of a normal form decides, and a domain of
+    at most ``limits.enumerate_limit`` points is enumerated for the first
+    witness (or, for a general map, to rule out a false alarm).  A general
+    map above the limit escapes as soon as an interval does.
+    """
+    dom = m.domain
+    if dom.is_empty:
+        return None
+    intervals = [expr_interval(e, dom) for e in m.exprs]
+    if all(lo <= elo and ehi < hi for (elo, ehi), lo, hi in zip(intervals, los, his)):
+        return None
+    general = m.map_class is MapClass.GENERAL
+    if not general:
+        img = image(m, limits)  # a LatticeImage, never enumerated
+        spans = zip(img.los, img.strides, img.counts, los, his)
+        if all(lo <= first and first + s * (c - 1) < hi for first, s, c, lo, hi in spans):
+            return None
+    if dom.cardinality <= limits.enumerate_limit:
+        pts = dom.points_array()
+        vals = m.evaluate_batch(pts)
+        box_lo, box_hi = np.asarray(los, dtype=np.int64), np.asarray(his, dtype=np.int64)
+        rows = ((vals < box_lo) | (vals >= box_hi)).any(axis=1)
+        if not rows.any():
+            return None
+        return ImageEscape(witness=tuple(int(v) for v in pts[int(np.argmax(rows))]))
+    if not general:
+        return ImageEscape()
+    for (elo, ehi), lo, hi in zip(intervals, los, his):
+        if elo < lo or ehi >= hi:
+            return ImageEscape(interval=(elo, ehi, lo, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -731,7 +787,7 @@ def reverse(m: QuasiAffineMap, limits: Limits = DEFAULT_LIMITS) -> InverseResult
             inv_exprs = _unflatten_exprs(img.los[0], m.domain.extents, m.domain.los)
             inv = QuasiAffineMap(img.bounding_box(), inv_exprs)
             return SymbolicInverse(inv, img)
-        base, radices = _match_unflatten(m)
+        base, radices = m.unflatten
         inv = QuasiAffineMap(img.bounding_box(), (QuasiAffineExpr(_suffix_products(radices), base),))
         return SymbolicInverse(inv, img)
     card = m.domain.cardinality
@@ -771,13 +827,18 @@ def compose(
     linear.  It needs no box simplification: every div/mod term it holds is
     a scaled term of an inner output, which the inner map already
     box-simplified over the same domain.  The inner image is checked
-    against the outer domain first (``ImageEscapesDomain``).
+    against the outer domain first, by ``image_escape``
+    (``ImageEscapesDomain``).
     """
     if inner.out_arity != outer.in_arity:
         raise ArityMismatch(
             f"inner produces {inner.out_arity} values, outer consumes {outer.in_arity}"
         )
-    _check_image_in_domain(inner, outer.domain, limits)
+    escape = image_escape(inner, outer.domain.los, outer.domain.his, limits)
+    if escape is not None:
+        if escape.interval is None:
+            raise ImageEscapesDomain("inner image escapes outer domain")
+        raise ImageEscapesDomain("output range [{}, {}] escapes [{}, {})".format(*escape.interval))
     exprs = []
     for oe in outer.exprs:
         coeffs, const, terms = _substitute(oe, inner)
@@ -804,31 +865,3 @@ def _substitute(e: QuasiAffineExpr, inner: QuasiAffineMap):
             const += c * ie.const
             terms.extend(DivModTerm(t.inner, t.divisor, t.kind, c * t.weight) for t in ie.terms)
     return tuple(out), const, terms
-
-
-def _check_image_in_domain(inner: QuasiAffineMap, box: IntBox, limits: Limits) -> None:
-    """Raise ``ImageEscapesDomain`` unless every inner output lands in ``box``.
-
-    Interval-first, as ``ir`` checks accesses: each output's interval is
-    exact when linear and an over-approximation otherwise, so when all fit
-    no point escapes.  Otherwise the exact image decides, and above the
-    enumeration limit the first escaping interval is the answer.
-    """
-    if inner.domain.is_empty:
-        return
-    if inner.out_arity != box.ndim:
-        raise ArityMismatch("image arity != domain arity")
-    intervals = [expr_interval(e, inner.domain) for e in inner.exprs]
-    if all(lo <= elo and ehi < hi for (elo, ehi), lo, hi in zip(intervals, box.los, box.his)):
-        return
-    try:
-        img = image(inner, limits)
-    except DomainTooLarge:
-        for (elo, ehi), lo, hi in zip(intervals, box.los, box.his):
-            if elo < lo or ehi >= hi:
-                raise ImageEscapesDomain(
-                    f"output range [{elo}, {ehi}] escapes [{lo}, {hi})"
-                )
-        return
-    if not img.is_subset_of_box(box):
-        raise ImageEscapesDomain("inner image escapes outer domain")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 from importlib import resources
 from typing import Sequence, Union
 
-from .affine import QuasiAffineMap, affine_map, variables
+from .affine import QuasiAffineMap, identity_map
 from .ir import (
     OPERATOR_KINDS,
     BankMapping,
@@ -383,8 +383,7 @@ def _nest_requirement(
 
 def _identity_copy_nest(name: str, dst: str, src: str, decl: TensorDecl) -> OperatorNest:
     box = decl.index_box
-    ident = affine_map(box, variables(box.ndim))
-    return OperatorNest(name, "copy", box, (Memcopy(dst, src, ident),))
+    return OperatorNest(name, "copy", box, (Memcopy(dst, src, identity_map(box)),))
 
 
 def _retarget_reads(nest: OperatorNest, old: str, new: str) -> OperatorNest:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .affine import IntBox, affine_map, variables
+from .affine import IntBox, affine_map, identity_map, variables
 from .ir import (
     Compute,
     Load,
@@ -53,10 +53,6 @@ class _Builder:
         return Program(tuple(self.tensors), tuple(self.nests))
 
 
-def _identity(box: IntBox):
-    return affine_map(box, variables(box.ndim))
-
-
 # ---------------------------------------------------------------------------
 # copy-chain analog
 
@@ -67,14 +63,14 @@ def _emit_compute(b: _Builder, idx: int, src: str, shape, opcode: str, out_decl=
         out = b.declare(b.fresh(), shape, OnChip())
     else:
         out = out_decl
-    body = [Load("v", src, _identity(box))]
+    body = [Load("v", src, identity_map(box))]
     if opcode == "neg":
         body.append(Compute("w", "neg", ("v",)))
     elif opcode == "add":
         body.append(Compute("w", "add", ("v", "v")))
     else:
         body.append(Compute("w", "max", ("v", "v")))
-    body.append(Store(out, _identity(box), "w"))
+    body.append(Store(out, identity_map(box), "w"))
     b.nests.append(OperatorNest(f"ew{idx}", "elementwise", box, tuple(body)))
     return out
 
@@ -104,7 +100,7 @@ def _emit_copy(b: _Builder, idx: int, src: str, shape, kind: str, rng: random.Ra
         dst_shape = (c, a)
         dst = b.declare(b.fresh(), dst_shape, OnChip())
         body = (
-            Load("v", src, _identity(box)),
+            Load("v", src, identity_map(box)),
             Store(dst, affine_map(box, (i1, i0)), "v"),
         )
     elif kind == "flatten":
@@ -114,7 +110,7 @@ def _emit_copy(b: _Builder, idx: int, src: str, shape, kind: str, rng: random.Ra
         dst_shape = (a * c,)
         dst = b.declare(b.fresh(), dst_shape, OnChip())
         body = (
-            Load("v", src, _identity(box)),
+            Load("v", src, identity_map(box)),
             Store(dst, affine_map(box, (c * i0 + i1,)), "v"),
         )
     elif kind == "unflatten":
@@ -125,7 +121,7 @@ def _emit_copy(b: _Builder, idx: int, src: str, shape, kind: str, rng: random.Ra
         dst_shape = (n // inner, inner)
         dst = b.declare(b.fresh(), dst_shape, OnChip())
         body = (
-            Load("v", src, _identity(box)),
+            Load("v", src, identity_map(box)),
             Store(dst, affine_map(box, (x.floordiv(inner), x.mod(inner))), "v"),
         )
     elif kind == "repeat":
@@ -148,7 +144,7 @@ def _emit_copy(b: _Builder, idx: int, src: str, shape, kind: str, rng: random.Ra
         dst = b.declare(b.fresh(), dst_shape, OnChip())
         body = (
             Load("v", src, affine_map(box, (2 * x + off,))),
-            Store(dst, _identity(box), "v"),
+            Store(dst, identity_map(box), "v"),
         )
         kind = "strided_slice"
     elif kind == "split":
@@ -160,7 +156,7 @@ def _emit_copy(b: _Builder, idx: int, src: str, shape, kind: str, rng: random.Ra
         dst = b.declare(b.fresh(), dst_shape, OnChip())
         body = (
             Load("v", src, affine_map(box, (x + half * (n // 2),))),
-            Store(dst, _identity(box), "v"),
+            Store(dst, identity_map(box), "v"),
         )
     elif kind == "reverse":
         (n,) = shape
@@ -170,7 +166,7 @@ def _emit_copy(b: _Builder, idx: int, src: str, shape, kind: str, rng: random.Ra
         dst = b.declare(b.fresh(), dst_shape, OnChip())
         body = (
             Load("v", src, affine_map(box, ((n - 1) - x,))),
-            Store(dst, _identity(box), "v"),
+            Store(dst, identity_map(box), "v"),
         )
         kind = "strided_slice"
     elif kind == "collide2":
@@ -180,7 +176,7 @@ def _emit_copy(b: _Builder, idx: int, src: str, shape, kind: str, rng: random.Ra
         dst_shape = (a + c - 1,)
         dst = b.declare(b.fresh(), dst_shape, OnChip())
         body = (
-            Load("v", src, _identity(box)),
+            Load("v", src, identity_map(box)),
             Store(dst, affine_map(box, (i0 + i1,)), "v"),
         )
         kind = "other"
@@ -250,19 +246,19 @@ def generate_wavenet_analog(copy_pairs: int, non_invertible: int, seed: int = 0)
 
 def _emit_binary(b: _Builder, name: str, kind: str, opcode: str, a: str, c: str, out: str, box: IntBox):
     body = (
-        Load("v", a, _identity(box)),
-        Load("u", c, _identity(box)),
+        Load("v", a, identity_map(box)),
+        Load("u", c, identity_map(box)),
         Compute("w", opcode, ("v", "u")),
-        Store(out, _identity(box), "w"),
+        Store(out, identity_map(box), "w"),
     )
     b.nests.append(OperatorNest(name, kind, box, body))
 
 
 def _emit_unary(b: _Builder, name: str, kind: str, opcode: str, src: str, out: str, box: IntBox):
     body = (
-        Load("v", src, _identity(box)),
+        Load("v", src, identity_map(box)),
         Compute("w", opcode, ("v", "v")),
-        Store(out, _identity(box), "w"),
+        Store(out, identity_map(box), "w"),
     )
     b.nests.append(OperatorNest(name, kind, box, body))
 
@@ -300,7 +296,7 @@ def generate_resnet_analog(blocks: int, transposes_between: int, seed: int = 0) 
                     f"tr{blk}_{t}",
                     "transpose",
                     box,
-                    (Load("v", v, _identity(box)), Store(vt, affine_map(box, (i1, i0)), "v")),
+                    (Load("v", v, identity_map(box)), Store(vt, affine_map(box, (i1, i0)), "v")),
                 )
             )
             v = vt

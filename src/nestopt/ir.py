@@ -19,9 +19,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterator, Union
 
-import numpy as np
-
-from .affine import DEFAULT_LIMITS, IntBox, Limits, QuasiAffineMap, expr_interval
+from .affine import DEFAULT_LIMITS, ImageEscape, IntBox, Limits, QuasiAffineMap, image_escape
 
 
 OPCODE_ARITY = {"add": 2, "mul": 2, "max": 2, "neg": 1, "identity": 1}
@@ -142,12 +140,6 @@ class OperatorNest:
     box: IntBox
     body: tuple[Statement, ...]
 
-    def loads(self) -> Iterator[Load]:
-        return (s for s in self.body if isinstance(s, Load))
-
-    def stores(self) -> Iterator[Store]:
-        return (s for s in self.body if isinstance(s, Store))
-
     def read_tensors(self) -> tuple[str, ...]:
         """Tensors read, in first-reference order, deduplicated."""
         seen: list[str] = []
@@ -203,33 +195,6 @@ class Violation:
         return f"{self.rule}{where}{at}: {self.message}"
 
 
-def _access_in_bounds(
-    access: QuasiAffineMap, shape: tuple[int, ...], limits: Limits
-) -> tuple[bool, tuple[int, ...] | None]:
-    """(out_of_bounds, first bad point in lexicographic order when known).
-
-    The interval of each output is exact for a linear expression and an
-    over-approximation with floordiv terms, so when every interval fits no
-    point can escape.  Otherwise the points are enumerated, up to the limit,
-    to find the first witness or to rule out a false alarm; above the limit
-    the escaping interval is the answer, without a witness.
-    """
-    if access.domain.is_empty:
-        return False, None
-    intervals = [expr_interval(e, access.domain) for e in access.exprs]
-    if all(0 <= lo and hi < extent for (lo, hi), extent in zip(intervals, shape)):
-        return False, None
-    if access.domain.cardinality > limits.enumerate_limit:
-        return True, None
-    pts = access.domain.points_array()
-    vals = access.evaluate_batch(pts)
-    bad = (vals < 0) | (vals >= np.asarray(shape, dtype=np.int64))
-    rows = bad.any(axis=1)
-    if rows.any():
-        return True, tuple(int(v) for v in pts[int(np.argmax(rows))])
-    return False, None
-
-
 def validate(program: Program, limits: Limits = DEFAULT_LIMITS) -> list[Violation]:
     """Structural validity report; empty iff the program is well formed."""
     out: list[Violation] = []
@@ -248,7 +213,7 @@ def validate(program: Program, limits: Limits = DEFAULT_LIMITS) -> list[Violatio
 
     decls = program.tensor_map
     # programs repeat accesses; one answer per distinct (map, shape) in this call
-    bounds: dict[tuple[QuasiAffineMap, tuple[int, ...]], tuple[bool, tuple[int, ...] | None]] = {}
+    bounds: dict[tuple[QuasiAffineMap, tuple[int, ...]], ImageEscape | None] = {}
     produced: set[str] = {t.name for t in program.tensors if t.origin is Origin.MODEL_INPUT}
     produced_by: dict[str, str] = {}
     seen_nests: set[str] = set()
@@ -287,11 +252,11 @@ def validate(program: Program, limits: Limits = DEFAULT_LIMITS) -> list[Violatio
                     )
                     continue
                 key = (access, decl.shape)
-                found = bounds.get(key)
-                if found is None:
-                    found = bounds[key] = _access_in_bounds(access, decl.shape, limits)
-                bad, witness = found
-                if bad:
+                escape = bounds.get(key, False)
+                if escape is False:
+                    escape = bounds[key] = image_escape(access, (0,) * decl.rank, decl.shape, limits)
+                if escape is not None:
+                    witness = escape.witness
                     where = f" at {witness}" if witness is not None else ""
                     out.append(
                         Violation(

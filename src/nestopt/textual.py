@@ -26,7 +26,7 @@ from .affine import (
     QuasiAffineMap,
     TermKind,
     affine_map,
-    variables,
+    identity_map,
 )
 from .ir import (
     BankMapping,
@@ -140,7 +140,7 @@ def _print_statement(
     if isinstance(stmt, Memcopy):
         ident = identities.get(nest.box)
         if ident is None:
-            ident = identities[nest.box] = affine_map(nest.box, variables(nest.box.ndim))
+            ident = identities[nest.box] = identity_map(nest.box)
         if stmt.element_map != ident:
             raise ValueError("memcopy with a non-identity element map is not printable")
         return f"memcopy %{stmt.dst} <- %{stmt.src}"
@@ -355,7 +355,7 @@ class _CallMemo:
         key = (None, box)
         access = self.maps.get(key)
         if access is None:
-            access = self.maps[key] = affine_map(box, variables(box.ndim))
+            access = self.maps[key] = identity_map(box)
         return access
 
     def expr(self, text: str, ndim: int, line: int, col0: int) -> QuasiAffineExpr:

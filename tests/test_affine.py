@@ -7,6 +7,7 @@ with the implementation under test.
 
 import collections
 import itertools
+import math
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from nestopt.affine import (
     ArityMismatch,
     DomainTooLarge,
     ExplicitImage,
+    ImageEscape,
     ImageEscapesDomain,
     InjectiveOnly,
     IntBox,
@@ -40,6 +42,7 @@ from nestopt.affine import (
     const_expr,
     identity_map,
     image,
+    image_escape,
     reverse,
     _box_simplify,
     _substitute,
@@ -800,6 +803,43 @@ def test_compose_falls_back_to_the_image_when_an_interval_escapes(outer_box, lim
         with pytest.raises(ImageEscapesDomain) as exc:
             compose(outer, WRAPPED, limits)
         assert str(exc.value) == expected
+
+
+@st.composite
+def reshape_maps(draw):
+    """A canonical unflatten (digit extraction) or row-major flatten map."""
+    radices = tuple(draw(st.integers(2, 4)) for _ in range(draw(st.integers(2, 3))))
+    base = draw(small_int)
+    if draw(st.booleans()):
+        return affine_map(box((base, base + math.prod(radices))), build_unflatten_exprs(base, radices))
+    return affine_map(IntBox.from_extents(*radices), (QuasiAffineExpr(_suffix_products(radices), base),))
+
+
+@given(st.one_of(quasi_maps(), reshape_maps()), st.data())
+@settings(max_examples=300)
+def test_image_escape_matches_enumeration(m, data):
+    pts = list(m.domain.points())
+    vals = [ref_eval_map(m, p) for p in pts]
+    # a target box within one cell of the image's hull on each side
+    los = tuple(min(col) + data.draw(st.integers(-1, 1)) for col in zip(*vals))
+    his = tuple(max(col) + 1 + data.draw(st.integers(-1, 1)) for col in zip(*vals))
+    first_bad = next(
+        (p for p, v in zip(pts, vals) if not all(lo <= x < hi for x, lo, hi in zip(v, los, his))), None
+    )
+    escape = image_escape(m, los, his)
+    assert escape == (None if first_bad is None else ImageEscape(witness=first_bad))
+    # above the limit a normal form stays exact without its witness; a
+    # general map escapes exactly when some value interval does
+    small = image_escape(m, los, his, Limits(enumerate_limit=4))
+    if m.domain.cardinality <= 4:
+        assert small == escape
+    elif m.map_class is not MapClass.GENERAL:
+        assert small == (None if first_bad is None else ImageEscape())
+    else:
+        intervals = [expr_interval(e, m.domain) for e in m.exprs]
+        outside = [(elo, ehi, lo, hi) for (elo, ehi), lo, hi in zip(intervals, los, his) if elo < lo or ehi >= hi]
+        assert small == (ImageEscape(interval=outside[0]) if outside else None)
+        assert first_bad is None or small is not None
 
 
 @given(quasi_maps(), st.data())

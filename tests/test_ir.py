@@ -8,6 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nestopt.ir
+from nestopt.affine import (
+    DEFAULT_LIMITS,
+    ImageEscape,
+    IntBox,
+    MapClass,
+    compose,
+    expr_interval,
+    identity_map,
+)
 from nestopt.bankmap import run_global_mapping, run_local_baseline
 from nestopt.dme import run_dme
 from nestopt.generators import generate_resnet_analog, generate_wavenet_analog
@@ -67,17 +76,17 @@ nest shift kind=copy (i0 in 0..4) {
     assert v.witness == (first_bad,)
 
 
-def _ref_access_in_bounds(access, shape, limits):
+def _ref_image_escape(access, los, his, limits):
     """Bounds check by evaluating every point in lexicographic order."""
     for p in access.domain.points():
-        if not all(0 <= v < e for v, e in zip(access.evaluate(p), shape)):
-            return True, p
-    return False, None
+        if not all(lo <= v < hi for v, lo, hi in zip(access.evaluate(p), los, his)):
+            return ImageEscape(witness=p)
+    return None
 
 
 def _ref_validate(program):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(nestopt.ir, "_access_in_bounds", _ref_access_in_bounds)
+        mp.setattr(nestopt.ir, "image_escape", _ref_image_escape)
         return validate(program)
 
 
@@ -123,6 +132,31 @@ nest fold kind=copy (i0 in 0..4) {
 """
     program = parse(src)
     assert validate(program) == _ref_validate(program) == []
+
+
+# a row-major reshape whose domain is above the enumeration limit: the
+# interval of (i0) mod 1024 escapes, the symbolic image of its normal form
+# fits
+RESHAPE_SRC = """\
+tensor %x : 4x[2097152] @dram input
+tensor %y : 4x[2048, 1024] @sbuf
+
+nest unflat kind=reshape (i0 in 0..2097152) {
+  %v = load %x[i0]
+  store %y[(i0) floordiv 1024, (i0) mod 1024] = %v
+}
+"""
+
+
+def test_validate_and_compose_agree_on_a_reshape_above_the_limit():
+    program = parse(RESHAPE_SRC)
+    store = program.nests[0].body[1]
+    m = store.access
+    assert m.domain.cardinality > DEFAULT_LIMITS.enumerate_limit
+    assert m.map_class is MapClass.MIXED_RADIX
+    assert expr_interval(m.exprs[1], m.domain)[0] < 0
+    assert validate(program) == []
+    assert compose(identity_map(IntBox.from_extents(2048, 1024)), m) == m
 
 
 def test_validate_store_to_input():

@@ -86,9 +86,20 @@ def test_scripts_refuse_a_negative_seed(tmp_path, script, args):
             ["--pairs", "2", "--non-invertible", "-1"],
             "argument --non-invertible: must be >= 0, got -1",
         ),
+        (
+            "run_bank_mapping.py",
+            ["--anchors", "missing.json"],
+            "argument --anchors: cannot read missing.json: No such file or directory",
+        ),
+        (
+            "run_bank_mapping.py",
+            ["--anchors", "not-json.json"],
+            "argument --anchors: malformed not-json.json: JSONDecodeError: Expecting value: line 1 column 1 (char 0)",
+        ),
     ],
 )
 def test_scripts_refuse_out_of_range_counts(tmp_path, script, args, message):
+    (tmp_path / "not-json.json").write_text("not json\n")
     proc = subprocess.run(
         [sys.executable, str(SCRIPTS / script), *args],
         capture_output=True,
