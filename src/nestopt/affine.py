@@ -2,30 +2,32 @@
 
 A map sends points of an integer box (a loop iteration space) to integer
 vectors (tensor coordinates).  Every output is an expression, never a list
-of points: a linear part plus weighted floor-division / modulo terms by
-positive constants, with div/mod nesting depth at most one.  The module
-provides evaluation, symbolic composition (``UnrepresentableComposition``
-when substitution would leave the depth-one language), structural
+of points: a linear part plus weighted floor divisions of linear parts by
+positive constants (div/mod nesting depth one).  The module provides
+evaluation, symbolic composition (``UnrepresentableComposition`` when
+substitution would leave the depth-one language), structural
 classification, image computation, and reversal.  ``reverse`` answers one
 of three ways: a symbolic inverse for the recognized normal forms,
 ``InjectiveOnly`` for a general map that is injective but has no symbolic
 inverse, or ``NotInvertible``.
 
 Every expression is kept in one normal form, and building a map puts each
-output into it once.  ``compose`` is a pullback by substitution: per outer
-output it sums the scaled coefficients, constants and div/mod terms of the
-inner outputs into one coefficient list and one term list, then normalizes
-(the inner expression of a substituted div/mod term is normalized on its
-own first, for its depth check).  ``reverse`` and ``build_unflatten_exprs``
-write their unit, shifted and floordiv terms straight into one expression
-per output.  The operator algebra on ``QuasiAffineExpr`` (``+``, ``*``,
+output into it once.  The normal form holds no ``mod``: as in isl,
+``e mod d`` is read as ``e - d*(e floordiv d)`` where it is written
+(``.mod()`` and the textual parser).  ``compose`` is a pullback by
+substitution: per outer output it sums the scaled coefficients, constants
+and div/mod terms of the inner outputs into one coefficient list and one
+term list, then normalizes (the inner expression of a substituted div/mod
+term is normalized on its own first, for its depth check).  ``reverse``
+and ``build_unflatten_exprs`` write their unit, shifted and floordiv terms
+straight into one expression per output.  The operator algebra on ``QuasiAffineExpr`` (``+``, ``*``,
 ``floordiv``, ``mod``) normalizes after every operation; it is there for
 building expressions by hand.  ``image_escape``, the one containment check,
 serves ``compose`` and ``ir.validate``: interval-first, it computes the exact
 image or enumerates only when some output's value interval leaves the box.
 
-floordiv rounds toward -inf and mod is always non-negative, so
-``x == d * (x floordiv d) + (x mod d)`` holds unconditionally.
+floordiv rounds toward -inf, so ``x mod d`` read that way is always in
+``[0, d)`` and ``x == d * (x floordiv d) + (x mod d)`` holds unconditionally.
 """
 
 from __future__ import annotations
@@ -142,28 +144,22 @@ class IntBox:
 # Expressions
 
 
-class TermKind(Enum):
-    FLOORDIV = "floordiv"
-    MOD = "mod"
-
-
 @dataclass(frozen=True)
 class DivModTerm:
-    """weight * (inner floordiv divisor)  or  weight * (inner mod divisor).
+    """weight * ((coeffs . i + const) floordiv divisor).
 
-    ``inner`` must be purely linear (depth-one nesting).
+    The one div/mod term of the normal form: its inner part is linear by
+    construction (depth-one nesting), and ``mod`` is never stored.
     """
 
-    inner: "QuasiAffineExpr"
+    coeffs: tuple[int, ...]
+    const: int
     divisor: int
-    kind: TermKind
     weight: int
 
     def __post_init__(self) -> None:
         if self.divisor <= 0:
             raise ValueError("divisor must be strictly positive")
-        if self.inner.terms:
-            raise ValueError("div/mod inner expression must be linear")
 
 
 def _gcd_many(values) -> int:
@@ -187,7 +183,7 @@ class QuasiAffineExpr:
         object.__setattr__(self, "const", const)
         object.__setattr__(self, "terms", terms)
         for t in self.terms:
-            if len(t.inner.coeffs) != len(self.coeffs):
+            if len(t.coeffs) != len(self.coeffs):
                 raise ValueError("term arity mismatch")
 
     @property
@@ -201,15 +197,13 @@ class QuasiAffineExpr:
     def evaluate(self, point) -> int:
         v = self.const + sum(c * p for c, p in zip(self.coeffs, point))
         for t in self.terms:
-            iv = t.inner.const + sum(c * p for c, p in zip(t.inner.coeffs, point))
-            v += t.weight * (iv // t.divisor if t.kind is TermKind.FLOORDIV else iv % t.divisor)
+            v += t.weight * ((t.const + sum(c * p for c, p in zip(t.coeffs, point))) // t.divisor)
         return v
 
     def evaluate_batch(self, pts: np.ndarray) -> np.ndarray:
         out = pts @ np.asarray(self.coeffs, dtype=np.int64) + self.const
         for t in self.terms:
-            iv = pts @ np.asarray(t.inner.coeffs, dtype=np.int64) + t.inner.const
-            out = out + t.weight * (iv // t.divisor if t.kind is TermKind.FLOORDIV else iv % t.divisor)
+            out = out + t.weight * ((pts @ np.asarray(t.coeffs, dtype=np.int64) + t.const) // t.divisor)
         return out
 
     # small algebra for convenient construction
@@ -234,7 +228,7 @@ class QuasiAffineExpr:
         return (-self) + other
 
     def __mul__(self, k: int) -> "QuasiAffineExpr":
-        terms = tuple(DivModTerm(t.inner, t.divisor, t.kind, t.weight * k) for t in self.terms)
+        terms = tuple(DivModTerm(t.coeffs, t.const, t.divisor, t.weight * k) for t in self.terms)
         return QuasiAffineExpr(tuple(c * k for c in self.coeffs), self.const * k, terms)
 
     def __rmul__(self, k: int) -> "QuasiAffineExpr":
@@ -243,14 +237,14 @@ class QuasiAffineExpr:
     def floordiv(self, d: int) -> "QuasiAffineExpr":
         if not self.is_linear:
             raise ValueError("floordiv of a non-linear expression exceeds nesting depth 1")
-        term = DivModTerm(self, d, TermKind.FLOORDIV, 1)
+        term = DivModTerm(self.coeffs, self.const, d, 1)
         return QuasiAffineExpr(tuple(0 for _ in self.coeffs), 0, (term,))
 
     def mod(self, d: int) -> "QuasiAffineExpr":
+        """``self - d*(self floordiv d)``, the normal form of ``self mod d``."""
         if not self.is_linear:
             raise ValueError("mod of a non-linear expression exceeds nesting depth 1")
-        term = DivModTerm(self, d, TermKind.MOD, 1)
-        return QuasiAffineExpr(tuple(0 for _ in self.coeffs), 0, (term,))
+        return QuasiAffineExpr(self.coeffs, self.const, (DivModTerm(self.coeffs, self.const, d, -d),))
 
 
 def variables(arity: int) -> tuple[QuasiAffineExpr, ...]:
@@ -266,25 +260,18 @@ def const_expr(arity: int, value: int) -> QuasiAffineExpr:
 
 
 def _normalize_expr(coeffs, const, terms):
-    """Canonicalize to a linear part plus floordiv-only terms.
+    """Canonicalize to a linear part plus merged floordiv terms.
 
-    ``w*(e mod d)`` is rewritten as ``w*e - w*d*(e floordiv d)``, which makes
-    the floor/mod law hold by construction and gives every function exactly
-    one normal form (constants folded, divisor-1 and gcd reductions applied,
-    terms merged and sorted).
+    Every function gets exactly one normal form: constants folded,
+    divisor-1 and gcd reductions applied, terms merged and sorted.
     """
     coeffs = [int(c) for c in coeffs]
     const = int(const)
     bucket: dict[tuple, int] = {}
-    pending = [(t.inner.coeffs, t.inner.const, t.divisor, t.kind, t.weight) for t in terms]
+    pending = [(t.coeffs, t.const, t.divisor, t.weight) for t in terms]
     while pending:
-        ic, ib, d, kind, w = pending.pop()
+        ic, ib, d, w = pending.pop()
         if w == 0:
-            continue
-        if kind is TermKind.MOD:
-            coeffs = [a + w * b for a, b in zip(coeffs, ic)]
-            const += w * ib
-            pending.append((ic, ib, d, TermKind.FLOORDIV, -w * d))
             continue
         if all(c == 0 for c in ic):
             const += w * (ib // d)
@@ -299,25 +286,13 @@ def _normalize_expr(coeffs, const, terms):
             ib //= g
             d //= g
             if d == 1:
-                pending.append((ic, ib, d, kind, w))
+                pending.append((ic, ib, d, w))
                 continue
         key = (d, tuple(ic), ib)
         bucket[key] = bucket.get(key, 0) + w
-    out_terms = [
-        DivModTerm(_linear(ic, ib), d, TermKind.FLOORDIV, w) for (d, ic, ib), w in bucket.items() if w
-    ]
-    out_terms.sort(key=lambda t: (t.divisor, t.inner.coeffs, t.inner.const))
+    out_terms = [DivModTerm(ic, ib, d, w) for (d, ic, ib), w in bucket.items() if w]
+    out_terms.sort(key=lambda t: (t.divisor, t.coeffs, t.const))
     return tuple(coeffs), const, tuple(out_terms)
-
-
-def _linear(coeffs: tuple[int, ...], const: int) -> QuasiAffineExpr:
-    """A linear expression that is already in normal form, built without
-    normalizing: integer coefficients in a tuple and an integer constant."""
-    expr = object.__new__(QuasiAffineExpr)
-    object.__setattr__(expr, "coeffs", coeffs)
-    object.__setattr__(expr, "const", const)
-    object.__setattr__(expr, "terms", ())
-    return expr
 
 
 def _linear_interval(coeffs, const, box: IntBox) -> tuple[int, int]:
@@ -334,11 +309,11 @@ def _linear_interval(coeffs, const, box: IntBox) -> tuple[int, int]:
 
 
 def _box_simplify(expr: QuasiAffineExpr, box: IntBox) -> QuasiAffineExpr:
-    """Resolve div/mod terms that the box bounds make exact.
+    """Resolve floordiv terms that the box bounds make exact.
 
     Splits each term's inner expression as inner = d*q + r with r's
     coefficients in [0, d); when the value range of r over the box lies in
-    [0, d), ``inner fd d`` is exactly q and ``inner mod d`` is exactly r.
+    [0, d), ``inner floordiv d`` is exactly q.
     """
     if not expr.terms or box.is_empty:
         return expr
@@ -348,14 +323,10 @@ def _box_simplify(expr: QuasiAffineExpr, box: IntBox) -> QuasiAffineExpr:
     changed = False
     for t in expr.terms:
         d = t.divisor
-        qc = [c // d for c in t.inner.coeffs]
-        rc = [c % d for c in t.inner.coeffs]
-        qb, rb = t.inner.const // d, t.inner.const % d
-        lo, hi = _linear_interval(rc, rb, box)
+        lo, hi = _linear_interval([c % d for c in t.coeffs], t.const % d, box)
         if 0 <= lo and hi < d:
-            add_c, add_b = (qc, qb) if t.kind is TermKind.FLOORDIV else (rc, rb)
-            coeffs = [a + t.weight * b for a, b in zip(coeffs, add_c)]
-            const += t.weight * add_b
+            coeffs = [a + t.weight * (c // d) for a, c in zip(coeffs, t.coeffs)]
+            const += t.weight * (t.const // d)
             changed = True
         else:
             kept.append(t)
@@ -368,11 +339,8 @@ def expr_interval(expr: QuasiAffineExpr, box: IntBox) -> tuple[int, int]:
     """Conservative (exact when linear) inclusive value range over a non-empty box."""
     lo, hi = _linear_interval(expr.coeffs, expr.const, box)
     for t in expr.terms:
-        ilo, ihi = _linear_interval(t.inner.coeffs, t.inner.const, box)
-        if t.kind is TermKind.FLOORDIV:
-            tlo, thi = ilo // t.divisor, ihi // t.divisor
-        else:
-            tlo, thi = 0, t.divisor - 1
+        ilo, ihi = _linear_interval(t.coeffs, t.const, box)
+        tlo, thi = ilo // t.divisor, ihi // t.divisor
         lo += t.weight * (tlo if t.weight >= 0 else thi)
         hi += t.weight * (thi if t.weight >= 0 else tlo)
     return lo, hi
@@ -479,19 +447,17 @@ def _unflatten_exprs(base: int, radices, offsets) -> tuple[QuasiAffineExpr, ...]
     for suffix product w_j, with ``floordiv 1`` written as ``x - base``;
     each digit is normalized once.
     """
-    shifted = _linear((1,), -base)
-    fd = TermKind.FLOORDIV
     exprs = []
     for j, (w, r, off) in enumerate(zip(_suffix_products(radices), radices, offsets)):
         if j == 0:
             if w > 1:
-                exprs.append(QuasiAffineExpr((0,), off, (DivModTerm(shifted, w, fd, 1),)))
+                exprs.append(QuasiAffineExpr((0,), off, (DivModTerm((1,), -base, w, 1),)))
             else:
                 exprs.append(QuasiAffineExpr((1,), off - base))
         elif w == 1:
-            exprs.append(QuasiAffineExpr((1,), off - base, (DivModTerm(shifted, r, fd, -r),)))
+            exprs.append(QuasiAffineExpr((1,), off - base, (DivModTerm((1,), -base, r, -r),)))
         else:
-            terms = (DivModTerm(shifted, w, fd, 1), DivModTerm(shifted, w * r, fd, -r))
+            terms = (DivModTerm((1,), -base, w, 1), DivModTerm((1,), -base, w * r, -r))
             exprs.append(QuasiAffineExpr((0,), off, terms))
     return tuple(exprs)
 
@@ -508,7 +474,7 @@ def _match_unflatten(m: QuasiAffineMap) -> tuple[int, tuple[int, ...]] | None:
     # per-output weights: smallest floordiv divisor; innermost digit has weight 1
     weights = []
     for e in m.exprs[:-1]:
-        divisors = sorted(t.divisor for t in e.terms if t.kind is TermKind.FLOORDIV)
+        divisors = sorted(t.divisor for t in e.terms)
         if not divisors:
             return None
         weights.append(divisors[0])
@@ -778,7 +744,7 @@ def reverse(m: QuasiAffineMap, limits: Limits = DEFAULT_LIMITS) -> InverseResult
             if s == sign:
                 inv_exprs[j] = QuasiAffineExpr(unit, -sign * b)
             else:
-                term = DivModTerm(_linear(unit, -sign * b), sign * s, TermKind.FLOORDIV, 1)
+                term = DivModTerm(unit, -sign * b, sign * s, 1)
                 inv_exprs[j] = QuasiAffineExpr(zeros, 0, (term,))
         inv = QuasiAffineMap(img.bounding_box(), tuple(inv_exprs))
         return SymbolicInverse(inv, img)
@@ -843,18 +809,18 @@ def compose(
     for oe in outer.exprs:
         coeffs, const, terms = _substitute(oe, inner)
         for t in oe.terms:
-            sub = QuasiAffineExpr(*_substitute(t.inner, inner))
+            sub = QuasiAffineExpr(*_substitute(t, inner))
             if not sub.is_linear:
                 raise UnrepresentableComposition("substitution nests div/mod deeper than one level")
-            terms.append(DivModTerm(sub, t.divisor, t.kind, t.weight))
+            terms.append(DivModTerm(sub.coeffs, sub.const, t.divisor, t.weight))
         exprs.append(QuasiAffineExpr(coeffs, const, tuple(terms)))
     return QuasiAffineMap(inner.domain, tuple(exprs))
 
 
-def _substitute(e: QuasiAffineExpr, inner: QuasiAffineMap):
-    """The linear part of ``e`` with ``inner``'s outputs substituted for its
-    variables, unnormalized: a coefficient tuple, a constant and a list of
-    scaled div/mod terms."""
+def _substitute(e: QuasiAffineExpr | DivModTerm, inner: QuasiAffineMap):
+    """The linear part of ``e`` (an expression, or a term's inner part) with
+    ``inner``'s outputs substituted for its variables, unnormalized: a
+    coefficient tuple, a constant and a list of scaled div/mod terms."""
     out = [0] * inner.in_arity
     const = e.const
     terms: list[DivModTerm] = []
@@ -863,5 +829,5 @@ def _substitute(e: QuasiAffineExpr, inner: QuasiAffineMap):
             for j, a in enumerate(ie.coeffs):
                 out[j] += c * a
             const += c * ie.const
-            terms.extend(DivModTerm(t.inner, t.divisor, t.kind, c * t.weight) for t in ie.terms)
+            terms.extend(DivModTerm(t.coeffs, t.const, t.divisor, c * t.weight) for t in ie.terms)
     return tuple(out), const, terms

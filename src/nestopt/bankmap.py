@@ -128,10 +128,6 @@ class Exactly:
 @dataclass(frozen=True)
 class Conflict:
     mappings: frozenset
-    sources: frozenset
-
-    def pair(self) -> tuple[BankMapping, ...]:
-        return tuple(sorted(self.mappings, key=lambda m: (m.axis, m.banks, m.policy.value)))
 
 
 LatticeValue = Union[Unknown, Exactly, Conflict]
@@ -139,15 +135,15 @@ LatticeValue = Union[Unknown, Exactly, Conflict]
 UNKNOWN = Unknown()
 
 
-def join(value: LatticeValue, mapping: BankMapping, source: str) -> LatticeValue:
+def join(value: LatticeValue, mapping: BankMapping) -> LatticeValue:
     """Commutative/associative/idempotent join of one contribution."""
     if isinstance(value, Unknown):
         return Exactly(mapping)
     if isinstance(value, Exactly):
         if value.mapping == mapping:
             return value
-        return Conflict(frozenset({value.mapping, mapping}), frozenset({source}))
-    return Conflict(value.mappings | {mapping}, value.sources | {source})
+        return Conflict(frozenset({value.mapping, mapping}))
+    return Conflict(value.mappings | {mapping})
 
 
 @dataclass(frozen=True)
@@ -210,7 +206,7 @@ def seed_anchors(program: Program, registry: AnchorRegistry) -> MappingState:
         for side in _template_slots(program, registry, nest):
             for tname, mapping in side.items():
                 requirements[(nest.name, tname)] = mapping
-                values[tname] = join(values[tname], mapping, f"anchor:{nest.name}")
+                values[tname] = join(values[tname], mapping)
     return MappingState(values, frozenset(anchored), requirements, registry.banks)
 
 
@@ -307,7 +303,7 @@ def propagate(
     values = dict(seeded.values)
     updates = seeded.updates
     while True:
-        contributions: list[tuple[str, BankMapping, str]] = []
+        contributions: list[tuple[str, BankMapping]] = []
         for ni, direction, u, w in tasks:
             src, dst = (u, w) if direction == "forward" else (w, u)
             val = values.get(src, UNKNOWN)
@@ -315,10 +311,10 @@ def propagate(
                 continue
             carried = _nest_transfer(index, ni, u, w, val.mapping, direction)
             if carried is not None:
-                contributions.append((dst, carried, f"{program.nests[ni].name}:{direction}:{src}"))
+                contributions.append((dst, carried))
         new_values = dict(values)
-        for tname, mapping, source in contributions:
-            new_values[tname] = join(new_values.get(tname, UNKNOWN), mapping, source)
+        for tname, mapping in contributions:
+            new_values[tname] = join(new_values.get(tname, UNKNOWN), mapping)
         if new_values == values:
             return MappingState(
                 values, seeded.anchored, seeded.requirements, seeded.default_banks, updates

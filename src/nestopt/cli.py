@@ -219,6 +219,8 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    if args.seed < 0:
+        raise _UsageError(f"--seed must be >= 0, got {args.seed}")
     if args.benchmark == "wavenet":
         if not 0 <= args.non_invertible <= args.pairs:
             print("gen wavenet: need 0 <= non_invertible <= pairs", file=sys.stderr)

@@ -19,7 +19,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterator, Union
 
-from .affine import DEFAULT_LIMITS, ImageEscape, IntBox, Limits, QuasiAffineMap, image_escape
+from .affine import DEFAULT_LIMITS, HARD_CARDINALITY_CAP, ImageEscape, IntBox, Limits, QuasiAffineMap, image_escape
 
 
 OPCODE_ARITY = {"add": 2, "mul": 2, "max": 2, "neg": 1, "identity": 1}
@@ -205,6 +205,10 @@ def validate(program: Program, limits: Limits = DEFAULT_LIMITS) -> list[Violatio
         seen_tensors.add(t.name)
         if t.elem_size < 1 or any(d < 1 for d in t.shape):
             out.append(Violation("BadDeclaration", None, None, f"tensor '{t.name}' has bad shape/elem size"))
+        elif math.prod(t.shape) > HARD_CARDINALITY_CAP:
+            # so that every access image checked below fits an IntBox
+            message = f"tensor '{t.name}' has {math.prod(t.shape)} cells, more than 2^40"
+            out.append(Violation("BadDeclaration", None, None, message))
         if isinstance(t.location, OnChip) and t.location.mapping is not None:
             if t.location.mapping.axis >= t.rank:
                 out.append(

@@ -24,7 +24,6 @@ from .affine import (
     IntBox,
     QuasiAffineExpr,
     QuasiAffineMap,
-    TermKind,
     affine_map,
     identity_map,
 )
@@ -70,14 +69,7 @@ def _print_linear(coeffs, const, force_const: bool = False) -> list[tuple[int, s
     return pieces
 
 
-def print_expr(expr: QuasiAffineExpr) -> str:
-    pieces = _print_linear(expr.coeffs, expr.const)
-    for t in expr.terms:
-        inner = print_expr(t.inner)
-        op = "floordiv" if t.kind is TermKind.FLOORDIV else "mod"
-        group = f"({inner}) {op} {t.divisor}"
-        mag = abs(t.weight)
-        pieces.append((1 if t.weight > 0 else -1, group if mag == 1 else f"{mag}*({group})"))
+def _join_pieces(pieces: list[tuple[int, str]]) -> str:
     if not pieces:
         return "0"
     out = []
@@ -87,6 +79,15 @@ def print_expr(expr: QuasiAffineExpr) -> str:
         else:
             out.append(f"{'-' if sign < 0 else '+'} {text}")
     return " ".join(out)
+
+
+def print_expr(expr: QuasiAffineExpr) -> str:
+    pieces = _print_linear(expr.coeffs, expr.const)
+    for t in expr.terms:
+        group = f"({_join_pieces(_print_linear(t.coeffs, t.const))}) floordiv {t.divisor}"
+        mag = abs(t.weight)
+        pieces.append((1 if t.weight > 0 else -1, group if mag == 1 else f"{mag}*({group})"))
+    return _join_pieces(pieces)
 
 
 def _print_access(tensor: str, access: QuasiAffineMap) -> str:
@@ -182,7 +183,8 @@ class _ExprParser:
     so the expression is normalized once.  A parenthesized group followed by
     floordiv/mod is the exception: it is normalized on its own first,
     because the depth check needs its canonical form (``(2*i0) floordiv 2``
-    is linear, ``(i0) floordiv 2`` is not).
+    is linear, ``(i0) floordiv 2`` is not).  The normal form stores floor
+    divisions only, so ``k*(e mod d)`` is read as ``k*e - k*d*(e floordiv d)``.
     """
 
     def __init__(self, toks, arity: int, line: int, end_col: int):
@@ -266,11 +268,13 @@ class _ExprParser:
                 if not inner.is_linear:
                     message = f"{nv} of a non-linear expression exceeds nesting depth 1"
                     raise ParseError(message, self.line, ncol)
-                terms.append(DivModTerm(inner, d, TermKind(nv), scale))
-                return 0
-            for j, c in enumerate(inner_coeffs):
+                if nv == "floordiv":
+                    terms.append(DivModTerm(inner.coeffs, inner.const, d, scale))
+                    return 0
+                terms.append(DivModTerm(inner.coeffs, inner.const, d, -scale * d))
+            for j, c in enumerate(inner_coeffs):  # the group itself, or the e of e mod d
                 coeffs[j] += scale * c
-            terms.extend(DivModTerm(t.inner, t.divisor, t.kind, scale * t.weight) for t in inner_terms)
+            terms.extend(DivModTerm(t.coeffs, t.const, t.divisor, scale * t.weight) for t in inner_terms)
             return scale * inner_const
         raise ParseError("expected a loop variable, constant or '('", self.line, col)
 

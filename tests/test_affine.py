@@ -33,7 +33,6 @@ from nestopt.affine import (
     QuasiAffineExpr,
     QuasiAffineMap,
     SymbolicInverse,
-    TermKind,
     UnrepresentableComposition,
     affine_map,
     build_unflatten_exprs,
@@ -64,13 +63,10 @@ def ref_eval_expr(expr, point):
     for c, p in zip(expr.coeffs, point):
         v += c * p
     for t in expr.terms:
-        iv = t.inner.const
-        for c, p in zip(t.inner.coeffs, point):
+        iv = t.const
+        for c, p in zip(t.coeffs, point):
             iv += c * p
-        if t.kind is TermKind.FLOORDIV:
-            v += t.weight * (iv // t.divisor)
-        else:
-            v += t.weight * (iv % t.divisor)
+        v += t.weight * (iv // t.divisor)
     return v
 
 
@@ -432,8 +428,6 @@ def linear_maps(draw, b=None, out_dims=None):
 
 @st.composite
 def quasi_maps(draw):
-    from nestopt.affine import DivModTerm
-
     b = draw(boxes())
     m = draw(st.integers(1, 3))
     exprs = []
@@ -445,9 +439,8 @@ def quasi_maps(draw):
                 tuple(draw(small_int) for _ in range(b.ndim)), draw(small_int)
             )
             d = draw(st.integers(2, 5))
-            kind = draw(st.sampled_from([TermKind.FLOORDIV, TermKind.MOD]))
-            term = DivModTerm(inner, d, kind, draw(st.integers(-3, 3)))
-            e = e + QuasiAffineExpr(tuple(0 for _ in range(b.ndim)), 0, (term,))
+            kinded = inner.floordiv(d) if draw(st.booleans()) else inner.mod(d)
+            e = e + draw(st.integers(-3, 3)) * kinded
         exprs.append(e)
     return affine_map(b, tuple(exprs))
 
@@ -654,15 +647,14 @@ def ref_compose(outer, inner, limits=DEFAULT_LIMITS):
             if c:
                 acc = acc + c * ie
         for t in oe.terms:
-            sub = const_expr(inner.in_arity, t.inner.const)
-            for c, ie in zip(t.inner.coeffs, inner.exprs):
+            sub = const_expr(inner.in_arity, t.const)
+            for c, ie in zip(t.coeffs, inner.exprs):
                 if c:
                     sub = sub + c * ie
             sub = _box_simplify(sub, inner.domain)
             if not sub.is_linear:
                 raise UnrepresentableComposition("substitution nests div/mod deeper than one level")
-            kinded = sub.floordiv(t.divisor) if t.kind is TermKind.FLOORDIV else sub.mod(t.divisor)
-            acc = acc + t.weight * kinded
+            acc = acc + t.weight * sub.floordiv(t.divisor)
         exprs.append(acc)
     return QuasiAffineMap(inner.domain, tuple(exprs))
 

@@ -234,6 +234,7 @@ def _run_module(tmp_path, *args):
         (["optimize", "w.ir", "--pass", "bankmap", "--anchors", "missing.json", "-o", "o.ir"], "cannot read"),
         (["optimize", "w.ir", "--pass", "bankmap", "--anchors", "bad.json", "-o", "o.ir"], "malformed"),
         (["verify", "w.ir", "w.ir", "--seed", "-1"], "--seed must be >= 0, got -1"),
+        (["gen", "wavenet", "3", "0", "--seed", "-5", "-o", "o.ir"], "--seed must be >= 0, got -5"),
     ],
 )
 def test_bad_option_values_are_usage_errors(tmp_path, argv, message):
@@ -397,3 +398,39 @@ def test_malformed_tensor_declaration_is_a_parse_error(tmp_path, decl, message):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines() == [message]
     assert proc.stdout == ""
+
+
+# 8 iterations, but the store's image spans (2^20 + 1)^3 cells: reversing it
+# would need an IntBox above the 2^40 cap
+OVERSIZE_T = """\
+tensor %x : 4x[2, 2, 2] @dram input
+tensor %t : 4x[1048577, 1048577, 1048577] @sbuf
+tensor %y : 4x[2, 2, 2] @dram output
+
+nest a kind=copy (i0 in 0..2, i1 in 0..2, i2 in 0..2) {
+  %v = load %x[i0, i1, i2]
+  store %t[1048576*i0, 1048576*i1, 1048576*i2] = %v
+}
+
+nest b kind=copy (i0 in 0..2, i1 in 0..2, i2 in 0..2) {
+  %v = load %t[1048576*i0, 1048576*i1, 1048576*i2]
+  store %y[i0, i1, i2] = %v
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["optimize", "p.ir", "--pass", "dme", "-o", "o.ir"], ["verify", "p.ir", "p.ir"], ["report", "p.ir"]],
+    ids=["optimize", "verify", "report"],
+)
+def test_tensor_above_the_cell_cap_is_a_diagnostic(tmp_path, argv):
+    (tmp_path / "p.ir").write_text(OVERSIZE_T)
+    proc = _run_module(tmp_path, *argv)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [
+        f"p.ir: BadDeclaration: tensor 't' has {1048577 ** 3} cells, more than 2^40"
+    ]
+    assert proc.stdout == ""
+    assert not (tmp_path / "o.ir").exists()

@@ -16,7 +16,6 @@ import random
 import numpy as np
 import pytest
 
-from nestopt.affine import TermKind
 from nestopt.bankmap import run_global_mapping, run_local_baseline
 from nestopt.dme import run_dme
 from nestopt.generators import generate_resnet_analog, generate_wavenet_analog
@@ -40,8 +39,8 @@ from nestopt.textual import parse, print_program
 def _ref_expr(expr, point):
     v = expr.const + sum(c * p for c, p in zip(expr.coeffs, point))
     for t in expr.terms:
-        iv = t.inner.const + sum(c * p for c, p in zip(t.inner.coeffs, point))
-        v += t.weight * (iv // t.divisor if t.kind is TermKind.FLOORDIV else iv % t.divisor)
+        iv = t.const + sum(c * p for c, p in zip(t.coeffs, point))
+        v += t.weight * (iv // t.divisor)
     return v
 
 
