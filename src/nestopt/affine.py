@@ -28,6 +28,11 @@ image or enumerates only when some output's value interval leaves the box.
 
 floordiv rounds toward -inf, so ``x mod d`` read that way is always in
 ``[0, d)`` and ``x == d * (x floordiv d) + (x mod d)`` holds unconditionally.
+
+numpy is imported only inside the functions that enumerate points
+(``points_array``, ``evaluate_batch``, and the enumerating branches of
+``image``, ``image_escape`` and ``reverse``), so a process that only builds,
+composes and reverses normal forms never loads it.
 """
 
 from __future__ import annotations
@@ -37,9 +42,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterator, Union
+from typing import TYPE_CHECKING, Iterator, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 HARD_CARDINALITY_CAP = 1 << 40
 
@@ -131,6 +137,8 @@ class IntBox:
 
     def points_array(self) -> np.ndarray:
         """All points as an int64 array of shape (cardinality, ndim), lexicographic."""
+        import numpy as np
+
         if self.ndim == 0:
             return np.zeros((1, 0), dtype=np.int64)
         if self.is_empty:
@@ -201,6 +209,8 @@ class QuasiAffineExpr:
         return v
 
     def evaluate_batch(self, pts: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         out = pts @ np.asarray(self.coeffs, dtype=np.int64) + self.const
         for t in self.terms:
             out = out + t.weight * ((pts @ np.asarray(t.coeffs, dtype=np.int64) + t.const) // t.divisor)
@@ -401,6 +411,8 @@ class QuasiAffineMap:
 
     def evaluate_batch(self, pts: np.ndarray) -> np.ndarray:
         """Evaluate on (N, in_arity) int64 points, assumed inside the domain."""
+        import numpy as np
+
         if pts.shape[0] == 0:
             return np.zeros((0, self.out_arity), dtype=np.int64)
         return np.stack([e.evaluate_batch(pts) for e in self.exprs], axis=-1)
@@ -672,6 +684,8 @@ def image_escape(
         if all(lo <= first and first + s * (c - 1) < hi for first, s, c, lo, hi in spans):
             return None
     if dom.cardinality <= limits.enumerate_limit:
+        import numpy as np
+
         pts = dom.points_array()
         vals = m.evaluate_batch(pts)
         box_lo, box_hi = np.asarray(los, dtype=np.int64), np.asarray(his, dtype=np.int64)
@@ -717,7 +731,9 @@ def reverse(m: QuasiAffineMap, limits: Limits = DEFAULT_LIMITS) -> InverseResult
 
     Symbolic for the PermShift / StridedEmbed / MixedRadix normal forms
     (the symbolic inverse's declared box is the image's bounding box; the
-    precise image accompanies the result).  A general map of at most
+    precise image accompanies the result).  A strided image whose bounding
+    box passes ``HARD_CARDINALITY_CAP`` has no such box: ``NotInvertible``.
+    A general map of at most
     ``limits.enumerate_limit`` points is probed for a collision: the answer
     is ``InjectiveOnly`` or ``NotInvertible`` naming the first collision in
     point order.  Non-invertibility is a value, not an error.
@@ -731,6 +747,9 @@ def reverse(m: QuasiAffineMap, limits: Limits = DEFAULT_LIMITS) -> InverseResult
     if cls in (MapClass.PERM_SHIFT, MapClass.STRIDED_EMBED, MapClass.MIXED_RADIX):
         img = image(m, limits)
     if cls in (MapClass.PERM_SHIFT, MapClass.STRIDED_EMBED):
+        span = math.prod(s * (c - 1) + 1 for s, c in zip(img.strides, img.counts))
+        if span > HARD_CARDINALITY_CAP:
+            return NotInvertible(f"image's bounding box too large for an inverse's domain ({span} points)")
         # output k == s*i_j + b inverts to i_j == (sign(s)*(x_k - b)) floordiv |s|,
         # which divides exactly on the image
         n = m.in_arity
@@ -759,6 +778,8 @@ def reverse(m: QuasiAffineMap, limits: Limits = DEFAULT_LIMITS) -> InverseResult
     card = m.domain.cardinality
     if card > limits.enumerate_limit:
         return NotInvertible(f"domain too large to tabulate ({card} points)")
+    import numpy as np
+
     pts = m.domain.points_array()
     vals = m.evaluate_batch(pts)
     # lexsort is stable, so equal values stay in point order and every row

@@ -24,7 +24,11 @@ one store whose access is not injective.
 Buffers carry a leading trial axis, so ``equivalent`` runs each program once
 for all its trials.  Which cells a program writes does not depend on its
 inputs, so the written-cell masks, indices, bounds checks and poison checks
-are shared by every trial.
+are shared by every trial.  Before drawing inputs or allocating, each
+tensor's buffer over all trials is checked against ``BUFFER_BYTES``.
+
+numpy is imported inside the functions that use it, so importing this
+module (as ``import nestopt`` and ``import nestopt.cli`` do) does not load it.
 """
 
 from __future__ import annotations
@@ -32,11 +36,13 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .affine import IntBox, QuasiAffineMap
 from .ir import Compute, Load, Memcopy, Origin, Program, Store
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class InterpError(Exception):
@@ -53,6 +59,10 @@ class PoisonRead(InterpError):
     pass
 
 
+class BufferTooLarge(InterpError):
+    """A tensor's buffers for all trials would pass ``BUFFER_BYTES``."""
+
+
 @dataclass
 class TensorStore:
     """Dense integer buffers by tensor name.
@@ -67,11 +77,15 @@ class TensorStore:
 
     @staticmethod
     def from_arrays(arrays: dict[str, np.ndarray]) -> "TensorStore":
+        import numpy as np
+
         return TensorStore({k: np.array(v, dtype=np.int64) for k, v in arrays.items()})
 
     @staticmethod
     def stack(stores: list["TensorStore"]) -> "TensorStore":
         """One store holding each single-trial store as a trial, in order."""
+        import numpy as np
+
         names = stores[0].names()
         if any(s.trials is not None or s.names() != names for s in stores):
             raise InterpError("only single-trial stores over the same tensors can be stacked")
@@ -88,6 +102,8 @@ class TensorStore:
 # Point arrays, cached across runs up to a byte budget
 
 POINT_CACHE_BYTES = 64 << 20
+# largest int64 buffer, over all trials, that ``run`` allocates for one tensor
+BUFFER_BYTES = 1 << 30
 
 
 class _PointCache:
@@ -130,14 +146,17 @@ def run(program: Program, inputs: TensorStore) -> TensorStore:
     run in one pass and the outputs are stacked the same way.  The input
     store is not modified.  Raises InterpError for missing or mis-shaped
     inputs and out-of-bounds accesses, PoisonRead for reads of never-written
-    cells.
+    cells, BufferTooLarge before allocating a buffer over BUFFER_BYTES.
     """
+    import numpy as np
+
     expected = {t.name for t in program.tensors if t.origin is Origin.MODEL_INPUT}
     if inputs.names() != expected:
         raise InterpError(
             f"inputs must cover exactly the model inputs {sorted(expected)}, got {sorted(inputs.names())}"
         )
     batch = 1 if inputs.trials is None else inputs.trials
+    _check_buffer_sizes(program, batch)
     data: dict[str, np.ndarray] = {}
     written: dict[str, np.ndarray] = {}
     for t in program.tensors:
@@ -174,12 +193,24 @@ def run(program: Program, inputs: TensorStore) -> TensorStore:
     return TensorStore(outputs, inputs.trials)
 
 
+def _check_buffer_sizes(program: Program, trials: int) -> None:
+    for t in program.tensors:
+        nbytes = trials * math.prod(t.shape) * 8
+        if nbytes > BUFFER_BYTES:
+            raise BufferTooLarge(
+                f"tensor '{t.name}' needs {nbytes} bytes for {trials} trial(s), "
+                f"over the interpreter's limit of {BUFFER_BYTES}"
+            )
+
+
 def _tuple(values) -> tuple[int, ...]:
     return tuple(int(v) for v in values)
 
 
 def _flat_indices(access, pts, decl, nest_name, si):
     """Row-major cell of ``decl`` that ``access`` reaches at each point."""
+    import numpy as np
+
     if access.out_arity != len(decl.shape):
         raise InterpError(
             f"nest '{nest_name}' statement {si}: access to '{decl.name}' has "
@@ -202,6 +233,8 @@ def _flat_indices(access, pts, decl, nest_name, si):
 
 def _check_written(mask, flat, pts, nest_name, si, verb, tensor):
     """Raise PoisonRead naming the first point, in lexicographic order, that reads an unwritten cell."""
+    import numpy as np
+
     read = mask[flat]
     if not read.all():
         point = _tuple(pts[int(np.argmin(read))])
@@ -216,6 +249,8 @@ def _apply_compute(opcode: str, args: list[np.ndarray]) -> np.ndarray:
     if opcode == "mul":
         return args[0] * args[1]
     if opcode == "max":
+        import numpy as np
+
         return np.maximum(args[0], args[1])
     if opcode == "neg":
         return -args[0]
@@ -268,6 +303,8 @@ def _write_last(buf, mask, stmt_writes):
     that way.  When some cell is hit more than once, a stable sort by cell
     keeps each cell's final write.
     """
+    import numpy as np
+
     if len(stmt_writes) == 1:
         flat, vals = stmt_writes[0]
     else:
@@ -316,6 +353,8 @@ INPUT_RANGE = (-50, 50)
 
 def random_inputs(program: Program, seed: int, trial: int = 0) -> TensorStore:
     """Deterministic pseudo-random integer inputs for the model-input tensors."""
+    import numpy as np
+
     rng = np.random.default_rng([seed, trial])
     arrays = {
         t.name: rng.integers(INPUT_RANGE[0], INPUT_RANGE[1], size=t.shape, dtype=np.int64)
@@ -331,9 +370,12 @@ def equivalent(p1: Program, p2: Program, trials: int = 5, seed: int = 0) -> Equi
     Trial ``k`` feeds both programs ``random_inputs(p1, seed, k)``; each
     program runs once over all trials.  The counterexample is the first
     difference by trial, then output name, then cell.  Raises ValueError
-    for ``trials < 1`` or ``seed < 0`` before running anything; an
-    ``InterpError`` from a run names that program in its ``side``.
+    for ``trials < 1`` or ``seed < 0`` before running anything, and
+    BufferTooLarge before drawing inputs; an ``InterpError`` from a size
+    check or a run names that program in its ``side``.
     """
+    import numpy as np
+
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if seed < 0:
@@ -344,6 +386,12 @@ def equivalent(p1: Program, p2: Program, trials: int = 5, seed: int = 0) -> Equi
     out2 = {(t.name, t.shape) for t in p2.tensors if t.origin is Origin.MODEL_OUTPUT}
     if in1 != in2 or out1 != out2:
         raise InterpError("programs do not share input/output declarations")
+    for side, program in enumerate((p1, p2)):
+        try:
+            _check_buffer_sizes(program, trials)
+        except BufferTooLarge as exc:
+            exc.side = side
+            raise
     inputs = TensorStore.stack([random_inputs(p1, seed, trial) for trial in range(trials)])
     results = []
     for side, program in enumerate((p1, p2)):

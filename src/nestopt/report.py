@@ -1,4 +1,11 @@
-"""Machine-readable run reports, schema version 1."""
+"""Machine-readable run reports, schema version 1.
+
+``REPORT_SCHEMA`` is the published contract for every document that
+``build_document`` returns, and ``validate_document`` checks a document
+against it.  ``build_document`` does not call it: the test suite validates
+every kind of document the CLI builds, so ``jsonschema`` is needed only to
+run the tests or to check a document from elsewhere.
+"""
 
 from __future__ import annotations
 
@@ -92,7 +99,17 @@ REPORT_SCHEMA = {
             "type": "array",
             "items": {
                 "type": "object",
-                "properties": {"pass": {"enum": ["dme", "bankmap"]}},
+                "properties": {
+                    "pass": {"enum": ["dme", "bankmap"]},
+                    "inserted": {
+                        "type": "array",
+                        "items": {
+                            "type": "object",
+                            "properties": {"mapping_from": _MAPPING_SCHEMA, "mapping_to": _MAPPING_SCHEMA},
+                        },
+                    },
+                    "assignments": {"type": "object", "additionalProperties": _MAPPING_SCHEMA},
+                },
                 "required": ["pass"],
             },
         },
@@ -164,7 +181,7 @@ def build_document(
     before: TrafficReport,
     after: TrafficReport | None,
 ) -> dict[str, Any]:
-    doc = {
+    return {
         "schema": SCHEMA_VERSION,
         "tool": {"name": "nestopt", "version": __version__},
         "pipeline": pipeline,
@@ -175,16 +192,14 @@ def build_document(
             "compare": compare(before, after).to_json() if after is not None else None,
         },
     }
-    validate_document(doc)
-    return doc
 
 
 @cache
 def _validator() -> jsonschema.Draft202012Validator:
     """The schema is checked against its metaschema once, not per document.
 
-    ``jsonschema`` is imported here, not at module level, so that commands
-    that write no report do not pay for importing it.
+    ``jsonschema`` is imported here, not at module level, so that importing
+    this module does not need it.
     """
     import jsonschema
 

@@ -323,6 +323,21 @@ def test_reverse_tabulate_limit():
     assert "too large" in res.reason
 
 
+def test_reverse_of_a_strided_map_whose_image_box_passes_the_cap():
+    # 10^9 domain points, but the image's bounding box spans 999001^3 cells
+    i0, i1, i2 = variables(3)
+    m = affine_map(box((0, 1000), (0, 1000), (0, 1000)), (1000 * i0, 1000 * i1, 1000 * i2))
+    res = reverse(m)
+    assert isinstance(res, NotInvertible)
+    assert res.reason == f"image's bounding box too large for an inverse's domain ({999001 ** 3} points)"
+    # two points whose span is exactly the cap still get a symbolic inverse
+    (i,) = variables(1)
+    at_cap = reverse(affine_map(box((0, 2)), (((1 << 40) - 1) * i,)))
+    assert isinstance(at_cap, SymbolicInverse)
+    assert at_cap.map.domain.cardinality == 1 << 40
+    assert isinstance(reverse(affine_map(box((0, 2)), ((1 << 40) * i,))), NotInvertible)
+
+
 def _ref_reverse_general(m):
     """The general-map answer of ``reverse`` by a dict scan in point order."""
     seen = {}

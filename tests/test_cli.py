@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from nestopt.cli import _build_parser, main
+from nestopt.interp import BUFFER_BYTES
 from nestopt.report import validate_document
 from nestopt.textual import parse
 
@@ -86,6 +88,27 @@ def test_report_on_empty_program(tmp_path):
     assert t["off_chip_bytes"] == 0
     assert t["on_chip_copy_bytes"] == 0
     assert doc["traffic"]["after"] is None
+
+
+PIPELINES = {
+    "dme": ["--pass", "dme"],
+    "bankmap_global": ["--pass", "bankmap", "--mode", "global"],
+    "bankmap_local": ["--pass", "bankmap", "--mode", "local"],
+    "dme_bankmap": ["--pass", "dme", "--pass", "bankmap"],
+}
+
+
+@pytest.mark.parametrize("pipeline", PIPELINES)
+@pytest.mark.parametrize("gen", [["wavenet", "12", "2"], ["resnet", "3", "2"]], ids=["wavenet", "resnet"])
+def test_every_report_the_cli_writes_validates(tmp_path, gen, pipeline):
+    src, out = tmp_path / "p.ir", tmp_path / "o.ir"
+    reports = [tmp_path / "optimize.json", tmp_path / "before.json", tmp_path / "after.json"]
+    assert main(["gen", *gen, "--seed", "3", "-o", str(src)]) == 0
+    assert main(["optimize", str(src), *PIPELINES[pipeline], "-o", str(out), "--report", str(reports[0])]) == 0
+    assert main(["report", str(src), "--json", str(reports[1])]) == 0
+    assert main(["report", str(out), "--json", str(reports[2])]) == 0
+    for path in reports:
+        validate_document(json.loads(path.read_text()))
 
 
 def test_verify_detects_difference(tmp_path):
@@ -210,7 +233,7 @@ def test_module_entry_point(tmp_path):
     assert len(program.nests) == 8
 
 
-def _run_module(tmp_path, *args):
+def _run_module(tmp_path, *args, preexec_fn=None):
     """``python -m nestopt *args`` from this checkout's src/, in tmp_path."""
     src = Path(__file__).resolve().parents[1] / "src"
     pythonpath = filter(None, [str(src), os.environ.get("PYTHONPATH")])
@@ -221,6 +244,7 @@ def _run_module(tmp_path, *args):
         text=True,
         cwd=tmp_path,
         env=env,
+        preexec_fn=preexec_fn,
     )
 
 
@@ -434,3 +458,34 @@ def test_tensor_above_the_cell_cap_is_a_diagnostic(tmp_path, argv):
     ]
     assert proc.stdout == ""
     assert not (tmp_path / "o.ir").exists()
+
+
+# valid, and each tensor is far below the 2^40 cell cap, but 10^9 cells is
+# 8 GB per trial
+GIANT_COPY = """\
+tensor %x : 4x[1000, 1000, 1000] @dram input
+tensor %y : 4x[1000, 1000, 1000] @dram output
+
+nest c kind=copy (i0 in 0..1000, i1 in 0..1000, i2 in 0..1000) {
+  %v = load %x[i0, i1, i2]
+  store %y[i0, i1, i2] = %v
+}
+"""
+
+
+def _cap_address_space():
+    # should the size check ever be skipped, the child fails with MemoryError
+    # instead of taking the host's memory
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+
+def test_verify_refuses_tensors_over_the_interpreters_buffer_limit(tmp_path):
+    (tmp_path / "p.ir").write_text(GIANT_COPY)
+    proc = _run_module(tmp_path, "verify", "p.ir", "p.ir", preexec_fn=_cap_address_space)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [
+        f"nestopt verify: p.ir: tensor 'x' needs {5 * 10**9 * 8} bytes for 5 trial(s), "
+        f"over the interpreter's limit of {BUFFER_BYTES}"
+    ]
+    assert proc.stdout == ""

@@ -214,6 +214,31 @@ nest use kind=elementwise (i0 in 0..2, i1 in 0..2) {
     assert record.detail == "store map is invertible only by tabulation"
 
 
+def test_store_whose_inverse_box_passes_the_cap_is_skipped():
+    # 8 points, but the store's image spans (2^20 + 1)^3 cells; ``validate``
+    # rejects %t, so only a direct caller of run_dme can reach this
+    src = """\
+tensor %x : 4x[2, 2, 2] @dram input
+tensor %t : 4x[1048577, 1048577, 1048577] @sbuf
+tensor %y : 4x[2, 2, 2] @dram output
+
+nest a kind=copy (i0 in 0..2, i1 in 0..2, i2 in 0..2) {
+  %v = load %x[i0, i1, i2]
+  store %t[1048576*i0, 1048576*i1, 1048576*i2] = %v
+}
+
+nest b kind=copy (i0 in 0..2, i1 in 0..2, i2 in 0..2) {
+  %v = load %t[1048576*i0, 1048576*i1, 1048576*i2]
+  store %y[i0, i1, i2] = %v
+}
+"""
+    result = run_dme(parse(src))
+    assert result.eliminated == ()
+    record = next(r for r in result.skipped if r.tensor == "t")
+    assert record.skipped is SkipReason.NOT_INVERTIBLE
+    assert record.detail == f"image's bounding box too large for an inverse's domain ({1048577 ** 3} points)"
+
+
 THREE_TRANSPOSES = """\
 tensor %t0 : 4x[2, 3] @dram input
 tensor %t1 : 4x[3, 2] @sbuf

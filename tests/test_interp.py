@@ -1,9 +1,12 @@
 """Interpreter semantics against hand-executed oracles."""
 
+import re
+
 import numpy as np
 import pytest
 
 from nestopt.interp import (
+    BufferTooLarge,
     EquivalenceResult,
     InterpError,
     PoisonRead,
@@ -316,6 +319,41 @@ nest r kind=copy (i0 in 0..4) {{
     with pytest.raises(InterpError) as exc:
         equivalent(good, interfaces)
     assert exc.value.side is None
+
+
+COPY_A_TO_Y = """\
+tensor %a : 4x[4] @dram input
+tensor %y : 4x[4] @dram output
+
+nest c kind=copy (i0 in 0..4) {
+  %v = load %a[i0]
+  store %y[i0] = %v
+}
+"""
+
+
+def test_buffer_limit_is_checked_before_inputs_are_drawn(monkeypatch):
+    import nestopt.interp
+
+    small = parse(COPY_A_TO_Y)
+    # an unused 8-cell intermediate: the largest buffer, 64 bytes a trial
+    big = parse("tensor %t : 4x[8] @sbuf\n" + COPY_A_TO_Y)
+    monkeypatch.setattr(nestopt.interp, "BUFFER_BYTES", 3 * 64)
+    assert equivalent(small, big, trials=3).equivalent
+    assert run(big, TensorStore.stack([nestopt.interp.random_inputs(big, 0, k) for k in range(3)]))
+
+    def unreachable(*args):
+        raise AssertionError("drew inputs")
+
+    message = re.escape("tensor 't' needs 256 bytes for 4 trial(s), over the interpreter's limit of 192")
+    inputs = TensorStore.stack([nestopt.interp.random_inputs(big, 0, k) for k in range(4)])
+    with pytest.raises(BufferTooLarge, match=message):
+        run(big, inputs)
+    monkeypatch.setattr(nestopt.interp, "random_inputs", unreachable)
+    for left, right, side in ((small, big, 1), (big, small, 0)):
+        with pytest.raises(BufferTooLarge, match=message) as exc:
+            equivalent(left, right, trials=4)
+        assert exc.value.side == side
 
 
 def test_stacked_run_keeps_each_trial_apart():

@@ -1,5 +1,6 @@
 """Report document construction and schema validation."""
 
+import json
 import os
 import subprocess
 import sys
@@ -37,15 +38,19 @@ def test_dme_document_validates():
     assert entry["skipped"][0]["reason"] == "NotInvertible"
 
 
-def test_bankmap_document_validates():
+def _bankmap_document():
     program = generate_resnet_analog(2, 2, seed=0)
     out, _, report = run_global_mapping(program)
-    doc = build_document(
+    return build_document(
         [{"pass": "bankmap", "options": {"mode": "global", "banks": 8}}],
         [bankmap_pass_entry(report, 8)],
         account(program),
         account(out),
     )
+
+
+def test_bankmap_document_validates():
+    doc = _bankmap_document()
     validate_document(doc)
     entry = doc["passes"][0]
     assert entry["mode"] == "global"
@@ -68,23 +73,63 @@ def test_schema_rejects_negative_bytes():
         validate_document(doc)
 
 
-def test_build_document_validates_what_it_builds():
+def test_validate_document_rejects_an_unknown_pass():
+    # build_document does not check what it builds; the schema does
     program = generate_wavenet_analog(2, 0, seed=0)
+    doc = build_document([], [{"pass": "unknown"}], account(program), None)
     with pytest.raises(ValidationError):
-        build_document([], [{"pass": "unknown"}], account(program), None)
+        validate_document(doc)
+
+
+MUTATIONS = {
+    "missing_required_key": lambda doc: doc["traffic"]["before"].pop("copy_pairs_total"),
+    "wrong_type": lambda doc: doc["traffic"]["before"].update(off_chip_bytes="0"),
+    "bad_policy_enum": lambda doc: doc["passes"][0]["inserted"][0]["mapping_to"].update(policy="striped"),
+    "extra_mapping_key": lambda doc: next(iter(doc["passes"][0]["assignments"].values())).update(offset=0),
+}
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+def test_validate_document_rejects_each_mutation(mutation):
+    doc = _bankmap_document()
+    validate_document(doc)
+    MUTATIONS[mutation](doc)
+    with pytest.raises(ValidationError):
+        validate_document(doc)
 
 
 def test_schema_is_draft_2020():
     assert REPORT_SCHEMA["$schema"].endswith("2020-12/schema")
 
 
-def test_importing_the_cli_does_not_import_jsonschema(tmp_path):
+IMPORT_PROBE = """\
+import sys
+
+def loaded():
+    return sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "jsonschema"})
+
+import nestopt
+print(loaded())
+import nestopt.cli
+print(loaded())
+from nestopt.cli import main
+assert main(["gen", "resnet", "8", "3", "-o", "r.ir"]) == 0
+argv = ["optimize", "r.ir", "--pass", "dme", "--pass", "bankmap", "-o", "o.ir", "--report", "o.json"]
+assert main(argv) == 0
+print(loaded())
+assert main(["verify", "r.ir", "o.ir"]) == 0
+"""
+
+
+def test_imports_and_resnet_optimize_load_neither_numpy_nor_jsonschema(tmp_path):
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
-    probe = "import sys, nestopt.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'jsonschema'))"
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, cwd=tmp_path, env=env)
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE], capture_output=True, text=True, cwd=tmp_path, env=env
+    )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines() == ["[]", "[]", "[]", "equivalent: 5 trial(s), seed 0"]
+    validate_document(json.loads((tmp_path / "o.json").read_text()))
 
 
 def test_importing_the_cli_does_not_build_its_parser(tmp_path):
