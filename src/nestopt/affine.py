@@ -118,7 +118,7 @@ class IntBox:
     def extents(self) -> tuple[int, ...]:
         return tuple(h - l for l, h in zip(self.los, self.his))
 
-    @property
+    @cached_property
     def cardinality(self) -> int:
         return math.prod(self.extents)
 

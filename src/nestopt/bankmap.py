@@ -18,8 +18,11 @@ both modes insert their memcopies through the same rewrite.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from functools import cache
 from importlib import resources
+from types import MappingProxyType
 from typing import Sequence, Union
 
 from .affine import QuasiAffineMap, identity_map
@@ -70,10 +73,17 @@ def _reject_unknown_keys(entry: dict, allowed: set[str], where: str) -> None:
 
 @dataclass(frozen=True)
 class AnchorRegistry:
-    """Per-operator-kind required mappings for each operand/result slot."""
+    """Per-operator-kind required mappings for each operand/result slot.
 
-    templates: dict[str, AnchorTemplate]
+    ``templates`` is a read-only copy of the mapping it is given, so a
+    registry cannot change once built and ``default`` can share one.
+    """
+
+    templates: Mapping[str, AnchorTemplate]
     banks: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "templates", MappingProxyType(dict(self.templates)))
 
     @staticmethod
     def from_dict(doc: dict, banks: int | None = None) -> "AnchorRegistry":
@@ -107,8 +117,22 @@ class AnchorRegistry:
 
     @staticmethod
     def default(banks: int | None = None) -> "AnchorRegistry":
-        text = resources.files("nestopt").joinpath("data/anchors.json").read_text("utf-8")
-        return AnchorRegistry.from_dict(json.loads(text), banks)
+        """The registry of the bundled ``data/anchors.json`` for ``banks`` banks.
+
+        The file is read and decoded at most once per process, and each bank
+        count's registry is built once and shared by every later call.
+        """
+        return _default_registry(banks)
+
+
+@cache
+def _bundled_anchors() -> dict:
+    return json.loads(resources.files("nestopt").joinpath("data/anchors.json").read_text("utf-8"))
+
+
+@cache
+def _default_registry(banks: int | None) -> AnchorRegistry:
+    return AnchorRegistry.from_dict(_bundled_anchors(), banks)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ written), 2 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import cache
 from pathlib import Path
@@ -28,7 +27,7 @@ from .dme import run_dme
 from .generators import generate_resnet_analog, generate_wavenet_analog
 from .interp import InterpError, equivalent
 from .ir import Program, validate
-from .report import bankmap_pass_entry, build_document, dme_pass_entry
+from .report import bankmap_pass_entry, build_document, dme_pass_entry, document_text
 from .textual import ParseError, parse, print_program
 from .traffic import account
 
@@ -178,7 +177,7 @@ def _cmd_optimize(args) -> int:
     _write_text(args.output, print_program(current))
     if args.report is not None:
         doc = build_document(pipeline, pass_entries, before, after)
-        _write_text(args.report, json.dumps(doc, indent=2) + "\n")
+        _write_text(args.report, document_text(doc) + "\n")
     return 0
 
 
@@ -210,7 +209,7 @@ def _cmd_report(args) -> int:
         interbank_via_dram=args.interbank_via_dram,
     )
     doc = build_document([], [], report, None)
-    text = json.dumps(doc, indent=2)
+    text = document_text(doc)
     if args.json_out is not None:
         _write_text(args.json_out, text + "\n")
     else:

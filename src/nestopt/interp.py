@@ -25,7 +25,8 @@ Buffers carry a leading trial axis, so ``equivalent`` runs each program once
 for all its trials.  Which cells a program writes does not depend on its
 inputs, so the written-cell masks, indices, bounds checks and poison checks
 are shared by every trial.  Before drawing inputs or allocating, each
-tensor's buffer over all trials is checked against ``BUFFER_BYTES``.
+tensor's buffer over all trials, and each nest's point array and values of
+one statement over all trials, are checked against ``BUFFER_BYTES``.
 
 numpy is imported inside the functions that use it, so importing this
 module (as ``import nestopt`` and ``import nestopt.cli`` do) does not load it.
@@ -60,7 +61,7 @@ class PoisonRead(InterpError):
 
 
 class BufferTooLarge(InterpError):
-    """A tensor's buffers for all trials would pass ``BUFFER_BYTES``."""
+    """A tensor's buffers, or a nest's point or value arrays, would pass ``BUFFER_BYTES``."""
 
 
 @dataclass
@@ -102,7 +103,8 @@ class TensorStore:
 # Point arrays, cached across runs up to a byte budget
 
 POINT_CACHE_BYTES = 64 << 20
-# largest int64 buffer, over all trials, that ``run`` allocates for one tensor
+# largest int64 array, over all trials, that ``run`` allocates for one tensor,
+# one nest's points or one statement's values
 BUFFER_BYTES = 1 << 30
 
 
@@ -146,7 +148,8 @@ def run(program: Program, inputs: TensorStore) -> TensorStore:
     run in one pass and the outputs are stacked the same way.  The input
     store is not modified.  Raises InterpError for missing or mis-shaped
     inputs and out-of-bounds accesses, PoisonRead for reads of never-written
-    cells, BufferTooLarge before allocating a buffer over BUFFER_BYTES.
+    cells, BufferTooLarge before allocating a buffer or building a nest's
+    points over BUFFER_BYTES.
     """
     import numpy as np
 
@@ -200,6 +203,16 @@ def _check_buffer_sizes(program: Program, trials: int) -> None:
             raise BufferTooLarge(
                 f"tensor '{t.name}' needs {nbytes} bytes for {trials} trial(s), "
                 f"over the interpreter's limit of {BUFFER_BYTES}"
+            )
+    for nest in program.nests:
+        # the larger of the point array (points x ndim) and one statement's
+        # values (trials x points)
+        box = nest.box
+        nbytes = box.cardinality * max(len(box.los), trials) * 8
+        if nbytes > BUFFER_BYTES:
+            raise BufferTooLarge(
+                f"nest '{nest.name}' has {box.cardinality} points, whose arrays need {nbytes} bytes "
+                f"for {trials} trial(s), over the interpreter's limit of {BUFFER_BYTES}"
             )
 
 

@@ -5,11 +5,16 @@
 against it.  ``build_document`` does not call it: the test suite validates
 every kind of document the CLI builds, so ``jsonschema`` is needed only to
 run the tests or to check a document from elsewhere.
+
+``document_text`` is the text the CLI writes for a document: exactly
+``json.dumps(doc, indent=2)``, built without json's pure-Python encoder.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from json.encoder import INFINITY as _INFINITY
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import TYPE_CHECKING, Any
 
 from . import __version__
@@ -130,6 +135,105 @@ REPORT_SCHEMA = {
     },
     "required": ["schema", "tool", "pipeline", "passes", "traffic"],
 }
+
+
+def document_text(doc: Any) -> str:
+    """``doc`` as JSON text, exactly ``json.dumps(doc, indent=2)``.
+
+    ``json.dumps`` with an indent runs its pure-Python encoder; this writer
+    appends the same text to one list and joins it once, about twice as fast
+    on report documents.  Strings and keys go through the C
+    ``encode_basestring_ascii``, so non-ASCII text is escaped; ints are
+    written with ``int.__repr__`` and floats as json writes them.  Tuples
+    are written as lists and keys in insertion order.  A key that is not a
+    ``str`` raises TypeError, as does a value json cannot encode.
+    """
+    parts: list[str] = []
+    _write_value(doc, "\n", parts)
+    return "".join(parts)
+
+
+# The writers are module-level functions, not closures: a nested function
+# that calls itself is a reference cycle, which would keep every appended
+# part alive until the cyclic garbage collector runs.
+
+_CONTAINERS = (dict, list, tuple)
+# the two types most report values have, looked up by exact type; every
+# other value, subclasses of these included, goes through _scalar_text
+_EXACT_TEXT = {str: _encode_str, int: int.__repr__}
+
+
+def _write_value(value: Any, newline: str, parts: list[str]) -> None:
+    """Append ``value``'s text; ``newline`` is a line break plus the current indent."""
+    if isinstance(value, dict):
+        _write_dict(value, newline, parts)
+    elif isinstance(value, (list, tuple)):
+        _write_list(value, newline, parts)
+    else:
+        parts.append(_scalar_text(value))
+
+
+def _write_dict(obj: dict, newline: str, parts: list[str]) -> None:
+    if not obj:
+        parts.append("{}")
+        return
+    inner = newline + "  "
+    sep, comma = "{" + inner, "," + inner
+    for key, value in obj.items():
+        if not isinstance(key, str):
+            raise TypeError(f"keys must be str, not {type(key).__name__}")
+        write = _EXACT_TEXT.get(type(value))
+        if write is not None:
+            parts.append(sep + _encode_str(key) + ": " + write(value))
+        elif isinstance(value, _CONTAINERS):
+            parts.append(sep + _encode_str(key) + ": ")
+            _write_value(value, inner, parts)
+        else:
+            parts.append(sep + _encode_str(key) + ": " + _scalar_text(value))
+        sep = comma
+    parts.append(newline + "}")
+
+
+def _write_list(items: list | tuple, newline: str, parts: list[str]) -> None:
+    if not items:
+        parts.append("[]")
+        return
+    inner = newline + "  "
+    sep, comma = "[" + inner, "," + inner
+    for value in items:
+        write = _EXACT_TEXT.get(type(value))
+        if write is not None:
+            parts.append(sep + write(value))
+        elif isinstance(value, _CONTAINERS):
+            parts.append(sep)
+            _write_value(value, inner, parts)
+        else:
+            parts.append(sep + _scalar_text(value))
+        sep = comma
+    parts.append(newline + "]")
+
+
+def _scalar_text(value: Any) -> str:
+    """The text json writes for a value that is not a container, in json's order of checks."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == _INFINITY:
+            return "Infinity"
+        if value == -_INFINITY:
+            return "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def mapping_to_json(m: BankMapping) -> dict:

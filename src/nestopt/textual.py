@@ -13,6 +13,8 @@ Expressions are sums of integer constants, scaled loop variables ``k*iN``
 and parenthesized depth-one quotients ``(linear) floordiv k`` /
 ``(linear) mod k``, optionally scaled.  ``#`` starts a comment.  Printing
 is canonical and stable, and ``parse(print(p)) == p`` for valid programs.
+``print_program`` formats each distinct access map once per call: a
+whole-model program repeats a few maps across many statements.
 """
 
 from __future__ import annotations
@@ -90,9 +92,11 @@ def print_expr(expr: QuasiAffineExpr) -> str:
     return _join_pieces(pieces)
 
 
-def _print_access(tensor: str, access: QuasiAffineMap) -> str:
-    inner = ", ".join(print_expr(e) for e in access.exprs)
-    return f"%{tensor}[{inner}]"
+def _print_access(tensor: str, access: QuasiAffineMap, indices: dict[int, str]) -> str:
+    index = indices.get(id(access))
+    if index is None:
+        index = indices[id(access)] = ", ".join(print_expr(e) for e in access.exprs)
+    return f"%{tensor}[{index}]"
 
 
 def _print_location(loc: Location) -> str:
@@ -106,7 +110,13 @@ def _print_location(loc: Location) -> str:
 
 def print_program(program: Program) -> str:
     lines: list[str] = []
-    identities: dict[IntBox, QuasiAffineMap] = {}  # memcopy element maps, one per box, this call only
+    # memcopy element maps, one per box, and the index text of each access
+    # map, both kept for this call only.  Index texts are keyed by the map's
+    # id: the program keeps its maps alive for the call, and a pass's output
+    # shares most maps as objects, so hashing each map would cost more than
+    # formatting an equal copy again.
+    identities: dict[IntBox, QuasiAffineMap] = {}
+    indices: dict[int, str] = {}
     for t in program.tensors:
         shape = ", ".join(str(d) for d in t.shape)
         line = f"tensor %{t.name} : {t.elem_size}x[{shape}] {_print_location(t.location)}"
@@ -123,18 +133,21 @@ def print_program(program: Program) -> str:
         )
         lines.append(f"nest {nest.name} kind={nest.kind} ({loops}) {{")
         for stmt in nest.body:
-            lines.append("  " + _print_statement(stmt, nest, identities))
+            lines.append("  " + _print_statement(stmt, nest, identities, indices))
         lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def _print_statement(
-    stmt: Statement, nest: OperatorNest, identities: dict[IntBox, QuasiAffineMap]
+    stmt: Statement,
+    nest: OperatorNest,
+    identities: dict[IntBox, QuasiAffineMap],
+    indices: dict[int, str],
 ) -> str:
     if isinstance(stmt, Load):
-        return f"%{stmt.result} = load {_print_access(stmt.tensor, stmt.access)}"
+        return f"%{stmt.result} = load {_print_access(stmt.tensor, stmt.access, indices)}"
     if isinstance(stmt, Store):
-        return f"store {_print_access(stmt.tensor, stmt.access)} = %{stmt.value}"
+        return f"store {_print_access(stmt.tensor, stmt.access, indices)} = %{stmt.value}"
     if isinstance(stmt, Compute):
         ops = " ".join(f"%{o}" for o in stmt.operands)
         return f"%{stmt.result} = {stmt.opcode} {ops}"

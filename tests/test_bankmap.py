@@ -152,6 +152,28 @@ def test_bundled_anchors_file_loads_unchanged():
     assert registry.templates["conv2d"].operands == (cyclic(1), cyclic(0))
 
 
+def test_default_registry_is_built_once_per_bank_count():
+    bundled, four = AnchorRegistry.default(), AnchorRegistry.default(4)
+    assert bundled is not four
+    assert (bundled.banks, four.banks) == (8, 4)
+    assert AnchorRegistry.default() is bundled
+    assert AnchorRegistry.default(4) is four
+
+
+def test_registry_templates_are_read_only():
+    registry = AnchorRegistry.default()
+    with pytest.raises(TypeError):
+        registry.templates["conv2d"] = registry.templates["pooling"]
+    with pytest.raises(TypeError):
+        del registry.templates["matmul"]
+    # the registry keeps its own copy of the mapping it was built from
+    templates = dict(registry.templates)
+    copy = AnchorRegistry(templates, registry.banks)
+    templates.pop("conv2d")
+    assert copy == registry
+    assert "conv2d" in copy.templates
+
+
 @pytest.mark.parametrize(
     "doc, message",
     [

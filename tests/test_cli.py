@@ -1,11 +1,14 @@
 """CLI subcommands, exit codes, report documents."""
 
+import hashlib
 import json
 import os
 import resource
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -98,17 +101,115 @@ PIPELINES = {
 }
 
 
-@pytest.mark.parametrize("pipeline", PIPELINES)
-@pytest.mark.parametrize("gen", [["wavenet", "12", "2"], ["resnet", "3", "2"]], ids=["wavenet", "resnet"])
-def test_every_report_the_cli_writes_validates(tmp_path, gen, pipeline):
+GENERATORS = {"wavenet": ["wavenet", "12", "2"], "resnet": ["resnet", "3", "2"]}
+
+
+def _write_every_report(tmp_path, gen, pipeline) -> list[Path]:
+    """``optimize --report`` and ``report --json`` on the input and the output, in that order."""
     src, out = tmp_path / "p.ir", tmp_path / "o.ir"
     reports = [tmp_path / "optimize.json", tmp_path / "before.json", tmp_path / "after.json"]
-    assert main(["gen", *gen, "--seed", "3", "-o", str(src)]) == 0
+    assert main(["gen", *GENERATORS[gen], "--seed", "3", "-o", str(src)]) == 0
     assert main(["optimize", str(src), *PIPELINES[pipeline], "-o", str(out), "--report", str(reports[0])]) == 0
     assert main(["report", str(src), "--json", str(reports[1])]) == 0
     assert main(["report", str(out), "--json", str(reports[2])]) == 0
-    for path in reports:
+    return reports
+
+
+@pytest.mark.parametrize("pipeline", PIPELINES)
+@pytest.mark.parametrize("gen", GENERATORS)
+def test_every_report_the_cli_writes_validates(tmp_path, gen, pipeline):
+    for path in _write_every_report(tmp_path, gen, pipeline):
         validate_document(json.loads(path.read_text()))
+
+
+# sha256 of the three reports above, pinned from a build that wrote them
+# with json.dumps(doc, indent=2)
+REPORT_DIGESTS = {
+    ("wavenet", "dme"): (
+        "422e9c089dcdb12baffeb4db68923f3fe955f120103aa7b6b64de8b99f9ac313",
+        "bf4e2a2c71a9d3e0056a55b716e0263269f3f04dc98049a4c842559cdfd71f2d",
+        "4faa0bc5b11a8f9e12a738bbbf856d879ace85f8eab39e887843fced0f804cbb",
+    ),
+    ("wavenet", "bankmap_global"): (
+        "6519fe4763a5c959128152dc6d27af5df60377555f8b320dc0fd4c3e46c4fb55",
+        "bf4e2a2c71a9d3e0056a55b716e0263269f3f04dc98049a4c842559cdfd71f2d",
+        "bf4e2a2c71a9d3e0056a55b716e0263269f3f04dc98049a4c842559cdfd71f2d",
+    ),
+    ("wavenet", "bankmap_local"): (
+        "d85559aec2a848155620b897fd4dd8f611df071fb39c4391fd0ba30282770ff6",
+        "bf4e2a2c71a9d3e0056a55b716e0263269f3f04dc98049a4c842559cdfd71f2d",
+        "bf4e2a2c71a9d3e0056a55b716e0263269f3f04dc98049a4c842559cdfd71f2d",
+    ),
+    ("wavenet", "dme_bankmap"): (
+        "06a54ba954f290983709ed9cc5ba1aeea08c5d995e1be3bba2686b9d0134a773",
+        "bf4e2a2c71a9d3e0056a55b716e0263269f3f04dc98049a4c842559cdfd71f2d",
+        "4faa0bc5b11a8f9e12a738bbbf856d879ace85f8eab39e887843fced0f804cbb",
+    ),
+    ("resnet", "dme"): (
+        "556704d09de7fbc5c70885d3a00b84ed307f52501ae1c04f911847a6da825406",
+        "24a4d16b1ece4eda3f639b790761bd9f924645433ce0357edb229427a63c3365",
+        "ca4436bc2d36abdad976fa342364dc980add2b2fb48e8aeda1a47b0c565f59ba",
+    ),
+    ("resnet", "bankmap_global"): (
+        "53d4013460b3424902094b102ef1fa02d2dfe9f91681b313b6cc285bae8de861",
+        "24a4d16b1ece4eda3f639b790761bd9f924645433ce0357edb229427a63c3365",
+        "4f0ceb799a428484c572c1b6ffb63235e6ce12afcc91dee59e0f16175b946d36",
+    ),
+    ("resnet", "bankmap_local"): (
+        "76e08bbacf304c76300ad8659f9ab3fd6ee13f772aa760a7623cc504cf7d2712",
+        "24a4d16b1ece4eda3f639b790761bd9f924645433ce0357edb229427a63c3365",
+        "64a14bc0dc76c25fcd0217dbb2f2927b3b81c1bf8a47a383930728d71e5e4eae",
+    ),
+    ("resnet", "dme_bankmap"): (
+        "07edbe328bbfaaabd9795514dea082294c6c9aa76cb1347ad493285096ee3df8",
+        "24a4d16b1ece4eda3f639b790761bd9f924645433ce0357edb229427a63c3365",
+        "4bac2195bb553f3586c861e997849e3c2541d2db9b5dd561affac1195e69bec3",
+    ),
+}
+
+
+@pytest.mark.parametrize("pipeline", PIPELINES)
+@pytest.mark.parametrize("gen", GENERATORS)
+def test_every_report_the_cli_writes_is_unchanged(tmp_path, gen, pipeline):
+    digests = [hashlib.sha256(path.read_bytes()).hexdigest() for path in _write_every_report(tmp_path, gen, pipeline)]
+    assert tuple(digests) == REPORT_DIGESTS[gen, pipeline]
+
+
+def test_bundled_anchors_are_read_once_across_optimize_calls(tmp_path, monkeypatch):
+    import nestopt.bankmap
+
+    files, reads = nestopt.bankmap.resources.files, []
+
+    def counting_files(package):
+        reads.append(package)
+        return files(package)
+
+    monkeypatch.setattr(nestopt.bankmap, "resources", SimpleNamespace(files=counting_files))
+    nestopt.bankmap._bundled_anchors.cache_clear()
+    nestopt.bankmap._default_registry.cache_clear()
+    src, out, rep = tmp_path / "r.ir", tmp_path / "o.ir", tmp_path / "o.json"
+    assert main(["gen", "resnet", "2", "1", "-o", str(src)]) == 0
+    banks = []
+    for argv in (["dme"], ["bankmap"], ["bankmap", "--banks", "4"], ["dme", "--pass", "bankmap"], ["bankmap"]):
+        assert main(["optimize", str(src), "--pass", *argv, "-o", str(out), "--report", str(rep)]) == 0
+        banks.append(json.loads(rep.read_text())["passes"][-1].get("banks"))
+    assert banks == [None, 8, 4, 8, 8]
+    assert reads == ["nestopt"]
+
+
+def test_anchors_file_is_read_on_every_call(tmp_path):
+    src, out, rep, anchors = (tmp_path / name for name in ("r.ir", "o.ir", "o.json", "anchors.json"))
+    assert main(["gen", "resnet", "2", "1", "-o", str(src)]) == 0
+    doc = json.loads(resources.files("nestopt").joinpath("data/anchors.json").read_text("utf-8"))
+    assigned = []
+    for banks in (4, 2):
+        doc["banks"] = banks
+        anchors.write_text(json.dumps(doc))
+        argv = ["optimize", str(src), "--pass", "bankmap", "--anchors", str(anchors), "-o", str(out)]
+        assert main([*argv, "--report", str(rep)]) == 0
+        entry = json.loads(rep.read_text())["passes"][0]
+        assigned.append((entry["banks"], {m["banks"] for m in entry["assignments"].values()}))
+    assert assigned == [(4, {4}), (2, {2})]
 
 
 def test_verify_detects_difference(tmp_path):
@@ -402,6 +503,30 @@ def test_verify_reports_interpreter_errors_in_one_line(tmp_path, case, message):
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines() == [message]
+    assert proc.stdout == ""
+
+
+# 1000-cell tensors, but a box of 10^9 points: a point array of 8 GB
+GIANT_BOX = """\
+tensor %x : 4x[1000] @dram input
+tensor %y : 4x[1000] @dram output
+
+nest c kind=copy (i0 in 0..1000000000) {
+  %v = load %x[(i0) floordiv 1000000]
+  store %y[(i0) floordiv 1000000] = %v
+}
+"""
+
+
+def test_verify_refuses_a_box_over_the_interpreters_buffer_limit(tmp_path):
+    (tmp_path / "p.ir").write_text(GIANT_BOX)
+    proc = _run_module(tmp_path, "verify", "p.ir", "p.ir", preexec_fn=_cap_address_space)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [
+        f"nestopt verify: p.ir: nest 'c' has {10**9} points, whose arrays need {5 * 10**9 * 8} bytes "
+        f"for 5 trial(s), over the interpreter's limit of {BUFFER_BYTES}"
+    ]
     assert proc.stdout == ""
 
 

@@ -356,6 +356,43 @@ def test_buffer_limit_is_checked_before_inputs_are_drawn(monkeypatch):
         assert exc.value.side == side
 
 
+# COPY_A_TO_Y's copy spread over a 4x4x4 box: 64 points of 3 coordinates,
+# 1536 bytes of points; one statement's values take 512 bytes a trial
+SPREAD_COPY = COPY_A_TO_Y.replace("(i0 in 0..4)", "(i0 in 0..4, i1 in 0..4, i2 in 0..4)")
+
+
+def test_box_limit_is_checked_before_inputs_are_drawn_or_points_built(monkeypatch):
+    import nestopt.interp
+
+    small, spread = parse(COPY_A_TO_Y), parse(SPREAD_COPY)
+    monkeypatch.setattr(nestopt.interp, "BUFFER_BYTES", 1536)
+    assert equivalent(small, spread, trials=3).equivalent
+    assert equivalent(small, spread, trials=1).equivalent
+
+    def unreachable(*args):
+        raise AssertionError("drew inputs or built points")
+
+    inputs = TensorStore.stack([nestopt.interp.random_inputs(spread, 0, k) for k in range(4)])
+    message = re.escape(
+        "nest 'c' has 64 points, whose arrays need 2048 bytes for 4 trial(s), "
+        "over the interpreter's limit of 1536"
+    )
+    nestopt.interp._point_cache.clear()
+    monkeypatch.setattr(nestopt.interp.IntBox, "points_array", unreachable)
+    with pytest.raises(BufferTooLarge, match=message):
+        run(spread, inputs)
+    monkeypatch.setattr(nestopt.interp, "random_inputs", unreachable)
+    for left, right, side in ((small, spread, 1), (spread, small, 0)):
+        with pytest.raises(BufferTooLarge, match=message) as exc:
+            equivalent(left, right, trials=4)
+        assert exc.value.side == side
+    # with one trial the point array is the larger one
+    monkeypatch.setattr(nestopt.interp, "BUFFER_BYTES", 1535)
+    with pytest.raises(BufferTooLarge, match=re.escape("need 1536 bytes for 1 trial(s)")) as exc:
+        equivalent(small, spread, trials=1)
+    assert exc.value.side == 1
+
+
 def test_stacked_run_keeps_each_trial_apart():
     src = """\
 tensor %a : 4x[2, 3] @dram input

@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from jsonschema import ValidationError
 
 from nestopt.bankmap import run_global_mapping
@@ -17,6 +19,7 @@ from nestopt.report import (
     bankmap_pass_entry,
     build_document,
     dme_pass_entry,
+    document_text,
     validate_document,
 )
 from nestopt.traffic import account
@@ -100,6 +103,49 @@ def test_validate_document_rejects_each_mutation(mutation):
 
 def test_schema_is_draft_2020():
     assert REPORT_SCHEMA["$schema"].endswith("2020-12/schema")
+
+
+TEXT = st.text(st.characters(exclude_categories=()))
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.floats()
+    | st.sampled_from([-0.0, 1e300, -1e-300, 2.0**63])
+    | TEXT
+)
+DOCUMENTS = st.recursive(
+    SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(TEXT, children, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(DOCUMENTS)
+@example({})
+@example([])
+@example({"a": {}, "b": [], "c": ()})
+@example({"\x00\x1f\"\\é\u2028\ud800\U0001f600": "\t\n\x7f ünï \udfff"})
+@example([True, False, None, 0, -1, 2**64, -(2**200), -0.0, 1e300, float("nan"), float("-inf")])
+@example(({"nested": ({"deeper": [[], {}]},)},))
+def test_document_text_is_json_dumps_with_indent_2(doc):
+    assert document_text(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("doc", [{1: "a"}, {"a": [{None: 1}]}, [{("k",): 0}], {"a": {2.5: 1}}, {True: 1}])
+def test_document_text_rejects_a_key_that_is_not_a_string(doc):
+    with pytest.raises(TypeError, match="keys must be str"):
+        document_text(doc)
+
+
+@pytest.mark.parametrize("value", [{1, 2}, object(), b"bytes"])
+def test_document_text_rejects_what_json_cannot_encode(value):
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        document_text({"a": [value]})
 
 
 IMPORT_PROBE = """\
