@@ -29,6 +29,14 @@ image or enumerates only when some output's value interval leaves the box.
 floordiv rounds toward -inf, so ``x mod d`` read that way is always in
 ``[0, d)`` and ``x == d * (x floordiv d) + (x mod d)`` holds unconditionally.
 
+The value types ``IntBox``, ``DivModTerm``, ``QuasiAffineExpr`` and
+``QuasiAffineMap`` are frozen, and the passes key their memos on them.
+Each computes the hash of its field tuple once, on first use, and keeps it
+on the instance (the cached hash of hash-consing, Filliatre & Conchon
+2006), so a lookup keyed by a map no longer rehashes its whole expression
+tree.  ``==`` answers at once for the same object and otherwise compares
+fields, as the generated method did.
+
 numpy is imported only inside the functions that enumerate points
 (``points_array``, ``evaluate_batch``, and the enumerating branches of
 ``image``, ``image_escape`` and ``reverse``), so a process that only builds,
@@ -84,13 +92,41 @@ class Limits:
 DEFAULT_LIMITS = Limits()
 
 
+class _HashOnce:
+    """The ``_hash`` of a frozen value type: the hash of its field tuple,
+    computed on first use and stored on the instance, where every later
+    read finds it before this descriptor.  The fields are normalized by
+    then (``__post_init__`` runs first), so equal values hash alike."""
+
+    def __init__(self, fields) -> None:
+        self.fields = fields
+
+    def __get__(self, value, owner=None):
+        if value is None:
+            return self
+        h = value.__dict__["_hash"] = hash(self.fields(value))
+        return h
+
+
+def _state_without_hash(value) -> dict:
+    """Pickled state of a value type: its ``__dict__`` minus the stored hash,
+    which the loading process computes again."""
+    state = dict(value.__dict__)
+    state.pop("_hash", None)
+    return state
+
+
 # ---------------------------------------------------------------------------
 # Domains
 
 
 @dataclass(frozen=True)
 class IntBox:
-    """Product of per-dimension half-open integer intervals [lo, hi)."""
+    """Product of per-dimension half-open integer intervals [lo, hi).
+
+    Like the other value types here, it hashes its fields once and keeps
+    the hash, and ``==`` compares fields after an identity check.
+    """
 
     los: tuple[int, ...]
     his: tuple[int, ...]
@@ -105,6 +141,19 @@ class IntBox:
                 raise ValueError(f"empty-reversed bound {lo}..{hi}")
         if self.cardinality > HARD_CARDINALITY_CAP:
             raise ValueError(f"box cardinality exceeds 2^40: {self.cardinality}")
+
+    _hash = _HashOnce(lambda v: (v.los, v.his))
+    __getstate__ = _state_without_hash
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.los == other.los and self.his == other.his
 
     @staticmethod
     def from_extents(*extents: int) -> "IntBox":
@@ -157,7 +206,8 @@ class DivModTerm:
     """weight * ((coeffs . i + const) floordiv divisor).
 
     The one div/mod term of the normal form: its inner part is linear by
-    construction (depth-one nesting), and ``mod`` is never stored.
+    construction (depth-one nesting), and ``mod`` is never stored.  Hashed
+    once, compared by fields.
     """
 
     coeffs: tuple[int, ...]
@@ -169,6 +219,24 @@ class DivModTerm:
         if self.divisor <= 0:
             raise ValueError("divisor must be strictly positive")
 
+    _hash = _HashOnce(lambda v: (v.coeffs, v.const, v.divisor, v.weight))
+    __getstate__ = _state_without_hash
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.coeffs == other.coeffs
+            and self.const == other.const
+            and self.divisor == other.divisor
+            and self.weight == other.weight
+        )
+
 
 def _gcd_many(values) -> int:
     g = 0
@@ -179,7 +247,10 @@ def _gcd_many(values) -> int:
 
 @dataclass(frozen=True)
 class QuasiAffineExpr:
-    """Canonical sum of a linear part and weighted depth-one div/mod terms."""
+    """Canonical sum of a linear part and weighted depth-one div/mod terms.
+
+    Hashed once, after normalization, and compared by fields.
+    """
 
     coeffs: tuple[int, ...]
     const: int = 0
@@ -193,6 +264,19 @@ class QuasiAffineExpr:
         for t in self.terms:
             if len(t.coeffs) != len(self.coeffs):
                 raise ValueError("term arity mismatch")
+
+    _hash = _HashOnce(lambda v: (v.coeffs, v.const, v.terms))
+    __getstate__ = _state_without_hash
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs and self.const == other.const and self.terms == other.terms
 
     @property
     def arity(self) -> int:
@@ -369,7 +453,12 @@ class MapClass(Enum):
 
 @dataclass(frozen=True)
 class QuasiAffineMap:
-    """Map from a box domain to integer vectors, one expression per output dimension."""
+    """Map from a box domain to integer vectors, one expression per output dimension.
+
+    Hashed once, after box simplification, and compared by fields: the
+    keys of parse's, validate's, the interpreter's and DME's memos.  The
+    cached ``map_class`` and ``unflatten`` take no part in either.
+    """
 
     domain: IntBox
     exprs: tuple[QuasiAffineExpr, ...]
@@ -380,6 +469,19 @@ class QuasiAffineMap:
         for e in exprs:
             if e.arity != self.domain.ndim:
                 raise ValueError("output expression arity != domain arity")
+
+    _hash = _HashOnce(lambda v: (v.domain, v.exprs))
+    __getstate__ = _state_without_hash
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.domain == other.domain and self.exprs == other.exprs
 
     @property
     def in_arity(self) -> int:

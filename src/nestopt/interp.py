@@ -9,24 +9,31 @@ There is one execution path, vectorized over the whole box.  A statement's
 flat cell indices, and their arity and bounds checks, depend only on (access
 map, nest box, tensor shape).  A whole-model program repeats a few such keys
 many times, so one ``run`` call computes and checks each distinct key once
-and shares the read-only result with every later statement that has it; a
-bad key raises at its first occurrence, naming that statement.  Nothing is
-kept past the call.  A nest's loads and memcopy sources are checked for
-poison, statement by statement, before any of its writes land.  This is
-exact because a nest never reads a tensor it writes (validation forbids it,
-and the interpreter refuses such a nest), so the only order a reader can
-observe is the order of writes to one cell.
-The last-writer rule settles it: a cell's final value is the write with the
-greatest (point index, statement index), picked with a stable sort whenever
-some cell is written more than once, whether by several statements or by
-one store whose access is not injective.
+and keeps, read-only, what every later statement with that key needs: the
+indices, whether they hit no cell twice (``injective``) and whether they
+hit every cell of the tensor (``covers``).  A bad key raises at its first
+occurrence, naming that statement.  ``run`` also keeps the set of fully
+written tensors: the model inputs, and each tensor on which a covering
+injective store lands.  Nothing is kept past the call.  A nest's loads and
+memcopy sources are checked for poison, statement by statement, before
+any of its writes land; a read of a fully written tensor needs no check.
+This is exact because a nest never reads a tensor it writes (validation
+forbids it, and the interpreter refuses such a nest), so the only order a
+reader can observe is the order of writes to one cell.  A tensor written
+once in a nest, through an injective key, takes a plain scatter.
+Otherwise the last-writer rule settles it: a cell's final value is the
+write with the greatest (point index, statement index), picked with a
+stable sort whenever some cell is written more than once, whether by
+several statements or by one store whose access is not injective.
 
 Buffers carry a leading trial axis, so ``equivalent`` runs each program once
 for all its trials.  Which cells a program writes does not depend on its
 inputs, so the written-cell masks, indices, bounds checks and poison checks
 are shared by every trial.  Before drawing inputs or allocating, each
 tensor's buffer over all trials, and each nest's point array and values of
-one statement over all trials, are checked against ``BUFFER_BYTES``.
+one statement over all trials, are checked against ``BUFFER_BYTES``, once
+per program: by ``equivalent`` before it draws inputs, or by ``run`` when
+called on its own.
 
 numpy is imported inside the functions that use it, so importing this
 module (as ``import nestopt`` and ``import nestopt.cli`` do) does not load it.
@@ -37,7 +44,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .affine import IntBox, QuasiAffineMap
 from .ir import Compute, Load, Memcopy, Origin, Program, Store
@@ -141,7 +148,7 @@ _point_cache = _PointCache()
 # Execution
 
 
-def run(program: Program, inputs: TensorStore) -> TensorStore:
+def run(program: Program, inputs: TensorStore, *, _sizes_checked: bool = False) -> TensorStore:
     """Execute and return the model-output tensors.
 
     If ``inputs`` holds several trials (``TensorStore.stack``), all of them
@@ -149,7 +156,8 @@ def run(program: Program, inputs: TensorStore) -> TensorStore:
     store is not modified.  Raises InterpError for missing or mis-shaped
     inputs and out-of-bounds accesses, PoisonRead for reads of never-written
     cells, BufferTooLarge before allocating a buffer or building a nest's
-    points over BUFFER_BYTES.
+    points over BUFFER_BYTES.  ``equivalent``, which checks the sizes itself
+    before drawing inputs, passes ``_sizes_checked``.
     """
     import numpy as np
 
@@ -159,7 +167,8 @@ def run(program: Program, inputs: TensorStore) -> TensorStore:
             f"inputs must cover exactly the model inputs {sorted(expected)}, got {sorted(inputs.names())}"
         )
     batch = 1 if inputs.trials is None else inputs.trials
-    _check_buffer_sizes(program, batch)
+    if not _sizes_checked:
+        _check_buffer_sizes(program, batch)
     data: dict[str, np.ndarray] = {}
     written: dict[str, np.ndarray] = {}
     for t in program.tensors:
@@ -176,17 +185,19 @@ def run(program: Program, inputs: TensorStore) -> TensorStore:
             written[t.name] = np.zeros(size, dtype=bool)
 
     decls = program.tensor_map
-    # flat indices by (access, box, shape), shared by every statement of this call
-    indices: dict[tuple[QuasiAffineMap, IntBox, tuple[int, ...]], np.ndarray] = {}
+    # the cells of each (access, box, shape), shared by every statement of this call
+    indices: dict[tuple[QuasiAffineMap, IntBox, tuple[int, ...]], _Cells] = {}
+    # tensors whose every cell is written: their masks are all True
+    full = {t.name for t in program.tensors if t.origin is Origin.MODEL_INPUT}
     for nest in program.nests:
         pts = _point_cache.points(nest.box)
         if pts.shape[0]:
-            _run_nest(nest, pts, decls, data, written, indices)
+            _run_nest(nest, pts, decls, data, written, indices, full)
 
     outputs = {}
     for t in program.tensors:
         if t.origin is Origin.MODEL_OUTPUT:
-            if not written[t.name].all():
+            if t.name not in full and not written[t.name].all():
                 cell = np.unravel_index(int(np.argmin(written[t.name])), t.shape)
                 raise PoisonRead(
                     f"model output '{t.name}' is not fully written: cell {_tuple(cell)} never is"
@@ -218,6 +229,25 @@ def _check_buffer_sizes(program: Program, trials: int) -> None:
 
 def _tuple(values) -> tuple[int, ...]:
     return tuple(int(v) for v in values)
+
+
+class _Cells(NamedTuple):
+    """What a statement's access key decides about the cells it reaches."""
+
+    flat: np.ndarray  # row-major cell at each point, read-only
+    injective: bool  # no cell is reached twice
+    covers: bool  # every cell of the tensor is reached
+
+
+def _cells(access, pts, decl, nest_name, si) -> _Cells:
+    import numpy as np
+
+    flat = _flat_indices(access, pts, decl, nest_name, si)
+    flat.flags.writeable = False
+    hit = np.zeros(math.prod(decl.shape), dtype=bool)
+    hit[flat] = True
+    reached = int(np.count_nonzero(hit))
+    return _Cells(flat, reached == flat.size, reached == hit.size)
 
 
 def _flat_indices(access, pts, decl, nest_name, si):
@@ -272,7 +302,7 @@ def _apply_compute(opcode: str, args: list[np.ndarray]) -> np.ndarray:
     raise InterpError(f"unknown opcode '{opcode}'")
 
 
-def _run_nest(nest, pts, decls, data, written, indices):
+def _run_nest(nest, pts, decls, data, written, indices, full):
     clash = set(nest.read_tensors()) & set(nest.written_tensors())
     if clash:
         raise InterpError(f"nest '{nest.name}' reads tensors it writes: {sorted(clash)}")
@@ -280,32 +310,41 @@ def _run_nest(nest, pts, decls, data, written, indices):
     def cells(access, tensor, si):
         decl = decls[tensor]
         key = (access, nest.box, decl.shape)
-        flat = indices.get(key)
-        if flat is None:
-            flat = indices[key] = _flat_indices(access, pts, decl, nest.name, si)
-            flat.flags.writeable = False
-        return flat
+        found = indices.get(key)
+        if found is None:
+            found = indices[key] = _cells(access, pts, decl, nest.name, si)
+        return found
 
     env: dict[str, np.ndarray] = {}
-    # per written tensor, (flat indices, values) of each writing statement in body order
-    writes: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
+    # per written tensor, (cells, values) of each writing statement in body order
+    writes: dict[str, list[tuple[_Cells, np.ndarray]]] = {}
     for si, stmt in enumerate(nest.body):
         if isinstance(stmt, Load):
-            flat = cells(stmt.access, stmt.tensor, si)
-            _check_written(written[stmt.tensor], flat, pts, nest.name, si, "load reads", stmt.tensor)
+            flat = cells(stmt.access, stmt.tensor, si).flat
+            if stmt.tensor not in full:
+                _check_written(written[stmt.tensor], flat, pts, nest.name, si, "load reads", stmt.tensor)
             env[stmt.result] = data[stmt.tensor][:, flat]
         elif isinstance(stmt, Compute):
             env[stmt.result] = _apply_compute(stmt.opcode, [env[o] for o in stmt.operands])
         elif isinstance(stmt, Store):
-            flat = cells(stmt.access, stmt.tensor, si)
-            writes.setdefault(stmt.tensor, []).append((flat, env[stmt.value]))
+            dst = cells(stmt.access, stmt.tensor, si)
+            writes.setdefault(stmt.tensor, []).append((dst, env[stmt.value]))
         elif isinstance(stmt, Memcopy):
-            sflat = cells(stmt.element_map, stmt.src, si)
-            dflat = cells(stmt.element_map, stmt.dst, si)
-            _check_written(written[stmt.src], sflat, pts, nest.name, si, "memcopy reads", stmt.src)
-            writes.setdefault(stmt.dst, []).append((dflat, data[stmt.src][:, sflat]))
+            sflat = cells(stmt.element_map, stmt.src, si).flat
+            dst = cells(stmt.element_map, stmt.dst, si)
+            if stmt.src not in full:
+                _check_written(written[stmt.src], sflat, pts, nest.name, si, "memcopy reads", stmt.src)
+            writes.setdefault(stmt.dst, []).append((dst, data[stmt.src][:, sflat]))
     for name, stmt_writes in writes.items():
-        _write_last(data[name], written[name], stmt_writes)
+        if len(stmt_writes) == 1 and stmt_writes[0][0].injective:
+            (flat, _, covers), vals = stmt_writes[0]
+            data[name][:, flat] = vals
+            if covers:
+                full.add(name)
+            elif name not in full:
+                written[name][flat] = True
+        else:
+            _write_last(data[name], written[name], [(c.flat, v) for c, v in stmt_writes])
 
 
 def _write_last(buf, mask, stmt_writes):
@@ -314,7 +353,8 @@ def _write_last(buf, mask, stmt_writes):
     Writes are ordered by (point index, statement index): stacking each
     statement's points as a column and reading the rows in order lists them
     that way.  When some cell is hit more than once, a stable sort by cell
-    keeps each cell's final write.
+    keeps each cell's final write.  ``_run_nest`` sends only several
+    statements' writes, or one non-injective store's, this way.
     """
     import numpy as np
 
@@ -409,7 +449,7 @@ def equivalent(p1: Program, p2: Program, trials: int = 5, seed: int = 0) -> Equi
     results = []
     for side, program in enumerate((p1, p2)):
         try:
-            results.append(run(program, inputs))
+            results.append(run(program, inputs, _sizes_checked=True))
         except InterpError as exc:
             exc.side = side
             raise

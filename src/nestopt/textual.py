@@ -312,6 +312,7 @@ _LOAD_RE = re.compile(r"%(\w+)\s*=\s*load\s+%(\w+)\[(.*)\]\s*$")
 _STORE_RE = re.compile(r"store\s+%(\w+)\[(.*)\]\s*=\s*%(\w+)\s*$")
 _COMPUTE_RE = re.compile(r"%(\w+)\s*=\s*([a-z_]+)\s+(%\w+(?:\s+%\w+)*)\s*$")
 _MEMCOPY_RE = re.compile(r"memcopy\s+%(\w+)\s*<-\s*%(\w+)\s*$")
+_ORIGINS = {None: Origin.INTERMEDIATE, "input": Origin.MODEL_INPUT, "output": Origin.MODEL_OUTPUT}
 
 
 class _CallMemo:
@@ -319,15 +320,16 @@ class _CallMemo:
 
     A whole-model program repeats a few access texts and loop headers many
     times.  Maps and expressions are frozen, so every repeat can share one.
-    The box is part of a map's key because ``QuasiAffineMap`` simplifies its
-    expressions against its domain.  Only successful results are stored, so
+    A map's key holds its nest header's loop text, because ``QuasiAffineMap``
+    simplifies its expressions against its domain; the text names the box
+    without hashing it.  Only successful results are stored, so
     a bad text still raises on its own line and column.  Nothing outlives
     the call: a process that parses once would never see a shared cache pay
     off, so none is kept.
     """
 
     def __init__(self) -> None:
-        self.maps: dict[tuple[str | None, IntBox], QuasiAffineMap] = {}
+        self.maps: dict[tuple[str | None, str], QuasiAffineMap] = {}
         self.exprs: dict[tuple[str, int], QuasiAffineExpr] = {}
         self.boxes: dict[str, IntBox] = {}
 
@@ -351,11 +353,13 @@ class _CallMemo:
                 raise ParseError(str(exc), line) from None
         return box
 
-    def access(self, exprs_text: str, box: IntBox, line: int, col0: int) -> QuasiAffineMap:
-        """Map of the text between an access's brackets, which starts at column ``col0``."""
-        key = (exprs_text, box)
+    def access(self, exprs_text: str, loops_text: str, line: int, col0: int) -> QuasiAffineMap:
+        """Map of the text between an access's brackets, which starts at column
+        ``col0``, over the box of the nest header's ``loops_text``."""
+        key = (exprs_text, loops_text)
         access = self.maps.get(key)
         if access is None:
+            box = self.boxes[loops_text]
             exprs = []
             col = col0
             for part in exprs_text.split(",") if exprs_text.strip() else ():
@@ -367,12 +371,12 @@ class _CallMemo:
             access = self.maps[key] = affine_map(box, exprs)
         return access
 
-    def identity(self, box: IntBox) -> QuasiAffineMap:
+    def identity(self, loops_text: str) -> QuasiAffineMap:
         """A memcopy's element map, keyed apart from every access text."""
-        key = (None, box)
+        key = (None, loops_text)
         access = self.maps.get(key)
         if access is None:
-            access = self.maps[key] = identity_map(box)
+            access = self.maps[key] = identity_map(self.boxes[loops_text])
         return access
 
     def expr(self, text: str, ndim: int, line: int, col0: int) -> QuasiAffineExpr:
@@ -387,7 +391,9 @@ def parse(text: str) -> Program:
     """Parse source text into a Program; structural checks are left to validate()."""
     tensors: list[TensorDecl] = []
     nests: list[OperatorNest] = []
-    current: dict | None = None
+    # the open nest's name, kind and header line; its loop text and body
+    # statements are kept in ``loops_text`` and ``body``
+    current: tuple[str, str, int] | None = None
     memo = _CallMemo()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -399,7 +405,7 @@ def parse(text: str) -> Program:
             if m:
                 name, es, shape_text, loc, axis, banks, policy, origin = m.groups()
                 try:
-                    shape = tuple(int(s.strip()) for s in shape_text.split(",") if s.strip())
+                    shape = tuple([int(s) for s in shape_text.split(",") if s.strip()])
                 except ValueError:
                     raise ParseError(f"bad tensor extents '{shape_text}'", lineno) from None
                 if not shape:
@@ -417,57 +423,52 @@ def parse(text: str) -> Program:
                         except ValueError as exc:
                             raise ParseError(str(exc), lineno) from None
                     location = OnChip(mapping)
-                org = {
-                    None: Origin.INTERMEDIATE,
-                    "input": Origin.MODEL_INPUT,
-                    "output": Origin.MODEL_OUTPUT,
-                }[origin]
-                tensors.append(TensorDecl(name, int(es), shape, location, org))
+                tensors.append(TensorDecl(name, int(es), shape, location, _ORIGINS[origin]))
                 continue
             m = _NEST_RE.match(line)
             if m:
                 name, kind, loops_text = m.groups()
-                box = memo.box(loops_text, lineno)
-                current = {"name": name, "kind": kind, "box": box, "body": [], "line": lineno}
+                memo.box(loops_text, lineno)
+                current = (name, kind, lineno)
+                body: list[Statement] = []
                 continue
             raise ParseError(f"expected a tensor declaration or nest header, got '{line}'", lineno)
 
         # inside a nest; an access's column counts from the start of the raw line
         if line == "}":
-            nests.append(
-                OperatorNest(
-                    current["name"], current["kind"], current["box"], tuple(current["body"])
-                )
-            )
+            nests.append(OperatorNest(current[0], current[1], memo.boxes[loops_text], tuple(body)))
             current = None
             continue
-        box = current["box"]
-        indent = len(raw) - len(raw.lstrip())
-        m = _LOAD_RE.match(line)
-        if m:
-            result, tensor, exprs_text = m.groups()
-            access = memo.access(exprs_text, box, lineno, indent + m.start(3) + 1)
-            current["body"].append(Load(result, tensor, access))
-            continue
-        m = _STORE_RE.match(line)
-        if m:
-            tensor, exprs_text, value = m.groups()
-            access = memo.access(exprs_text, box, lineno, indent + m.start(2) + 1)
-            current["body"].append(Store(tensor, access, value))
-            continue
-        m = _MEMCOPY_RE.match(line)
-        if m:
-            dst, src = m.groups()
-            current["body"].append(Memcopy(dst, src, memo.identity(box)))
-            continue
-        m = _COMPUTE_RE.match(line)
-        if m:
-            result, opcode, ops_text = m.groups()
-            operands = tuple(o[1:] for o in ops_text.split())
-            current["body"].append(Compute(result, opcode, operands))
-            continue
+        # each statement form starts with its own character; only a '%' line
+        # can be either of two, and only one that mentions 'load' can be a load
+        head = line[0]
+        if head == "%":
+            m = _LOAD_RE.match(line) if "load" in line else None
+            if m:
+                result, tensor, exprs_text = m.groups()
+                col0 = len(raw) - len(raw.lstrip()) + m.start(3) + 1
+                body.append(Load(result, tensor, memo.access(exprs_text, loops_text, lineno, col0)))
+                continue
+            m = _COMPUTE_RE.match(line)
+            if m:
+                result, opcode, ops_text = m.groups()
+                body.append(Compute(result, opcode, tuple([o[1:] for o in ops_text.split()])))
+                continue
+        elif head == "s":
+            m = _STORE_RE.match(line)
+            if m:
+                tensor, exprs_text, value = m.groups()
+                col0 = len(raw) - len(raw.lstrip()) + m.start(2) + 1
+                body.append(Store(tensor, memo.access(exprs_text, loops_text, lineno, col0), value))
+                continue
+        elif head == "m":
+            m = _MEMCOPY_RE.match(line)
+            if m:
+                dst, src = m.groups()
+                body.append(Memcopy(dst, src, memo.identity(loops_text)))
+                continue
         raise ParseError(f"bad statement '{line}'", lineno)
 
     if current is not None:
-        raise ParseError(f"nest '{current['name']}' never closed (missing '}}')", current["line"])
+        raise ParseError(f"nest '{current[0]}' never closed (missing '}}')", current[2])
     return Program(tuple(tensors), tuple(nests))

@@ -6,8 +6,10 @@ with the implementation under test.
 """
 
 import collections
+import dataclasses
 import itertools
 import math
+import pickle
 import random
 
 import pytest
@@ -19,6 +21,7 @@ from nestopt import affine as affine_module
 from nestopt.affine import (
     DEFAULT_LIMITS,
     ArityMismatch,
+    DivModTerm,
     DomainTooLarge,
     ExplicitImage,
     ImageEscape,
@@ -895,3 +898,98 @@ def test_run_dme_normalizes_under_half_as_often(monkeypatch):
     nestopt.dme.run_dme(program)
     # 315 today; the operator algebra took 1 079
     assert calls[0] < 1_079 // 2
+
+
+# ---------------------------------------------------------------------------
+# value types: hashed once, compared by fields
+
+
+def _rebuilt(m: QuasiAffineMap) -> QuasiAffineMap:
+    """An equal map that shares no object with ``m`` but its ints."""
+    exprs = tuple(
+        QuasiAffineExpr(
+            tuple(e.coeffs),
+            e.const,
+            tuple(DivModTerm(tuple(t.coeffs), t.const, t.divisor, t.weight) for t in e.terms),
+        )
+        for e in m.exprs
+    )
+    return QuasiAffineMap(IntBox(tuple(m.domain.los), tuple(m.domain.his)), exprs)
+
+
+@given(quasi_maps(), boxes())
+@settings(max_examples=150)
+def test_value_rebuilt_from_its_fields_is_equal_and_hashes_alike(m, b):
+    hash(m)  # the original's hashes are stored before the copy is made
+    copy = _rebuilt(m)
+    assert copy == m and m == copy and not copy != m
+    assert hash(copy) == hash(m) == hash((m.domain, m.exprs))
+    assert hash(copy.domain) == hash((m.domain.los, m.domain.his))
+    for e, f in zip(m.exprs, copy.exprs):
+        assert e == f and hash(e) == hash(f) == hash((f.coeffs, f.const, f.terms))
+        for t, u in zip(e.terms, f.terms):
+            assert t == u and hash(t) == hash(u) == hash((u.coeffs, u.const, u.divisor, u.weight))
+    other = IntBox(b.los, b.his)
+    assert other == b and hash(other) == hash(b) == hash((b.los, b.his))
+    assert ({m: 1, b: 2}[copy], {m: 1, b: 2}[other]) == (1, 2)
+    assert (copy.domain == b) is (m.domain.los == b.los and m.domain.his == b.his)
+
+
+def test_replace_gives_a_value_that_hashes_by_its_new_fields():
+    b = box((0, 4), (0, 8))
+    table = {b: "old"}
+    wider = dataclasses.replace(b, his=(4, 9))
+    assert wider != b and wider == box((0, 4), (0, 9))
+    assert hash(wider) == hash(box((0, 4), (0, 9)))
+    assert wider not in table and table[dataclasses.replace(wider, his=(4, 8))] == "old"
+    e = QuasiAffineExpr((1, 2), 3)
+    hash(e)
+    shifted = dataclasses.replace(e, const=4)
+    assert shifted == QuasiAffineExpr((1, 2), 4) and hash(shifted) == hash(QuasiAffineExpr((1, 2), 4))
+    # replace runs the normalization again: 2*((2*i0) floordiv 2) is 2*i0
+    t = DivModTerm((1, 0), 0, 2, 2)
+    hash(t)
+    assert hash(dataclasses.replace(t, coeffs=(2, 0))) == hash(DivModTerm((2, 0), 0, 2, 2))
+    folded = dataclasses.replace(QuasiAffineExpr((0, 0), 0, (t,)), terms=(DivModTerm((2, 0), 0, 2, 2),))
+    assert folded == QuasiAffineExpr((2, 0)) and hash(folded) == hash(QuasiAffineExpr((2, 0)))
+    m = transpose_map()
+    hash(m)
+    moved = dataclasses.replace(m, domain=box((0, 4), (0, 9)))
+    assert moved != m and hash(moved) == hash(affine_map(box((0, 4), (0, 9)), m.exprs))
+
+
+@given(quasi_maps())
+@settings(max_examples=50)
+def test_pickle_round_trip_keeps_equality_and_hash(m):
+    hash(m)
+    m.map_class
+    loaded = pickle.loads(pickle.dumps(m))
+    assert loaded == m and hash(loaded) == hash(m)
+    assert loaded.map_class is m.map_class
+    for e, f in zip(m.exprs, loaded.exprs):
+        assert f == e and hash(f) == hash(e)
+    assert loaded.domain == m.domain and hash(loaded.domain) == hash(m.domain)
+
+
+def test_comparing_with_another_class_is_false():
+    b = box((0, 4))
+    e = QuasiAffineExpr((1,), 0, (DivModTerm((1,), 0, 2, 1),))
+    m = affine_map(b, (e,))
+    values = (b, e.terms[0], e, m)
+    for value in values:
+        for other in (*values, (b.los, b.his), (1,), 0, None, "i0"):
+            if other is not value:
+                assert value != other and not value == other and other != value
+        assert value.__eq__((value,)) is NotImplemented
+    assert b != LatticeImage((0,), (1,), (4,)) and LatticeImage((0,), (1,), (4,)) != b
+
+
+def test_map_with_filled_cached_properties_is_still_a_dict_key():
+    m = unflatten_map()
+    table = {m: "u"}
+    assert m.map_class is MapClass.MIXED_RADIX and m.unflatten == (0, (3, 4))
+    assert m.domain.cardinality == 12
+    assert table[m] == "u" and table[_rebuilt(m)] == "u"
+    assert {m, _rebuilt(m)} == {m}
+    bigger = {m: "u", _rebuilt(flatten_map()): "f"}
+    assert flatten_map().map_class is MapClass.MIXED_RADIX and bigger[flatten_map()] == "f"

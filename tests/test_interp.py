@@ -12,6 +12,7 @@ from nestopt.interp import (
     PoisonRead,
     TensorStore,
     equivalent,
+    random_inputs,
     run,
 )
 from nestopt.ir import Load, Memcopy, Store, validate
@@ -621,6 +622,45 @@ def test_run_computes_each_distinct_index_vector_once_per_call(monkeypatch):
     assert any(isinstance(s, Memcopy) for n in p.nests for s in n.body)
 
 
+def test_run_checks_poison_and_scans_for_repeats_only_where_it_must(monkeypatch):
+    from nestopt import interp
+    from nestopt.bankmap import run_local_baseline
+    from nestopt.generators import generate_resnet_analog
+
+    checks, scans = [], []
+    check_written, write_last = interp._check_written, interp._write_last
+
+    def counting_check_written(mask, flat, pts, nest_name, si, verb, tensor):
+        checks.append((nest_name, si))
+        return check_written(mask, flat, pts, nest_name, si, verb, tensor)
+
+    def counting_write_last(buf, mask, stmt_writes):
+        scans.append(len(stmt_writes))
+        return write_last(buf, mask, stmt_writes)
+
+    monkeypatch.setattr(interp, "_check_written", counting_check_written)
+    monkeypatch.setattr(interp, "_write_last", counting_write_last)
+    program = generate_resnet_analog(8, 3, seed=0)
+    for p in (program, run_local_baseline(program)[0]):
+        checks.clear()
+        scans.clear()
+        run(p, random_inputs(p, 7))
+        # every tensor is read only after one covering injective store has
+        # landed, and every nest writes through one injective store
+        assert sum(isinstance(s, (Load, Memcopy)) for n in p.nests for s in n.body) > len(p.nests)
+        assert (checks, scans) == ([], [])
+    # a store that reaches a cell twice takes the last-writer path, and the
+    # tensor it leaves is not fully written by one injective store
+    repeat = parse(REPEAT)
+    run(repeat, random_inputs(repeat, 7))
+    assert (checks, scans) == ([("rd", 0)], [1])
+    checks.clear()
+    scans.clear()
+    halves = parse(HALVES)
+    run(halves, random_inputs(halves, 7))
+    assert (checks, scans) == ([("rd", 0)], [])
+
+
 SHARED_ACCESS = """\
 tensor %x : 4x[8] @dram input
 tensor %u : 4x[8] @dram output
@@ -654,3 +694,153 @@ def test_error_of_a_shared_access_names_the_statement_that_first_fails(shape, me
     with pytest.raises(InterpError) as err:
         run(program, store_of(x=np.arange(8)))
     assert str(err.value) == message
+
+
+# ---------------------------------------------------------------------------
+# what each access key's cells decide: fully written tensors, single
+# injective stores, and the last-writer path
+
+# 't' is written in two halves by two nests (validation calls that
+# MultipleProducers; the interpreter runs it), then read whole
+HALVES = """\
+tensor %a : 4x[8] @dram input
+tensor %t : 4x[8] @sbuf
+tensor %y : 4x[8] @dram output
+
+nest lo kind=copy (i0 in 0..4) {
+  %v = load %a[i0]
+  store %t[i0] = %v
+}
+
+nest hi kind=elementwise (i0 in 4..8) {
+  %v = load %a[i0]
+  %w = neg %v
+  store %t[i0] = %w
+}
+
+nest rd kind=elementwise (i0 in 0..8) {
+  %v = load %t[i0]
+  %u = load %a[i0]
+  %w = mul %v %u
+  store %y[i0] = %w
+}
+"""
+
+# 't' gets its even cells only; 'rd' reads every cell
+PART = """\
+tensor %a : 4x[8] @dram input
+tensor %t : 4x[8] @sbuf
+tensor %y : 4x[8] @dram output
+
+nest ev kind=copy (i0 in 0..4) {
+  %v = load %a[2*i0]
+  store %t[2*i0] = %v
+}
+
+nest rd kind=elementwise (i0 in 0..8) {
+  %u = load %a[i0]
+  %v = load %t[i0]
+  %w = add %v %u
+  store %y[i0] = %w
+}
+"""
+
+# every cell of 't' is stored twice, by i0 = 0 and then by i0 = 1
+REPEAT = """\
+tensor %b : 4x[2, 8] @dram input
+tensor %t : 4x[8] @sbuf
+tensor %y : 4x[8] @dram output
+
+nest rep kind=repeat (i0 in 0..2, i1 in 0..8) {
+  %v = load %b[i0, i1]
+  store %t[i1] = %v
+}
+
+nest rd kind=elementwise (i0 in 0..8) {
+  %v = load %t[i0]
+  %w = neg %v
+  store %y[i0] = %w
+}
+"""
+
+MEMCOPY_FULL = """\
+tensor %a : 4x[4, 4] @dram input
+tensor %s : 4x[4, 4] @sbuf
+tensor %d : 4x[4, 4] @sbuf
+tensor %y : 4x[4, 4] @dram output
+
+nest tr kind=transpose (i0 in 0..4, i1 in 0..4) {
+  %v = load %a[i0, i1]
+  store %s[i1, i0] = %v
+}
+
+nest cp kind=copy (i0 in 0..4, i1 in 0..4) {
+  memcopy %d <- %s
+}
+
+nest rd kind=elementwise (i0 in 0..4, i1 in 0..4) {
+  %v = load %d[i0, i1]
+  %u = load %a[i0, i1]
+  %w = max %v %u
+  store %y[i0, i1] = %w
+}
+"""
+
+# 's' gets its first two rows only
+MEMCOPY_PART = MEMCOPY_FULL.replace(
+    "nest tr kind=transpose (i0 in 0..4, i1 in 0..4) {\n  %v = load %a[i0, i1]\n  store %s[i1, i0] = %v",
+    "nest tr kind=copy (i0 in 0..2, i1 in 0..4) {\n  %v = load %a[i0, i1]\n  store %s[i0, i1] = %v",
+)
+
+
+@pytest.mark.parametrize("src", [HALVES, REPEAT, MEMCOPY_FULL], ids=["halves", "repeat", "memcopy_full"])
+def test_fully_written_reads_match_the_literal_walk(src):
+    from test_stress import ref_run
+
+    program = parse(src)
+    for seed in range(3):
+        inputs = TensorStore.stack([random_inputs(program, seed, k) for k in range(2)])
+        out = run(program, inputs)
+        for k in range(2):
+            single = random_inputs(program, seed, k)
+            ref = ref_run(program, {n: single.array(n) for n in single.names()})
+            assert np.array_equal(out.array("y")[k], ref["y"])
+
+
+@pytest.mark.parametrize(
+    "src, message",
+    [
+        (PART, "nest 'rd' statement 1: load reads unwritten cell of 't' at point (1,)"),
+        (MEMCOPY_PART, "nest 'cp' statement 0: memcopy reads unwritten cell of 's' at point (2, 0)"),
+    ],
+    ids=["load", "memcopy"],
+)
+def test_read_of_a_tensor_written_in_part_names_the_first_unwritten_point(src, message):
+    # the texts are those of the interpreter before it kept fully written tensors
+    program = parse(src)
+    assert validate(program) == []
+    with pytest.raises(PoisonRead) as err:
+        run(program, random_inputs(program, 0))
+    assert str(err.value) == message
+    with pytest.raises(PoisonRead) as err:
+        equivalent(program, program, trials=3, seed=1)
+    assert str(err.value) == message and err.value.side == 0
+
+
+def test_equivalent_checks_each_programs_sizes_once(monkeypatch):
+    from nestopt import interp
+
+    checked = []
+    uncounted = interp._check_buffer_sizes
+
+    def counting(program, trials):
+        checked.append(program)
+        return uncounted(program, trials)
+
+    monkeypatch.setattr(interp, "_check_buffer_sizes", counting)
+    left, right = parse(COPY_A_TO_Y), parse("tensor %t : 4x[8] @sbuf\n" + COPY_A_TO_Y)
+    assert equivalent(left, right, trials=3).equivalent
+    assert checked == [left, right]
+    checked.clear()
+    run(right, random_inputs(right, 0))
+    assert checked == [right]

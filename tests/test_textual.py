@@ -472,6 +472,65 @@ def test_parser_matches_reference_on_mutated_texts():
         assert any(fragment in m for m in messages), fragment
 
 
+
+# statement lines that each form's pattern must take, or leave to another
+_STATEMENT_LINES = [
+    "%v = load %x[i0, i1]",
+    "%v=load   %x[i1, i0 + 1]",
+    "%v =load\t%x[i0, (i1) mod 4]",
+    "%v = load %x %y",  # a compute whose opcode is 'load'
+    "%v = load %x[i0, i1] %y",
+    "%loaded = add %load %x",
+    "%v = identity %w",
+    "%v = neg",
+    "%v = store %x[i0, i1]",
+    "% v = add %a %b",
+    "%",
+    "store %x[i0, i1] = %v",
+    "store  %x[i1,i0]=%v",
+    "store %x[i0, i9] = %v",
+    "store %x = %v",
+    "storage %x",
+    "s",
+    "memcopy %d <- %s",
+    "memcopy %d<-%s",
+    "memcopy %d <- %s %t",
+    "memcopyy %d <- %s",
+    "m",
+    "} }",
+    "}x",
+    "load %x[i0, i1]",
+    "v = add %a %b",
+    "# a comment, so the nest is empty",
+]
+
+
+def test_each_statement_line_is_read_as_trying_every_form_in_turn_would():
+    head = "tensor %x : 4x[4, 8] @dram input\n\nnest n kind=copy (i0 in 0..4, i1 in 0..8) {\n"
+    kinds = set()
+    for line in _STATEMENT_LINES:
+        for indent in ("  ", "\t "):
+            text = head + indent + line + "\n}\n"
+            got = _outcome(parse, text)
+            assert got == _outcome(_ref_parse, text), line
+            if isinstance(got, tuple):
+                kinds.add(got[1].split(":", 1)[1].split("'")[0].strip())
+            else:
+                kinds.update(
+                    (type(stmt).__name__, getattr(stmt, "opcode", None)) for stmt in got.nests[0].body
+                )
+    assert kinds == {
+        ("Load", None),
+        ("Compute", "load"),
+        ("Compute", "add"),
+        ("Compute", "identity"),
+        ("Store", None),
+        ("Memcopy", None),
+        "bad statement",
+        "unknown loop variable i9",
+    }
+
+
 _EXPRESSIONS = [
     "0",
     "-7",
