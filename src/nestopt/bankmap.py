@@ -11,8 +11,8 @@ front of the first consumer that needs it.
 A local baseline assigns templates/defaults per operator with no
 propagation and pays a memcopy on every mismatched dependence edge.
 
-Producers, readers and access maps come from one ``UseDefIndex``, and
-both modes insert their memcopies through the same rewrite.
+Transfers read access maps from the nest they cross, each run builds one
+``UseDefIndex``, and both modes insert memcopies through the same rewrite.
 """
 
 from __future__ import annotations
@@ -40,6 +40,8 @@ from .ir import (
     TensorDecl,
     UseDefIndex,
     dependence_edges,
+    reads_of,
+    writes_of,
 )
 
 
@@ -71,6 +73,12 @@ def _reject_unknown_keys(entry: dict, allowed: set[str], where: str) -> None:
         raise ValueError(f"{where} has unknown key(s) {', '.join(map(repr, unknown))}")
 
 
+def _integer_at_least(value, low: int, what: str) -> int:
+    if type(value) is not int or value < low:
+        raise ValueError(f"{what} must be an integer >= {low}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class AnchorRegistry:
     """Per-operator-kind required mappings for each operand/result slot.
@@ -91,13 +99,15 @@ class AnchorRegistry:
         if "operators" not in doc:
             raise ValueError("anchors document has no 'operators' key")
         _reject_unknown_keys(doc, {"banks", "operators"}, "anchors document")
-        bank_count = banks if banks is not None else int(doc.get("banks", DEFAULT_BANKS))
+        doc_banks = _integer_at_least(doc.get("banks", DEFAULT_BANKS), 1, "anchors document 'banks'")
+        bank_count = banks if banks is not None else doc_banks
 
         def slot(entry, where: str) -> BankMapping | None:
             if entry is None:
                 return None
             _reject_unknown_keys(entry, {"axis", "policy"}, where)
-            return BankMapping(int(entry["axis"]), bank_count, BankPolicy(entry.get("policy", "cyclic")))
+            axis = _integer_at_least(entry["axis"], 0, f"{where} 'axis'")
+            return BankMapping(axis, bank_count, BankPolicy(entry.get("policy", "cyclic")))
 
         templates = {}
         for kind, spec in doc["operators"].items():
@@ -283,12 +293,12 @@ def transfer(
 
 
 def _nest_transfer(
-    index: UseDefIndex, ni: int, operand: str, result: str, mapping: BankMapping, direction: str
+    nest: OperatorNest, operand: str, result: str, mapping: BankMapping, direction: str
 ) -> BankMapping | None:
-    """Transfer through nest ``ni`` as a whole; None when blocked or ambiguous."""
+    """Transfer through ``nest`` as a whole; None when blocked or ambiguous."""
     results = set()
-    write_maps = index.write_maps(result, ni)
-    for lm in index.read_maps(operand, ni):
+    write_maps = [m for s in nest.body for t, m in writes_of(s) if t == result]
+    for lm in (m for s in nest.body for t, m in reads_of(s) if t == operand):
         for sm in write_maps:
             r = transfer(mapping, lm, sm, direction)
             if isinstance(r, Blocked):
@@ -312,15 +322,14 @@ def propagate(
     the contributions; the join is commutative/associative/idempotent, so
     any task permutation yields the same fixpoint.
     """
-    index = UseDefIndex(program)
-    tasks: list[tuple[int, str, str, str]] = []
-    for ni, nest in enumerate(program.nests):
-        if nest.name in seeded.anchored:
-            continue
-        for u in nest.read_tensors():
-            for w in nest.written_tensors():
-                tasks.append((ni, "forward", u, w))
-                tasks.append((ni, "backward", u, w))
+    tasks = [
+        (nest, direction, u, w)
+        for nest in program.nests
+        if nest.name not in seeded.anchored
+        for u in nest.read_tensors()
+        for w in nest.written_tensors()
+        for direction in ("forward", "backward")
+    ]
     if task_order is not None:
         tasks = [tasks[i] for i in task_order]
 
@@ -328,12 +337,12 @@ def propagate(
     updates = seeded.updates
     while True:
         contributions: list[tuple[str, BankMapping]] = []
-        for ni, direction, u, w in tasks:
+        for nest, direction, u, w in tasks:
             src, dst = (u, w) if direction == "forward" else (w, u)
             val = values.get(src, UNKNOWN)
             if not isinstance(val, Exactly):
                 continue
-            carried = _nest_transfer(index, ni, u, w, val.mapping, direction)
+            carried = _nest_transfer(nest, u, w, val.mapping, direction)
             if carried is not None:
                 contributions.append((dst, carried))
         new_values = dict(values)
@@ -379,23 +388,21 @@ class MappingReport:
 
 
 def _nest_requirement(
-    state: MappingState, index: UseDefIndex, ni: int, tensor: str, direction: str
+    state: MappingState, nest: OperatorNest, tensor: str, direction: str
 ) -> BankMapping | None:
-    """The mapping nest ``ni`` gives ``tensor`` (forward: a tensor it writes)
+    """The mapping ``nest`` gives ``tensor`` (forward: a tensor it writes)
     or needs of it (backward: a tensor it reads): its template's, else one
     carried through the nest from an exact tensor on the other side."""
-    nest = index.program.nests[ni]
     req = state.requirements.get((nest.name, tensor))
     if req is not None:
         return req
     if nest.name in state.anchored:
         return None
-    others = nest.read_tensors() if direction == "forward" else nest.written_tensors()
-    for other in others:
+    for other in nest.read_tensors() if direction == "forward" else nest.written_tensors():
         val = state.values.get(other, UNKNOWN)
         if isinstance(val, Exactly):
             operand, result = (other, tensor) if direction == "forward" else (tensor, other)
-            r = _nest_transfer(index, ni, operand, result, val.mapping, direction)
+            r = _nest_transfer(nest, operand, result, val.mapping, direction)
             if r is not None:
                 return r
     return None
@@ -516,10 +523,10 @@ def materialize(program: Program, state: MappingState) -> tuple[Program, Mapping
         keeper = None
         producer = index.producer(decl.name)
         if producer is not None:
-            keeper = _nest_requirement(state, index, producer, decl.name, "forward")
+            keeper = _nest_requirement(state, program.nests[producer], decl.name, "forward")
         groups: dict[BankMapping, list[int]] = {}
         for ni in index.readers(decl.name):
-            req = _nest_requirement(state, index, ni, decl.name, "backward")
+            req = _nest_requirement(state, program.nests[ni], decl.name, "backward")
             if req is None:
                 continue
             if keeper is None:
@@ -560,13 +567,13 @@ def run_local_baseline(
     dependence edge, no propagation."""
     registry = registry or AnchorRegistry.default()
     default = default_mapping(registry.banks)
-    index = UseDefIndex(program)
     slots = [_template_slots(program, registry, nest) for nest in program.nests]
 
-    final: dict[str, BankMapping] = {}
-    for decl in program.tensors:
-        p = index.producer(decl.name)
-        final[decl.name] = default if p is None else slots[p][1].get(decl.name, default)
+    produced: dict[str, BankMapping] = {}
+    for nest, (_, results) in zip(program.nests, slots):
+        for tname in nest.written_tensors():
+            produced.setdefault(tname, results.get(tname, default))
+    final = {decl.name: produced.get(decl.name, default) for decl in program.tensors}
 
     position = {n.name: i for i, n in enumerate(program.nests)}
     fixes: list[_Fix] = []

@@ -286,7 +286,7 @@ def validate(program: Program, limits: Limits = DEFAULT_LIMITS) -> list[Violatio
                 if stmt.result in defined:
                     out.append(Violation("Redefinition", nest.name, si, f"value %{stmt.result} redefined"))
                 defined.add(stmt.result)
-            for tname in _written_by(stmt):
+            for tname, _ in writes_of(stmt):
                 decl = decls.get(tname)
                 if decl is not None and decl.origin is Origin.MODEL_INPUT:
                     out.append(Violation("StoreToInput", nest.name, si, f"model input '{tname}' written"))
@@ -327,11 +327,20 @@ def _accesses_of(stmt: Statement):
         yield stmt.src, stmt.element_map
 
 
-def _written_by(stmt: Statement):
-    if isinstance(stmt, Store):
-        yield stmt.tensor
+def reads_of(stmt: Statement) -> Iterator[tuple[str, QuasiAffineMap]]:
+    """(tensor, access map) of what ``stmt`` reads: a load's or memcopy's source."""
+    if isinstance(stmt, Load):
+        yield stmt.tensor, stmt.access
     elif isinstance(stmt, Memcopy):
-        yield stmt.dst
+        yield stmt.src, stmt.element_map
+
+
+def writes_of(stmt: Statement) -> Iterator[tuple[str, QuasiAffineMap]]:
+    """(tensor, access map) of what ``stmt`` writes: a store's or memcopy's destination."""
+    if isinstance(stmt, Store):
+        yield stmt.tensor, stmt.access
+    elif isinstance(stmt, Memcopy):
+        yield stmt.dst, stmt.element_map
 
 
 # ---------------------------------------------------------------------------
@@ -392,9 +401,9 @@ class UseDefIndex:
     """Where each tensor is defined and read, kept current while a pass
     edits the program in place.
 
-    It is the one place that finds a tensor's definers and readers: copy
-    elimination edits it, while bank mapping and ``dependence_edges`` only
-    query a fresh one.
+    It finds a tensor's definers and readers across nests: copy
+    elimination edits it, while ``dependence_edges`` and bank mapping's
+    ``materialize`` query a fresh one.
 
     A statement is addressed by its position ``(nest, stmt)``: indices into
     the input program's nests and their bodies.  Positions never shift, so
@@ -409,8 +418,8 @@ class UseDefIndex:
         self.bodies: list[list[Statement | None]] = [list(n.body) for n in program.nests]
         # tensor -> stores and memcopies writing it
         self.defs: dict[str, list[Position]] = {}
-        # tensor -> nest -> statement indices of the loads reading it
-        self.loads: dict[str, dict[int, list[int]]] = {}
+        # tensor -> loads reading it
+        self.loads: dict[str, list[Position]] = {}
         # tensor -> memcopies reading it
         self.memcopy_readers: dict[str, list[Position]] = {}
         # copy pair (its store) -> statement index of its load, in the same nest
@@ -424,7 +433,7 @@ class UseDefIndex:
         for ni, nest in enumerate(program.nests):
             for si, stmt in enumerate(nest.body):
                 if isinstance(stmt, Load):
-                    self.loads.setdefault(stmt.tensor, {}).setdefault(ni, []).append(si)
+                    self.loads.setdefault(stmt.tensor, []).append((ni, si))
                 elif isinstance(stmt, Store):
                     self.defs.setdefault(stmt.tensor, []).append((ni, si))
                 elif isinstance(stmt, Memcopy):
@@ -460,34 +469,18 @@ class UseDefIndex:
     def readers(self, tensor: str) -> list[int]:
         """Indices of the nests that load ``tensor`` or copy from it, in
         program order."""
-        nests = {ni for ni, sis in self.loads.get(tensor, {}).items() if sis}
-        nests.update(ni for ni, _ in self.memcopy_readers.get(tensor, ()))
-        return sorted(nests)
+        positions = self.loads.get(tensor, []) + self.memcopy_readers.get(tensor, [])
+        return sorted({ni for ni, _ in positions})
 
-    def read_maps(self, tensor: str, nest: int) -> list[QuasiAffineMap]:
-        """Access maps of the loads and memcopies in ``nest`` reading ``tensor``."""
-        body = self.bodies[nest]
-        maps = [body[si].access for si in self.loads.get(tensor, {}).get(nest, ())]
-        maps += [body[si].element_map for ni, si in self.memcopy_readers.get(tensor, ()) if ni == nest]
-        return maps
-
-    def write_maps(self, tensor: str, nest: int) -> list[QuasiAffineMap]:
-        """Access maps of the stores and memcopies in ``nest`` writing ``tensor``."""
-        stmts = (self.bodies[ni][si] for ni, si in self.defs.get(tensor, ()) if ni == nest)
-        return [s.element_map if isinstance(s, Memcopy) else s.access for s in stmts]
-
-    def loads_of(self, tensor: str) -> Iterator[Position]:
+    def loads_of(self, tensor: str) -> list[Position]:
         """Loads reading ``tensor``, in program order."""
-        by_nest = self.loads.get(tensor, {})
-        for ni in sorted(by_nest):
-            for si in sorted(by_nest[ni]):
-                yield ni, si
+        return sorted(self.loads.get(tensor, ()))
 
     def remove_statement(self, pos: Position) -> None:
         stmt = self.statement(pos)
         ni, si = pos
         if isinstance(stmt, Load):
-            self.loads[stmt.tensor][ni].remove(si)
+            self.loads[stmt.tensor].remove(pos)
             self.pairs_fed_by.pop(pos, None)
         elif isinstance(stmt, Store):
             self.defs[stmt.tensor].remove(pos)
@@ -505,9 +498,8 @@ class UseDefIndex:
     def replace_load(self, pos: Position, load: Load) -> None:
         """Put ``load`` in place of the load at ``pos``; its result is kept."""
         ni, si = pos
-        old = self.statement(pos)
-        self.loads[old.tensor][ni].remove(si)
-        self.loads.setdefault(load.tensor, {}).setdefault(ni, []).append(si)
+        self.loads[self.statement(pos).tensor].remove(pos)
+        self.loads.setdefault(load.tensor, []).append(pos)
         self.bodies[ni][si] = load
         self._edited_nests.add(ni)
 

@@ -22,9 +22,10 @@ from nestopt.bankmap import (
     seed_anchors,
     transfer,
 )
+from nestopt.dme import run_dme
 from nestopt.generators import generate_resnet_analog, generate_wavenet_analog
 from nestopt.interp import equivalent
-from nestopt.ir import BankMapping, BankPolicy, IntBox, validate
+from nestopt.ir import BankMapping, BankPolicy, IntBox, UseDefIndex, validate
 from nestopt.report import bankmap_pass_entry
 from nestopt.textual import parse, print_program
 
@@ -190,12 +191,46 @@ def test_registry_templates_are_read_only():
             {"operators": {"matmul": {"results": [None, {"axis": 0, "polcy": "blocked"}]}}},
             "operator 'matmul' result has unknown key(s) 'polcy'",
         ),
+        # numbers: banks an integer >= 1 and axis an integer >= 0; no bool, float or string
+        ({"banks": 0, "operators": {}}, "'banks' must be an integer >= 1, got 0"),
+        ({"banks": -3, "operators": {}}, "'banks' must be an integer >= 1, got -3"),
+        ({"banks": 2.7, "operators": {}}, "'banks' must be an integer >= 1, got 2.7"),
+        ({"banks": 4.0, "operators": {}}, "'banks' must be an integer >= 1, got 4.0"),
+        ({"banks": True, "operators": {}}, "'banks' must be an integer >= 1, got True"),
+        ({"banks": "8", "operators": {}}, "'banks' must be an integer >= 1, got '8'"),
+        ({"banks": None, "operators": {}}, "'banks' must be an integer >= 1, got None"),
+        (
+            {"operators": {"conv2d": {"operands": [{"axis": 1.5}]}}},
+            "operator 'conv2d' operand 'axis' must be an integer >= 0, got 1.5",
+        ),
+        (
+            {"operators": {"pooling": {"results": [{"axis": True}]}}},
+            "operator 'pooling' result 'axis' must be an integer >= 0, got True",
+        ),
+        (
+            {"operators": {"matmul": {"operands": [None, {"axis": -1}]}}},
+            "operator 'matmul' operand 'axis' must be an integer >= 0, got -1",
+        ),
+        (
+            {"operators": {"matmul": {"operands": [{"axis": "0"}]}}},
+            "operator 'matmul' operand 'axis' must be an integer >= 0, got '0'",
+        ),
     ],
 )
 def test_anchor_registry_rejects_keys_nothing_reads(doc, message):
     with pytest.raises(ValueError) as err:
         AnchorRegistry.from_dict(doc)
     assert message in str(err.value)
+
+
+@pytest.mark.parametrize("banks", [None, 4])
+def test_anchor_registry_checks_the_documents_banks_even_when_overridden(banks):
+    # the override wins when the document's count is good, and does not hide a bad one
+    good = AnchorRegistry.from_dict({"banks": 2, "operators": {}}, banks)
+    assert good.banks == (2 if banks is None else banks)
+    assert AnchorRegistry.from_dict({"operators": {}}, banks).banks == (8 if banks is None else banks)
+    with pytest.raises(ValueError, match="'banks' must be an integer >= 1, got 0"):
+        AnchorRegistry.from_dict({"banks": 0, "operators": {}}, banks)
 
 
 def test_seed_rank_mismatch_raises():
@@ -541,6 +576,26 @@ def test_fixpoint_independent_of_task_order():
         order = list(range(ntasks))
         rng.shuffle(order)
         assert propagate(program, seeded, task_order=order) == baseline
+
+
+@pytest.mark.parametrize("mode", ["dme", "global", "local"])
+def test_each_run_builds_one_use_def_index(monkeypatch, mode):
+    program = generate_resnet_analog(8, 3)
+    builds = []
+    init = UseDefIndex.__init__
+
+    def counting_init(self, program):
+        builds.append(program)
+        init(self, program)
+
+    monkeypatch.setattr(UseDefIndex, "__init__", counting_init)
+    if mode == "dme":
+        run_dme(program)
+    elif mode == "global":
+        run_global_mapping(program)
+    else:
+        run_local_baseline(program)
+    assert builds == [program]
 
 
 def test_update_count_bounded():

@@ -433,6 +433,30 @@ def test_anchors_file_without_operators_key_is_a_usage_error(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"banks": 0, "operators": {}}, "anchors document 'banks' must be an integer >= 1, got 0"),
+        ({"banks": 2.7, "operators": {}}, "anchors document 'banks' must be an integer >= 1, got 2.7"),
+        (
+            {"operators": {"conv2d": {"results": [{"axis": True}]}}},
+            "operator 'conv2d' result 'axis' must be an integer >= 0, got True",
+        ),
+    ],
+)
+def test_anchors_file_numbers_that_are_not_counts_are_usage_errors(tmp_path, doc, message):
+    assert main(["gen", "resnet", "2", "1", "-o", str(tmp_path / "r.ir")]) == 0
+    (tmp_path / "a.json").write_text(json.dumps(doc))
+    proc = _run_module(
+        tmp_path, "optimize", "r.ir", "--pass", "bankmap", "--anchors", "a.json", "-o", "o.ir"
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [f"nestopt optimize: malformed anchors file a.json: ValueError: {message}"]
+    assert proc.stdout == ""
+    assert not (tmp_path / "o.ir").exists()
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (["report", "latin1.ir"], "nestopt: cannot read latin1.ir: not UTF-8 (byte 1)"),
