@@ -25,6 +25,8 @@ straight into one expression per output.  The operator algebra on ``QuasiAffineE
 building expressions by hand.  ``image_escape``, the one containment check,
 serves ``compose`` and ``ir.validate``: interval-first, it computes the exact
 image or enumerates only when some output's value interval leaves the box.
+Enumeration is in numpy int64, so ``ir.validate`` rejects each box and access
+whose values ``box_magnitude`` and ``map_fits_int64`` cannot bound within it.
 
 floordiv rounds toward -inf, so ``x mod d`` read that way is always in
 ``[0, d)`` and ``x == d * (x floordiv d) + (x mod d)`` holds unconditionally.
@@ -438,6 +440,33 @@ def expr_interval(expr: QuasiAffineExpr, box: IntBox) -> tuple[int, int]:
         lo += t.weight * (tlo if t.weight >= 0 else thi)
         hi += t.weight * (thi if t.weight >= 0 else tlo)
     return lo, hi
+
+
+INT64_MAX = (1 << 63) - 1
+
+
+def box_magnitude(box: IntBox) -> int:
+    """The largest magnitude of a bound of ``box``, at least 1: a bound on every coordinate."""
+    return max(-min(box.los), max(box.his), 1) if box.los else 1
+
+
+def map_fits_int64(m: QuasiAffineMap, mag: int) -> bool:
+    """Whether ``evaluate_batch`` computes ``m`` exactly, given the ``box_magnitude``
+    ``mag`` of its domain.  A linear part's partial sums are at most |constant| plus
+    ``mag`` times the sum of |coefficients|, a floor quotient lies in the quotient
+    range of its inner interval, and a running sum adds |weight| times each
+    quotient's bound.  ``mag`` and quotient bounds count as at least 1, so every
+    coefficient and weight must be an int64 too."""
+    for e in m.exprs:
+        total = abs(e.const) + mag * sum(map(abs, e.coeffs))
+        for t in e.terms:
+            if abs(t.const) + mag * sum(map(abs, t.coeffs)) > INT64_MAX or t.divisor > INT64_MAX:
+                return False
+            lo, hi = _linear_interval(t.coeffs, t.const, m.domain)
+            total += abs(t.weight) * max(-(lo // t.divisor), hi // t.divisor, 1)
+        if total > INT64_MAX:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ front of the first consumer that needs it.
 A local baseline assigns templates/defaults per operator with no
 propagation and pays a memcopy on every mismatched dependence edge.
 
-Transfers read access maps from the nest they cross, each run builds one
-``UseDefIndex``, and both modes insert memcopies through the same rewrite.
+Transfers read access maps from the nest they cross, both modes find each
+tensor's producer through ``ir.producers``, and both insert memcopies
+through the same rewrite.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ from .ir import (
     Program,
     Statement,
     TensorDecl,
-    UseDefIndex,
     dependence_edges,
+    producers,
     reads_of,
     writes_of,
 )
@@ -505,7 +506,11 @@ def _rebank(
 def materialize(program: Program, state: MappingState) -> tuple[Program, MappingReport]:
     """Annotate final mappings and insert memcopies for conflicting tensors."""
     default = default_mapping(state.default_banks)
-    index = UseDefIndex(program)
+    producer = producers(program)
+    readers: dict[str, list[int]] = {}
+    for ni, nest in enumerate(program.nests):
+        for tname in nest.read_tensors():
+            readers.setdefault(tname, []).append(ni)
     final: dict[str, BankMapping] = {}
     defaulted: list[str] = []
     ignored_offchip: list[str] = []
@@ -520,12 +525,10 @@ def materialize(program: Program, state: MappingState) -> tuple[Program, Mapping
         if isinstance(value, Exactly):
             final[decl.name] = value.mapping
             continue
-        keeper = None
-        producer = index.producer(decl.name)
-        if producer is not None:
-            keeper = _nest_requirement(state, program.nests[producer], decl.name, "forward")
+        pi = producer.get(decl.name)
+        keeper = None if pi is None else _nest_requirement(state, program.nests[pi], decl.name, "forward")
         groups: dict[BankMapping, list[int]] = {}
-        for ni in index.readers(decl.name):
+        for ni in readers.get(decl.name, ()):
             req = _nest_requirement(state, program.nests[ni], decl.name, "backward")
             if req is None:
                 continue
@@ -569,10 +572,7 @@ def run_local_baseline(
     default = default_mapping(registry.banks)
     slots = [_template_slots(program, registry, nest) for nest in program.nests]
 
-    produced: dict[str, BankMapping] = {}
-    for nest, (_, results) in zip(program.nests, slots):
-        for tname in nest.written_tensors():
-            produced.setdefault(tname, results.get(tname, default))
+    produced = {tname: slots[ni][1].get(tname, default) for tname, ni in producers(program).items()}
     final = {decl.name: produced.get(decl.name, default) for decl in program.tensors}
 
     position = {n.name: i for i, n in enumerate(program.nests)}

@@ -132,8 +132,9 @@ def _load_registry(args) -> AnchorRegistry:
         return AnchorRegistry.from_file(args.anchors, args.banks)
     except OSError as exc:
         raise _UsageError(f"cannot read anchors file {args.anchors}: {exc.strerror}")
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        # ValueError covers invalid JSON as well as bad axes, policies and bank counts
+    except (AttributeError, KeyError, RecursionError, TypeError, ValueError) as exc:
+        # ValueError covers invalid JSON as well as bad axes, policies and bank
+        # counts; RecursionError covers JSON nested deeper than the decoder goes
         detail = " ".join(str(exc).split())
         raise _UsageError(f"malformed anchors file {args.anchors}: {type(exc).__name__}: {detail}")
 

@@ -8,10 +8,11 @@ rewritten to read ``src`` through the composed map
 statements and the ``dst`` declaration are deleted.
 
 The pass eliminates, at each step, the first eliminable pair in program
-order, until no pair can be eliminated.  It runs over one ``UseDefIndex``
-and a priority worklist of pairs keyed by their position in the input
-program.  A pair that was tried and skipped is tried again only when one
-of its inputs changes; after eliminating ``src -> dst`` those are the pairs
+order, until no pair can be eliminated.  It runs over one ``UseDefIndex``,
+the mutable use-def view of a program that only this pass edits, and a
+priority worklist of pairs keyed by their position in the input program.
+A pair that was tried and skipped is tried again only when one of its
+inputs changes; after eliminating ``src -> dst`` those are the pairs
 whose load was rewritten (they read ``dst``) and the pairs that store
 ``src`` (its downstream loads changed).  Every other input of a pair (the
 origin, definitions, memcopy readers and store map of its destination) is
@@ -27,7 +28,7 @@ an elimination or a named skip reason.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .affine import (
@@ -44,11 +45,12 @@ from .ir import (
     Compute,
     CopyPair,
     Load,
+    Memcopy,
     Origin,
-    Position,
     Program,
+    Statement,
     Store,
-    UseDefIndex,
+    copy_pair_slots,
     find_copy_pairs,  # noqa: F401  (kept here: perfbench's tracer wraps it in this module)
 )
 
@@ -75,6 +77,115 @@ class EliminationRecord:
         return self.skipped is None
 
 
+Position = tuple[int, int]
+
+
+class UseDefIndex:
+    """Where each tensor is defined and read, kept current while copy
+    elimination edits the program in place.
+
+    A statement is addressed by its position ``(nest, stmt)``: indices into
+    the input program's nests and their bodies.  Positions never shift, so
+    sorting them gives program order at any time.  A removed statement
+    leaves a hole; ``to_program`` drops the holes, and any nest left empty,
+    once at the end.  Copy pairs are keyed by the position of their store.
+    Nest names are assumed unique, as ``validate`` requires.
+    """
+
+    def __init__(self, program: Program):
+        self.program = program
+        self.bodies: list[list[Statement | None]] = [list(n.body) for n in program.nests]
+        # tensor -> stores and memcopies writing it
+        self.defs: dict[str, list[Position]] = {}
+        # tensor -> loads reading it
+        self.loads: dict[str, list[Position]] = {}
+        # tensor -> memcopies reading it
+        self.memcopy_readers: dict[str, list[Position]] = {}
+        # copy pair (its store) -> statement index of its load, in the same nest
+        self.pairs: dict[Position, int] = {}
+        # tensor -> copy pairs storing it
+        self.pairs_storing: dict[str, list[Position]] = {}
+        # load -> copy pairs it feeds
+        self.pairs_fed_by: dict[Position, list[Position]] = {}
+        self._removed_tensors: set[str] = set()
+        self._edited_nests: set[int] = set()
+        for ni, nest in enumerate(program.nests):
+            for si, stmt in enumerate(nest.body):
+                if isinstance(stmt, Load):
+                    self.loads.setdefault(stmt.tensor, []).append((ni, si))
+                elif isinstance(stmt, Store):
+                    self.defs.setdefault(stmt.tensor, []).append((ni, si))
+                elif isinstance(stmt, Memcopy):
+                    self.defs.setdefault(stmt.dst, []).append((ni, si))
+                    self.memcopy_readers.setdefault(stmt.src, []).append((ni, si))
+            for li, si in copy_pair_slots(nest.body):
+                self.pairs[(ni, si)] = li
+                self.pairs_storing.setdefault(nest.body[si].tensor, []).append((ni, si))
+                self.pairs_fed_by.setdefault((ni, li), []).append((ni, si))
+
+    def statement(self, pos: Position) -> Statement | None:
+        return self.bodies[pos[0]][pos[1]]
+
+    def position_of(self, pair: CopyPair) -> Position:
+        """Position of ``pair``, whose store must be a statement of this program."""
+        for ni, nest in enumerate(self.program.nests):
+            if nest.name == pair.nest:
+                for si, stmt in enumerate(self.bodies[ni]):
+                    if stmt is pair.store and (ni, si) in self.pairs:
+                        return ni, si
+        raise ValueError(f"no copy pair with that store in nest '{pair.nest}'")
+
+    def loads_of(self, tensor: str) -> list[Position]:
+        """Loads reading ``tensor``, in program order."""
+        return sorted(self.loads.get(tensor, ()))
+
+    def remove_statement(self, pos: Position) -> None:
+        stmt = self.statement(pos)
+        ni, si = pos
+        if isinstance(stmt, Load):
+            self.loads[stmt.tensor].remove(pos)
+            self.pairs_fed_by.pop(pos, None)
+        elif isinstance(stmt, Store):
+            self.defs[stmt.tensor].remove(pos)
+            li = self.pairs.pop(pos, None)
+            if li is not None:
+                self.pairs_storing[stmt.tensor].remove(pos)
+                fed = self.pairs_fed_by.get((ni, li))
+                if fed is not None:
+                    fed.remove(pos)
+        else:
+            raise TypeError(f"cannot remove {type(stmt).__name__} statements")
+        self.bodies[ni][si] = None
+        self._edited_nests.add(ni)
+
+    def replace_load(self, pos: Position, load: Load) -> None:
+        """Put ``load`` in place of the load at ``pos``; its result is kept."""
+        ni, si = pos
+        self.loads[self.statement(pos).tensor].remove(pos)
+        self.loads.setdefault(load.tensor, []).append(pos)
+        self.bodies[ni][si] = load
+        self._edited_nests.add(ni)
+
+    def remove_tensor(self, name: str) -> None:
+        """Drop ``name``'s declaration; the caller has removed its uses."""
+        self._removed_tensors.add(name)
+
+    def to_program(self) -> Program:
+        """The edited program; the input itself when nothing was edited."""
+        if not self._edited_nests and not self._removed_tensors:
+            return self.program
+        nests = []
+        for ni, nest in enumerate(self.program.nests):
+            if ni not in self._edited_nests:
+                nests.append(nest)
+                continue
+            body = tuple(s for s in self.bodies[ni] if s is not None)
+            if body:
+                nests.append(replace(nest, body=body))
+        tensors = tuple(t for t in self.program.tensors if t.name not in self._removed_tensors)
+        return Program(tensors, tuple(nests))
+
+
 def try_eliminate_pair(program: Program, pair: CopyPair) -> tuple[Program, EliminationRecord]:
     """Attempt one elimination; on failure the program is returned unchanged.
 
@@ -93,10 +204,11 @@ def _eliminate(
     Returns the record and, after an elimination, the pairs whose inputs
     changed.  ``inverses`` memoizes ``reverse`` by store map.
     """
-    pair = index.pair_at(pos)
-    nest_i = pos[0]
-    dst = index.program.tensor(pair.store.tensor)
-    src_name = pair.load.tensor
+    nest_i, store_i = pos
+    load_i = index.pairs[pos]
+    load, store = index.bodies[nest_i][load_i], index.bodies[nest_i][store_i]
+    dst = index.program.tensor(store.tensor)
+    src_name = load.tensor
 
     def skip(reason: SkipReason, detail: str = "") -> tuple[EliminationRecord, list[Position]]:
         return EliminationRecord(dst.name, dst.footprint_bytes, 0, reason, detail), []
@@ -110,7 +222,7 @@ def _eliminate(
     if index.memcopy_readers.get(dst.name):
         return skip(SkipReason.COMPOSITION_UNREPRESENTABLE, f"'{dst.name}' feeds a memcopy")
 
-    store_map = pair.store.access
+    store_map = store.access
     if store_map not in inverses:
         inverses[store_map] = reverse(store_map)
     inv = inverses[store_map]
@@ -128,7 +240,7 @@ def _eliminate(
         )
 
     try:
-        dst_to_src = compose(pair.load.access, inv.map)
+        dst_to_src = compose(load.access, inv.map)
     except UnrepresentableComposition:
         return skip(SkipReason.COMPOSITION_UNREPRESENTABLE, "store-to-load map left the expression language")
     except AffineError as exc:
@@ -152,10 +264,9 @@ def _eliminate(
             return skip(SkipReason.COMPOSITION_UNREPRESENTABLE, str(exc))
         rewrites.append((load_pos, Load(stmt.result, src_name, routed)))
 
-    pair_load_pos = (nest_i, index.pairs[pos])
     index.remove_statement(pos)
-    if not _has_other_uses(index.bodies[nest_i], pair.load.result):
-        index.remove_statement(pair_load_pos)
+    if not _has_other_uses(index.bodies[nest_i], load.result):
+        index.remove_statement((nest_i, load_i))
     touched: list[Position] = []
     for rewrite_pos, load in rewrites:
         index.replace_load(rewrite_pos, load)

@@ -15,11 +15,13 @@ byte-identical printed programs.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
 from .affine import IntBox, affine_map, identity_map, variables
 from .ir import (
+    OPCODE_ARITY,
     Compute,
     Load,
     OffChip,
@@ -53,25 +55,22 @@ class _Builder:
         return Program(tuple(self.tensors), tuple(self.nests))
 
 
+def _emit_op(b: _Builder, name: str, kind: str, opcode: str, srcs: tuple[str, ...], out: str, box: IntBox):
+    """``out = opcode(srcs)`` element-wise over ``box``; a binary op on one
+    source reads it as both operands."""
+    loads = tuple(Load(v, src, identity_map(box)) for v, src in zip("vu", srcs))
+    operands = ("v", "u") if len(srcs) == 2 else ("v",) * OPCODE_ARITY[opcode]
+    body = (*loads, Compute("w", opcode, operands), Store(out, identity_map(box), "w"))
+    b.nests.append(OperatorNest(name, kind, box, body))
+
+
 # ---------------------------------------------------------------------------
 # copy-chain analog
 
 
 def _emit_compute(b: _Builder, idx: int, src: str, shape, opcode: str, out_decl=None) -> str:
-    box = IntBox.from_extents(*shape)
-    if out_decl is None:
-        out = b.declare(b.fresh(), shape, OnChip())
-    else:
-        out = out_decl
-    body = [Load("v", src, identity_map(box))]
-    if opcode == "neg":
-        body.append(Compute("w", "neg", ("v",)))
-    elif opcode == "add":
-        body.append(Compute("w", "add", ("v", "v")))
-    else:
-        body.append(Compute("w", "max", ("v", "v")))
-    body.append(Store(out, identity_map(box), "w"))
-    b.nests.append(OperatorNest(f"ew{idx}", "elementwise", box, tuple(body)))
+    out = b.declare(b.fresh(), shape, OnChip()) if out_decl is None else out_decl
+    _emit_op(b, f"ew{idx}", "elementwise", opcode, (src,), out, IntBox.from_extents(*shape))
     return out
 
 
@@ -92,112 +91,76 @@ def _legal_kinds(shape, collider: bool) -> list[str]:
 
 
 def _emit_copy(b: _Builder, idx: int, src: str, shape, kind: str, rng: random.Random):
-    """One data-movement nest: returns (new tensor, new shape)."""
+    """One data-movement nest: returns (new tensor, new shape).
+
+    Each kind picks its box, load and store maps, destination shape and
+    nest kind; the destination, body and nest are built the same way for all.
+    """
     if kind == "transpose":
         a, c = shape
         box = IntBox.from_extents(a, c)
         i0, i1 = variables(2)
-        dst_shape = (c, a)
-        dst = b.declare(b.fresh(), dst_shape, OnChip())
-        body = (
-            Load("v", src, identity_map(box)),
-            Store(dst, affine_map(box, (i1, i0)), "v"),
-        )
+        load_map, store_map = identity_map(box), affine_map(box, (i1, i0))
+        dst_shape, nest_kind = (c, a), "transpose"
     elif kind == "flatten":
         a, c = shape
         box = IntBox.from_extents(a, c)
         i0, i1 = variables(2)
-        dst_shape = (a * c,)
-        dst = b.declare(b.fresh(), dst_shape, OnChip())
-        body = (
-            Load("v", src, identity_map(box)),
-            Store(dst, affine_map(box, (c * i0 + i1,)), "v"),
-        )
+        load_map, store_map = identity_map(box), affine_map(box, (c * i0 + i1,))
+        dst_shape, nest_kind = (a * c,), "reshape"
     elif kind == "unflatten":
         (n,) = shape
         inner = rng.choice([d for d in (2, 4, 8) if n % d == 0 and n // d >= 2])
         box = IntBox.from_extents(n)
         (x,) = variables(1)
-        dst_shape = (n // inner, inner)
-        dst = b.declare(b.fresh(), dst_shape, OnChip())
-        body = (
-            Load("v", src, identity_map(box)),
-            Store(dst, affine_map(box, (x.floordiv(inner), x.mod(inner))), "v"),
-        )
+        load_map, store_map = identity_map(box), affine_map(box, (x.floordiv(inner), x.mod(inner)))
+        dst_shape, nest_kind = (n // inner, inner), "reshape"
     elif kind == "repeat":
         (n,) = shape
         reps = rng.choice([2, 4]) if n <= 32 else 2
         box = IntBox.from_extents(reps, n)
         i0, i1 = variables(2)
-        dst_shape = (reps * n,)
-        dst = b.declare(b.fresh(), dst_shape, OnChip())
-        body = (
-            Load("v", src, affine_map(box, (i1,))),
-            Store(dst, affine_map(box, (n * i0 + i1,)), "v"),
-        )
+        load_map, store_map = affine_map(box, (i1,)), affine_map(box, (n * i0 + i1,))
+        dst_shape, nest_kind = (reps * n,), "repeat"
     elif kind == "slice":
         (n,) = shape
         off = rng.choice([0, 1])
         box = IntBox.from_extents(n // 2)
         (x,) = variables(1)
-        dst_shape = (n // 2,)
-        dst = b.declare(b.fresh(), dst_shape, OnChip())
-        body = (
-            Load("v", src, affine_map(box, (2 * x + off,))),
-            Store(dst, identity_map(box), "v"),
-        )
-        kind = "strided_slice"
+        load_map, store_map = affine_map(box, (2 * x + off,)), identity_map(box)
+        dst_shape, nest_kind = (n // 2,), "strided_slice"
     elif kind == "split":
         (n,) = shape
         half = rng.choice([0, 1])
         box = IntBox.from_extents(n // 2)
         (x,) = variables(1)
-        dst_shape = (n // 2,)
-        dst = b.declare(b.fresh(), dst_shape, OnChip())
-        body = (
-            Load("v", src, affine_map(box, (x + half * (n // 2),))),
-            Store(dst, identity_map(box), "v"),
-        )
+        load_map, store_map = affine_map(box, (x + half * (n // 2),)), identity_map(box)
+        dst_shape, nest_kind = (n // 2,), "split"
     elif kind == "reverse":
         (n,) = shape
         box = IntBox.from_extents(n)
         (x,) = variables(1)
-        dst_shape = (n,)
-        dst = b.declare(b.fresh(), dst_shape, OnChip())
-        body = (
-            Load("v", src, affine_map(box, ((n - 1) - x,))),
-            Store(dst, identity_map(box), "v"),
-        )
-        kind = "strided_slice"
+        load_map, store_map = affine_map(box, ((n - 1) - x,)), identity_map(box)
+        dst_shape, nest_kind = (n,), "strided_slice"
     elif kind == "collide2":
         a, c = shape
         box = IntBox.from_extents(a, c)
         i0, i1 = variables(2)
-        dst_shape = (a + c - 1,)
-        dst = b.declare(b.fresh(), dst_shape, OnChip())
-        body = (
-            Load("v", src, identity_map(box)),
-            Store(dst, affine_map(box, (i0 + i1,)), "v"),
-        )
-        kind = "other"
+        load_map, store_map = identity_map(box), affine_map(box, (i0 + i1,))
+        dst_shape, nest_kind = (a + c - 1,), "other"
     elif kind == "collide1":
         # broadcast-load over (2, n) with a colliding store; grows by one
         # cell so consecutive colliders never shrink below collision size
         (n,) = shape
         box = IntBox.from_extents(2, n)
         i0, i1 = variables(2)
-        dst_shape = (n + 1,)
-        dst = b.declare(b.fresh(), dst_shape, OnChip())
-        body = (
-            Load("v", src, affine_map(box, (i1,))),
-            Store(dst, affine_map(box, (i0 + i1,)), "v"),
-        )
-        kind = "other"
+        load_map, store_map = affine_map(box, (i1,)), affine_map(box, (i0 + i1,))
+        dst_shape, nest_kind = (n + 1,), "other"
     else:
         raise ValueError(kind)
-    if kind in ("flatten", "unflatten"):
-        kind = "reshape"
-    b.nests.append(OperatorNest(f"copy{idx}", kind, box, body))
+    dst = b.declare(b.fresh(), dst_shape, OnChip())
+    body = (Load("v", src, load_map), Store(dst, store_map, "v"))
+    b.nests.append(OperatorNest(f"copy{idx}", nest_kind, box, body))
     return dst, dst_shape
 
 
@@ -219,9 +182,7 @@ def generate_wavenet_analog(copy_pairs: int, non_invertible: int, seed: int = 0)
     for k in range(copy_pairs):
         kinds = _legal_kinds(shape, k in colliders)
         # steer sizes back toward the working range
-        size = 1
-        for d in shape:
-            size *= d
+        size = math.prod(shape)
         if len(shape) == 1 and size > 64 and "slice" in kinds:
             kind = rng.choice(["slice", "split"])
         elif len(shape) == 1 and size < 16 and "repeat" in kinds:
@@ -244,25 +205,6 @@ def generate_wavenet_analog(copy_pairs: int, non_invertible: int, seed: int = 0)
 # anchored-block analog
 
 
-def _emit_binary(b: _Builder, name: str, kind: str, opcode: str, a: str, c: str, out: str, box: IntBox):
-    body = (
-        Load("v", a, identity_map(box)),
-        Load("u", c, identity_map(box)),
-        Compute("w", opcode, ("v", "u")),
-        Store(out, identity_map(box), "w"),
-    )
-    b.nests.append(OperatorNest(name, kind, box, body))
-
-
-def _emit_unary(b: _Builder, name: str, kind: str, opcode: str, src: str, out: str, box: IntBox):
-    body = (
-        Load("v", src, identity_map(box)),
-        Compute("w", opcode, ("v", "v")),
-        Store(out, identity_map(box), "w"),
-    )
-    b.nests.append(OperatorNest(name, kind, box, body))
-
-
 def generate_resnet_analog(blocks: int, transposes_between: int, seed: int = 0) -> Program:
     """Blocks of anchored nests (conv-like, pooling, matmul-like) whose
     shared tensors pass through `transposes_between` transposes, so that
@@ -280,14 +222,14 @@ def generate_resnet_analog(blocks: int, transposes_between: int, seed: int = 0) 
         x = b.declare("x1", (side, side), OffChip(), Origin.MODEL_INPUT)
         w = b.declare("wconv1", (side, side), OffChip(), Origin.MODEL_INPUT)
         u = b.declare("u1", (side, side), OffChip(), Origin.MODEL_OUTPUT)
-        _emit_binary(b, "conv1", "conv2d", "mul", x, w, u, box)
+        _emit_op(b, "conv1", "conv2d", "mul", (x, w), u, box)
         return b.program()
 
     cur = b.declare("x1", (side, side), OffChip(), Origin.MODEL_INPUT)
     for blk in range(1, blocks + 1):
         w = b.declare(f"wconv{blk}", (side, side), OffChip(), Origin.MODEL_INPUT)
         u = b.declare(f"u{blk}", (side, side), OnChip())
-        _emit_binary(b, f"conv{blk}", "conv2d", "mul", cur, w, u, box)
+        _emit_op(b, f"conv{blk}", "conv2d", "mul", (cur, w), u, box)
         v = u
         for t in range(1, transposes_between + 1):
             vt = b.declare(f"v{blk}_{t}", (side, side), OnChip())
@@ -301,11 +243,11 @@ def generate_resnet_analog(blocks: int, transposes_between: int, seed: int = 0) 
             )
             v = vt
         p = b.declare(f"p{blk}", (side, side), OnChip())
-        _emit_unary(b, f"pool{blk}", "pooling", "max", v, p, box)
+        _emit_op(b, f"pool{blk}", "pooling", "max", (v,), p, box)
         wm = b.declare(f"wmm{blk}", (side, side), OffChip(), Origin.MODEL_INPUT)
         m = b.declare(f"m{blk}", (side, side), OnChip())
-        _emit_binary(b, f"mm{blk}", "matmul", "mul", v, wm, m, box)
+        _emit_op(b, f"mm{blk}", "matmul", "mul", (v, wm), m, box)
         y = b.declare(f"y{blk}", (side, side), OffChip(), Origin.MODEL_OUTPUT)
-        _emit_binary(b, f"res{blk}", "elementwise", "add", p, m, y, box)
+        _emit_op(b, f"res{blk}", "elementwise", "add", (p, m), y, box)
         cur = v
     return b.program()

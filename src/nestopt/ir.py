@@ -6,20 +6,19 @@ optionally annotated with a bank mapping).  Statements are element-wise
 loads/stores with quasi-affine access maps, a small fixed set of compute
 opcodes, and first-class memcopies.
 
-Everything is an immutable value: passes build new Programs.  The one
-mutable view is ``UseDefIndex``, which a pass edits in place and turns back
-into a Program once it is done.
+Everything is an immutable value: passes build new Programs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Iterator, Union
 
 from .affine import DEFAULT_LIMITS, HARD_CARDINALITY_CAP, ImageEscape, IntBox, Limits, QuasiAffineMap, image_escape
+from .affine import INT64_MAX, box_magnitude, map_fits_int64
 
 
 OPCODE_ARITY = {"add": 2, "mul": 2, "max": 2, "neg": 1, "identity": 1}
@@ -195,6 +194,10 @@ class Violation:
         return f"{self.rule}{where}{at}: {self.message}"
 
 
+# the rule of a box or access that the oracle's int64 evaluation would wrap
+INT64_OVERFLOW = "Int64Overflow"
+
+
 def validate(program: Program, limits: Limits = DEFAULT_LIMITS) -> list[Violation]:
     """Structural validity report; empty iff the program is well formed."""
     out: list[Violation] = []
@@ -216,8 +219,10 @@ def validate(program: Program, limits: Limits = DEFAULT_LIMITS) -> list[Violatio
                 )
 
     decls = program.tensor_map
-    # programs repeat accesses; one answer per distinct (map, shape) in this call
-    bounds: dict[tuple[QuasiAffineMap, tuple[int, ...]], ImageEscape | None] = {}
+    # programs repeat accesses and boxes; one answer per distinct (map, shape)
+    # and box bounds in this call.  No image is checked that int64 cannot hold.
+    bounds: dict[tuple[QuasiAffineMap, tuple[int, ...]], ImageEscape | str | None] = {}
+    magnitudes: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
     produced: set[str] = {t.name for t in program.tensors if t.origin is Origin.MODEL_INPUT}
     produced_by: dict[str, str] = {}
     seen_nests: set[str] = set()
@@ -230,6 +235,12 @@ def validate(program: Program, limits: Limits = DEFAULT_LIMITS) -> list[Violatio
             out.append(Violation("EmptyBody", nest.name, None, "nest body is empty"))
         if nest.kind not in OPERATOR_KINDS:
             out.append(Violation("UnknownKind", nest.name, None, f"operator kind '{nest.kind}'"))
+        box = nest.box
+        mag = magnitudes.get((box.los, box.his))
+        if mag is None:
+            mag = magnitudes[box.los, box.his] = box_magnitude(box)
+        if mag > INT64_MAX:
+            out.append(Violation(INT64_OVERFLOW, nest.name, None, "loop bounds leave int64"))
 
         defined: set[str] = set()
         for si, stmt in enumerate(nest.body):
@@ -255,22 +266,18 @@ def validate(program: Program, limits: Limits = DEFAULT_LIMITS) -> list[Violatio
                         )
                     )
                     continue
-                key = (access, decl.shape)
+                key = (access, decl.shape)  # the access's domain is the nest box
                 escape = bounds.get(key, False)
                 if escape is False:
-                    escape = bounds[key] = image_escape(access, (0,) * decl.rank, decl.shape, limits)
+                    if mag > INT64_MAX:
+                        escape = None
+                    elif map_fits_int64(access, mag):
+                        escape = image_escape(access, (0,) * decl.rank, decl.shape, limits)
+                    else:
+                        escape = INT64_OVERFLOW
+                    bounds[key] = escape
                 if escape is not None:
-                    witness = escape.witness
-                    where = f" at {witness}" if witness is not None else ""
-                    out.append(
-                        Violation(
-                            "OutOfBoundsAccess",
-                            nest.name,
-                            si,
-                            f"access to '{tname}' leaves its shape{where}",
-                            witness,
-                        )
-                    )
+                    out.append(_bounds_violation(escape, nest.name, si, tname))
             if isinstance(stmt, Compute):
                 arity = OPCODE_ARITY.get(stmt.opcode)
                 if arity is None:
@@ -317,6 +324,15 @@ def validate(program: Program, limits: Limits = DEFAULT_LIMITS) -> list[Violatio
     return out
 
 
+def _bounds_violation(escape: ImageEscape | str, nest: str, si: int, tname: str) -> Violation:
+    """The violation of an access whose bounds check found ``escape``."""
+    if escape is INT64_OVERFLOW:
+        return Violation(INT64_OVERFLOW, nest, si, f"access to '{tname}' can take values beyond int64")
+    where = f" at {escape.witness}" if escape.witness is not None else ""
+    message = f"access to '{tname}' leaves its shape{where}"
+    return Violation("OutOfBoundsAccess", nest, si, message, escape.witness)
+
+
 def _accesses_of(stmt: Statement):
     if isinstance(stmt, Load):
         yield stmt.tensor, stmt.access
@@ -354,15 +370,24 @@ class DependenceEdge:
     tensor: str
 
 
+def producers(program: Program) -> dict[str, int]:
+    """Each written tensor -> index of the first nest that writes it."""
+    first: dict[str, int] = {}
+    for ni, nest in enumerate(program.nests):
+        for tname in nest.written_tensors():
+            first.setdefault(tname, ni)
+    return first
+
+
 def dependence_edges(program: Program) -> list[DependenceEdge]:
     """Producer/consumer nest pairs connected through a tensor, in consumer
     order; a consumer's edges follow the order it first reads the tensors.
     The producer is a tensor's first definer, and only an earlier one counts."""
-    index = UseDefIndex(program)
+    producer = producers(program)
     edges: list[DependenceEdge] = []
     for ri, nest in enumerate(program.nests):
         for tname in nest.read_tensors():
-            p = index.producer(tname)
+            p = producer.get(tname)
             if p is not None and p < ri:
                 edges.append(DependenceEdge(program.nests[p].name, nest.name, tname))
     return edges
@@ -375,8 +400,9 @@ class CopyPair:
     store: Store
 
 
-def _copy_pair_slots(body: tuple[Statement, ...]) -> Iterator[tuple[int, int]]:
-    """(load index, store index) of each store fed directly by a load, in store order."""
+def copy_pair_slots(body: tuple[Statement, ...]) -> Iterator[tuple[int, int]]:
+    """(load index, store index) of each store fed directly by a load, in
+    store order: the one rule for what a copy pair is."""
     loads_by_result = {s.result: si for si, s in enumerate(body) if isinstance(s, Load)}
     for si, stmt in enumerate(body):
         if isinstance(stmt, Store):
@@ -390,137 +416,8 @@ def find_copy_pairs(program: Program) -> list[CopyPair]:
     return [
         CopyPair(nest.name, nest.body[li], nest.body[si])
         for nest in program.nests
-        for li, si in _copy_pair_slots(nest.body)
+        for li, si in copy_pair_slots(nest.body)
     ]
-
-
-Position = tuple[int, int]
-
-
-class UseDefIndex:
-    """Where each tensor is defined and read, kept current while a pass
-    edits the program in place.
-
-    It finds a tensor's definers and readers across nests: copy
-    elimination edits it, while ``dependence_edges`` and bank mapping's
-    ``materialize`` query a fresh one.
-
-    A statement is addressed by its position ``(nest, stmt)``: indices into
-    the input program's nests and their bodies.  Positions never shift, so
-    sorting them gives program order at any time.  A removed statement
-    leaves a hole; ``to_program`` drops the holes, and any nest left empty,
-    once at the end.  Copy pairs are keyed by the position of their store.
-    Nest names are assumed unique, as ``validate`` requires.
-    """
-
-    def __init__(self, program: Program):
-        self.program = program
-        self.bodies: list[list[Statement | None]] = [list(n.body) for n in program.nests]
-        # tensor -> stores and memcopies writing it
-        self.defs: dict[str, list[Position]] = {}
-        # tensor -> loads reading it
-        self.loads: dict[str, list[Position]] = {}
-        # tensor -> memcopies reading it
-        self.memcopy_readers: dict[str, list[Position]] = {}
-        # copy pair (its store) -> statement index of its load, in the same nest
-        self.pairs: dict[Position, int] = {}
-        # tensor -> copy pairs storing it
-        self.pairs_storing: dict[str, list[Position]] = {}
-        # load -> copy pairs it feeds
-        self.pairs_fed_by: dict[Position, list[Position]] = {}
-        self._removed_tensors: set[str] = set()
-        self._edited_nests: set[int] = set()
-        for ni, nest in enumerate(program.nests):
-            for si, stmt in enumerate(nest.body):
-                if isinstance(stmt, Load):
-                    self.loads.setdefault(stmt.tensor, []).append((ni, si))
-                elif isinstance(stmt, Store):
-                    self.defs.setdefault(stmt.tensor, []).append((ni, si))
-                elif isinstance(stmt, Memcopy):
-                    self.defs.setdefault(stmt.dst, []).append((ni, si))
-                    self.memcopy_readers.setdefault(stmt.src, []).append((ni, si))
-            for li, si in _copy_pair_slots(nest.body):
-                self.pairs[(ni, si)] = li
-                self.pairs_storing.setdefault(nest.body[si].tensor, []).append((ni, si))
-                self.pairs_fed_by.setdefault((ni, li), []).append((ni, si))
-
-    def statement(self, pos: Position) -> Statement | None:
-        return self.bodies[pos[0]][pos[1]]
-
-    def pair_at(self, pos: Position) -> CopyPair:
-        ni, si = pos
-        body = self.bodies[ni]
-        return CopyPair(self.program.nests[ni].name, body[self.pairs[pos]], body[si])
-
-    def position_of(self, pair: CopyPair) -> Position:
-        """Position of ``pair``, whose store must be a statement of this program."""
-        for ni, nest in enumerate(self.program.nests):
-            if nest.name == pair.nest:
-                for si, stmt in enumerate(self.bodies[ni]):
-                    if stmt is pair.store and (ni, si) in self.pairs:
-                        return ni, si
-        raise ValueError(f"no copy pair with that store in nest '{pair.nest}'")
-
-    def producer(self, tensor: str) -> int | None:
-        """Index of the first nest that defines ``tensor``, if any."""
-        defs = self.defs.get(tensor)
-        return defs[0][0] if defs else None
-
-    def readers(self, tensor: str) -> list[int]:
-        """Indices of the nests that load ``tensor`` or copy from it, in
-        program order."""
-        positions = self.loads.get(tensor, []) + self.memcopy_readers.get(tensor, [])
-        return sorted({ni for ni, _ in positions})
-
-    def loads_of(self, tensor: str) -> list[Position]:
-        """Loads reading ``tensor``, in program order."""
-        return sorted(self.loads.get(tensor, ()))
-
-    def remove_statement(self, pos: Position) -> None:
-        stmt = self.statement(pos)
-        ni, si = pos
-        if isinstance(stmt, Load):
-            self.loads[stmt.tensor].remove(pos)
-            self.pairs_fed_by.pop(pos, None)
-        elif isinstance(stmt, Store):
-            self.defs[stmt.tensor].remove(pos)
-            li = self.pairs.pop(pos, None)
-            if li is not None:
-                self.pairs_storing[stmt.tensor].remove(pos)
-                fed = self.pairs_fed_by.get((ni, li))
-                if fed is not None:
-                    fed.remove(pos)
-        else:
-            raise TypeError(f"cannot remove {type(stmt).__name__} statements")
-        self.bodies[ni][si] = None
-        self._edited_nests.add(ni)
-
-    def replace_load(self, pos: Position, load: Load) -> None:
-        """Put ``load`` in place of the load at ``pos``; its result is kept."""
-        ni, si = pos
-        self.loads[self.statement(pos).tensor].remove(pos)
-        self.loads.setdefault(load.tensor, []).append(pos)
-        self.bodies[ni][si] = load
-        self._edited_nests.add(ni)
-
-    def remove_tensor(self, name: str) -> None:
-        """Drop ``name``'s declaration; the caller has removed its uses."""
-        self._removed_tensors.add(name)
-
-    def to_program(self) -> Program:
-        """The edited program; the input itself when nothing was edited."""
-        if not self._edited_nests and not self._removed_tensors:
-            return self.program
-        nests = []
-        for ni, nest in enumerate(self.program.nests):
-            if ni not in self._edited_nests:
-                nests.append(nest)
-                continue
-            body = tuple(s for s in self.bodies[ni] if s is not None)
-            if body:
-                nests.append(replace(nest, body=body))
-        tensors = tuple(t for t in self.program.tensors if t.name not in self._removed_tensors)
-        return Program(tensors, tuple(nests))
 
 
 def is_pure_copy_nest(nest: OperatorNest) -> bool:

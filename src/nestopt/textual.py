@@ -187,6 +187,9 @@ def _tokenize_expr(text: str, line: int, col0: int) -> list[tuple[str, str, int]
     return toks
 
 
+MAX_PAREN_DEPTH = 100
+
+
 class _ExprParser:
     """Recursive descent straight into one linear part and one term list.
 
@@ -198,6 +201,8 @@ class _ExprParser:
     because the depth check needs its canonical form (``(2*i0) floordiv 2``
     is linear, ``(i0) floordiv 2`` is not).  The normal form stores floor
     divisions only, so ``k*(e mod d)`` is read as ``k*e - k*d*(e floordiv d)``.
+    Parentheses nest at most ``MAX_PAREN_DEPTH`` deep, far below Python's
+    recursion limit, so deeper input is a ``ParseError`` like any other.
     """
 
     def __init__(self, toks, arity: int, line: int, end_col: int):
@@ -206,6 +211,7 @@ class _ExprParser:
         self.line = line
         self.end_col = end_col
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.pos] if self.pos < len(self.toks) else (None, None, self.end_col)
@@ -264,10 +270,14 @@ class _ExprParser:
             coeffs[idx] += scale
             return 0
         if kind == "sym" and val == "(":
+            if self.depth == MAX_PAREN_DEPTH:
+                raise ParseError(f"parentheses nested deeper than {MAX_PAREN_DEPTH}", self.line, col)
+            self.depth += 1
             inner_coeffs = [0] * self.arity
             inner_terms: list[DivModTerm] = []
             inner_const = self.parse_sum(inner_coeffs, inner_terms, 1)
             self.expect_sym(")")
+            self.depth -= 1
             nk, nv, ncol = self.peek()
             if nk == "op":
                 self.take()

@@ -38,6 +38,7 @@ from nestopt.affine import (
     SymbolicInverse,
     UnrepresentableComposition,
     affine_map,
+    box_magnitude,
     build_unflatten_exprs,
     classify,
     compose,
@@ -45,6 +46,7 @@ from nestopt.affine import (
     identity_map,
     image,
     image_escape,
+    map_fits_int64,
     reverse,
     _box_simplify,
     _substitute,
@@ -993,3 +995,32 @@ def test_map_with_filled_cached_properties_is_still_a_dict_key():
     assert {m, _rebuilt(m)} == {m}
     bigger = {m: "u", _rebuilt(flatten_map()): "f"}
     assert flatten_map().map_class is MapClass.MIXED_RADIX and bigger[flatten_map()] == "f"
+
+
+def test_int64_bounds_are_tight_at_the_edge():
+    top = (1 << 63) - 1
+    assert box_magnitude(IntBox((top - 4, -3), (top, 2))) == top
+    assert box_magnitude(IntBox((top - 4,), (top + 1,))) > top
+    assert box_magnitude(IntBox((-top - 1,), (-top + 3,))) > top
+    assert box_magnitude(IntBox((), ())) == box_magnitude(IntBox.from_extents(1)) == 1
+    # the bound takes every coordinate as large as the box's largest bound
+    box = IntBox((top - 5,), (top - 1,))
+    (x,) = variables(1)
+    fits = affine_map(box, (x + 1,))
+    assert map_fits_int64(fits, box_magnitude(box))
+    pts = box.points_array()
+    assert fits.evaluate_batch(pts)[:, 0].tolist() == [fits.evaluate(p)[0] for p in box.points()]
+    assert not map_fits_int64(affine_map(box, (x + 2,)), box_magnitude(box))
+    # a coefficient on a one-point dimension still has to be an int64
+    assert not map_fits_int64(affine_map(IntBox.from_extents(1), ((1 << 63) * x,)), 1)
+
+
+def test_int64_bound_counts_each_floordiv_term():
+    box = IntBox.from_extents(2, 2)
+    i0, i1 = variables(2)
+    # each term is 0 or 1 times 2^61 here, and all four are 1 at (1, 1)
+    terms = [(1 << 61) * (k * i0 + k * i1 + k - 1).floordiv(2 * k) for k in range(1, 5)]
+    assert map_fits_int64(affine_map(box, (sum(terms[:3]) + i0,)), box_magnitude(box))
+    wraps = affine_map(box, (sum(terms) + i0,))
+    assert wraps.evaluate((1, 1)) == (2**63 + 1,)
+    assert not map_fits_int64(wraps, box_magnitude(box))

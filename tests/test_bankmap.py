@@ -22,10 +22,10 @@ from nestopt.bankmap import (
     seed_anchors,
     transfer,
 )
-from nestopt.dme import run_dme
+from nestopt.dme import UseDefIndex, run_dme
 from nestopt.generators import generate_resnet_analog, generate_wavenet_analog
 from nestopt.interp import equivalent
-from nestopt.ir import BankMapping, BankPolicy, IntBox, UseDefIndex, validate
+from nestopt.ir import BankMapping, BankPolicy, IntBox, validate
 from nestopt.report import bankmap_pass_entry
 from nestopt.textual import parse, print_program
 
@@ -579,7 +579,7 @@ def test_fixpoint_independent_of_task_order():
 
 
 @pytest.mark.parametrize("mode", ["dme", "global", "local"])
-def test_each_run_builds_one_use_def_index(monkeypatch, mode):
+def test_only_dme_builds_a_use_def_index(monkeypatch, mode):
     program = generate_resnet_analog(8, 3)
     builds = []
     init = UseDefIndex.__init__
@@ -595,7 +595,8 @@ def test_each_run_builds_one_use_def_index(monkeypatch, mode):
         run_global_mapping(program)
     else:
         run_local_baseline(program)
-    assert builds == [program]
+    # bank mapping finds producers and readers by walking the nests
+    assert builds == ([program] if mode == "dme" else [])
 
 
 def test_update_count_bounded():

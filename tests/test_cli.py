@@ -638,3 +638,94 @@ def test_verify_refuses_tensors_over_the_interpreters_buffer_limit(tmp_path):
         f"over the interpreter's limit of {BUFFER_BYTES}"
     ]
     assert proc.stdout == ""
+
+
+# three programs whose indices int64 cannot hold: the load of the first is
+# 2^64 + 1 at (1, 1), which int64 wraps to 1, an in-bounds cell; the load of
+# the second is exactly i0 but forms values near 10^20 on the way; the box of
+# the third starts at 10^21.  The fourth nests parentheses 5000 deep.
+W = 2**62
+V = 99999999999999999999
+WRAPS_LOAD = " + ".join(f"{W}*(({k}*i0 + {k}*i1 + {k - 1}) floordiv {2 * k})" for k in range(1, 5))
+LIMIT_PROGRAMS = {
+    "wraps": (
+        f"""\
+tensor %a : 4x[4] @dram input
+tensor %y : 4x[2, 2] @dram output
+
+nest n kind=elementwise (i0 in 0..2, i1 in 0..2) {{
+  %v = load %a[{WRAPS_LOAD} + i0]
+  store %y[i0, i1] = %v
+}}
+""",
+        "Int64Overflow in nest 'n' statement 0: access to 'a' can take values beyond int64",
+    ),
+    "intermediate": (
+        f"""\
+tensor %a : 4x[4] @dram input
+tensor %y : 4x[4, 2] @dram output
+
+nest n kind=elementwise (i0 in 0..4, i1 in 0..2) {{
+  %v = load %a[{V}*((i0 + i1) floordiv 2) - {V}*((i0 + i1 + 2) floordiv 2) + {V} + i0]
+  store %y[i0, i1] = %v
+}}
+""",
+        "Int64Overflow in nest 'n' statement 0: access to 'a' can take values beyond int64",
+    ),
+    "box": (
+        f"""\
+tensor %a : 4x[4] @dram input
+tensor %y : 4x[4] @dram output
+
+nest n kind=elementwise (i0 in {10**21}..{10**21 + 4}) {{
+  %v = load %a[i0 - {10**21}]
+  store %y[i0 - {10**21}] = %v
+}}
+""",
+        "Int64Overflow in nest 'n': loop bounds leave int64",
+    ),
+    "deep": (
+        f"""\
+tensor %a : 4x[4] @dram input
+tensor %y : 4x[4] @dram output
+
+nest n kind=elementwise (i0 in 0..4) {{
+  %v = load %a[{"(" * 5000}i0{")" * 5000}]
+  store %y[i0] = %v
+}}
+""",
+        "line 5, col 116: parentheses nested deeper than 100",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["optimize", "p.ir", "--pass", "dme", "-o", "o.ir"], ["verify", "p.ir", "p.ir"], ["report", "p.ir"]],
+    ids=["optimize", "verify", "report"],
+)
+@pytest.mark.parametrize("case", sorted(LIMIT_PROGRAMS))
+def test_programs_past_int64_or_nesting_limits_are_one_line_diagnostics(tmp_path, case, argv):
+    text, message = LIMIT_PROGRAMS[case]
+    (tmp_path / "p.ir").write_text(text)
+    proc = _run_module(tmp_path, *argv)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [f"p.ir: {message}"]
+    assert proc.stdout == ""
+    assert not (tmp_path / "o.ir").exists()
+
+
+def test_anchors_file_nested_too_deep_is_a_usage_error(tmp_path):
+    assert main(["gen", "resnet", "2", "1", "-o", str(tmp_path / "r.ir")]) == 0
+    (tmp_path / "a.json").write_text("[" * 100_000)
+    proc = _run_module(
+        tmp_path, "optimize", "r.ir", "--pass", "bankmap", "--anchors", "a.json", "-o", "o.ir"
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("nestopt optimize: malformed anchors file a.json: RecursionError: ")
+    assert proc.stdout == ""
+    assert not (tmp_path / "o.ir").exists()
+

@@ -7,7 +7,7 @@ import pytest
 
 import nestopt.dme
 from nestopt.bankmap import AnchorRegistry, run_global_mapping, run_local_baseline
-from nestopt.dme import DmeResult, SkipReason, run_dme, try_eliminate_pair
+from nestopt.dme import DmeResult, SkipReason, UseDefIndex, run_dme, try_eliminate_pair
 from nestopt.generators import generate_resnet_analog, generate_wavenet_analog
 from nestopt.interp import equivalent
 from nestopt.ir import Load, find_copy_pairs, validate
@@ -501,3 +501,20 @@ def test_reverse_runs_once_per_distinct_store_map(monkeypatch):
     result = run_dme(program)
     assert len(result.eliminated) == 90
     assert calls and max(calls.values()) == 1
+
+
+def test_index_load_queries_follow_edits_in_program_order():
+    program = generate_resnet_analog(3, 1, seed=1)
+    index = UseDefIndex(program)
+    loads = [
+        ((ni, si), s) for ni, n in enumerate(program.nests) for si, s in enumerate(n.body) if isinstance(s, Load)
+    ]
+    (first_pos, first), (last_pos, last) = loads[0], loads[-1]
+    assert first.tensor != last.tensor
+    before = list(index.loads_of(last.tensor))
+    # the program's first load now reads the tensor its last load reads
+    index.replace_load(first_pos, Load(first.result, last.tensor, first.access))
+    assert list(index.loads_of(last.tensor)) == [first_pos, *before]
+    assert first_pos not in index.loads_of(first.tensor)
+    index.remove_statement(last_pos)
+    assert list(index.loads_of(last.tensor)) == [first_pos, *before[:-1]]

@@ -18,17 +18,17 @@ from nestopt.affine import (
     identity_map,
 )
 from nestopt.bankmap import run_global_mapping, run_local_baseline
-from nestopt.dme import run_dme
+from nestopt.dme import UseDefIndex, run_dme
 from nestopt.generators import generate_resnet_analog, generate_wavenet_analog
 from nestopt.ir import (
     Compute,
     DependenceEdge,
     Load,
     Store,
-    UseDefIndex,
     dependence_edges,
     find_copy_pairs,
     is_pure_copy_nest,
+    producers,
     validate,
 )
 from nestopt.textual import parse
@@ -322,38 +322,19 @@ def test_dependence_edges_and_index_queries_match_reference_walk():
         edges = dependence_edges(program)
         assert edges == _ref_dependence_edges(program)
         memcopy_edges += sum(e.consumer.startswith("bankfix_") for e in edges)
+        producer = producers(program)
         index = UseDefIndex(program)
         for t in program.tensors:
             writers = [ni for ni, n in enumerate(program.nests) if t.name in n.written_tensors()]
-            readers = [ni for ni, n in enumerate(program.nests) if t.name in n.read_tensors()]
             loads = [
                 (ni, si)
                 for ni, n in enumerate(program.nests)
                 for si, s in enumerate(n.body)
                 if isinstance(s, Load) and s.tensor == t.name
             ]
-            assert index.producer(t.name) == (writers[0] if writers else None)
-            assert index.readers(t.name) == readers
+            assert producer.get(t.name) == (writers[0] if writers else None)
             assert list(index.loads_of(t.name)) == loads
     assert memcopy_edges > 0
-
-
-def test_index_load_queries_follow_edits_in_program_order():
-    program = generate_resnet_analog(3, 1, seed=1)
-    index = UseDefIndex(program)
-    loads = [
-        ((ni, si), s) for ni, n in enumerate(program.nests) for si, s in enumerate(n.body) if isinstance(s, Load)
-    ]
-    (first_pos, first), (last_pos, last) = loads[0], loads[-1]
-    assert first.tensor != last.tensor
-    before = list(index.loads_of(last.tensor))
-    # the program's first load now reads the tensor its last load reads
-    index.replace_load(first_pos, Load(first.result, last.tensor, first.access))
-    assert list(index.loads_of(last.tensor)) == [first_pos, *before]
-    assert first_pos not in index.loads_of(first.tensor)
-    assert index.readers(last.tensor)[0] == first_pos[0]
-    index.remove_statement(last_pos)
-    assert list(index.loads_of(last.tensor)) == [first_pos, *before[:-1]]
 
 
 def test_find_copy_pairs_transpose():

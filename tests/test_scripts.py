@@ -96,10 +96,17 @@ def test_scripts_refuse_a_negative_seed(tmp_path, script, args):
             ["--anchors", "not-json.json"],
             "argument --anchors: malformed not-json.json: JSONDecodeError: Expecting value: line 1 column 1 (char 0)",
         ),
+        (
+            "run_bank_mapping.py",
+            ["--anchors", "deep.json"],
+            "argument --anchors: malformed deep.json: RecursionError: "
+            "maximum recursion depth exceeded while decoding a JSON array from a unicode string",
+        ),
     ],
 )
 def test_scripts_refuse_out_of_range_counts(tmp_path, script, args, message):
     (tmp_path / "not-json.json").write_text("not json\n")
+    (tmp_path / "deep.json").write_text("[" * 100_000)
     proc = subprocess.run(
         [sys.executable, str(SCRIPTS / script), *args],
         capture_output=True,

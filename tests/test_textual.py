@@ -141,6 +141,15 @@ def test_parse_error_depth_two():
         parse_expr("((i0) floordiv 2) floordiv 3", 1)
 
 
+def test_parentheses_nest_at_most_the_cap():
+    cap = textual.MAX_PAREN_DEPTH
+    assert parse_expr("(" * cap + "i0" + ")" * cap, 1) == parse_expr("i0", 1)
+    with pytest.raises(ParseError) as err:
+        parse_expr("(" * 5000 + "i0" + ")" * 5000, 1, line=3, col0=7)
+    assert (err.value.line, err.value.col) == (3, 7 + cap)
+    assert f"parentheses nested deeper than {cap}" in str(err.value)
+
+
 def test_parse_error_junk_token():
     with pytest.raises(ParseError):
         parse_expr("i0 $ 3", 1)
