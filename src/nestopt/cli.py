@@ -26,9 +26,9 @@ from .bankmap import AnchorRegistry, RankMismatchError, run_global_mapping, run_
 from .dme import run_dme
 from .generators import generate_resnet_analog, generate_wavenet_analog
 from .interp import InterpError, equivalent
-from .ir import Program, validate
+from .ir import Program, _Bounds, validate
 from .report import bankmap_pass_entry, build_document, dme_pass_entry, document_text
-from .textual import ParseError, parse, print_program
+from .textual import ParseError, _CallMemo, parse, print_program
 from .traffic import account
 
 
@@ -88,7 +88,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_program(path: Path) -> Program:
+def _load_program(path: Path, parses: _CallMemo, bounds: _Bounds) -> Program:
+    """Read, parse and validate ``path``, sharing the command's memos."""
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
@@ -96,11 +97,11 @@ def _load_program(path: Path) -> Program:
     except UnicodeDecodeError as exc:
         raise SystemExit(f"nestopt: cannot read {path}: not UTF-8 (byte {exc.start})")
     try:
-        program = parse(text)
+        program = parse(text, _memo=parses)
     except ParseError as exc:
         print(f"{path}: {exc}", file=sys.stderr)
         raise _Diagnostic()
-    violations = validate(program)
+    violations = validate(program, _memo=bounds)
     if violations:
         for v in violations:
             print(f"{path}: {v}", file=sys.stderr)
@@ -141,7 +142,9 @@ def _load_registry(args) -> AnchorRegistry:
 
 def _cmd_optimize(args) -> int:
     registry = _load_registry(args)
-    program = _load_program(args.input)
+    # the output shares most accesses with the input
+    bounds = _Bounds()
+    program = _load_program(args.input, _CallMemo(), bounds)
     traffic_opts = {
         "count_all_onchip": args.count_all_onchip,
         "interbank_via_dram": args.interbank_via_dram,
@@ -169,7 +172,7 @@ def _cmd_optimize(args) -> int:
                 raise _Diagnostic()
             pipeline.append({"pass": "bankmap", "options": {"mode": args.mode, "banks": registry.banks}})
             pass_entries.append(bankmap_pass_entry(report, registry.banks))
-    violations = validate(current)
+    violations = validate(current, _memo=bounds)
     if violations:
         for v in violations:
             print(f"optimized program is invalid: {v}", file=sys.stderr)
@@ -187,8 +190,11 @@ def _cmd_verify(args) -> int:
         raise _UsageError(f"--trials must be >= 1, got {args.trials}")
     if args.seed < 0:
         raise _UsageError(f"--seed must be >= 0, got {args.seed}")
-    left = _load_program(args.left)
-    right = _load_program(args.right)
+    # the two programs are usually a program and its optimized output,
+    # which repeats most of its lines
+    parses, bounds = _CallMemo(), _Bounds()
+    left = _load_program(args.left, parses, bounds)
+    right = _load_program(args.right, parses, bounds)
     try:
         result = equivalent(left, right, trials=args.trials, seed=args.seed)
     except InterpError as exc:
@@ -203,7 +209,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    program = _load_program(args.input)
+    program = _load_program(args.input, _CallMemo(), _Bounds())
     report = account(
         program,
         count_all_onchip=args.count_all_onchip,

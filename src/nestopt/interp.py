@@ -8,12 +8,15 @@ order and runs its body statements in order at each point.
 There is one execution path, vectorized over the whole box.  A statement's
 flat cell indices, and their arity and bounds checks, depend only on (access
 map, nest box, tensor shape).  A whole-model program repeats a few such keys
-many times, so one ``run`` call computes and checks each distinct key once
-and keeps, read-only, what every later statement with that key needs: the
-indices, whether they hit no cell twice (``injective``) and whether they
-hit every cell of the tensor (``covers``).  A bad key raises at its first
-occurrence, naming that statement.  ``run`` also keeps the set of fully
-written tensors: the model inputs, and each tensor on which a covering
+many times, and ``equivalent``'s two programs share most of theirs, so one
+``equivalent`` call (or one ``run`` called on its own) computes and checks
+each distinct key once and keeps, read-only, what every later statement
+with that key needs: the indices, whether they hit no cell twice
+(``injective``) and whether they hit every cell of the tensor
+(``covers``).  Only a key whose checks pass is kept, so a bad key raises
+at its first occurrence, naming that statement and its program.  ``run``
+also keeps the set of fully written tensors: the model inputs, and each
+tensor on which a covering
 injective store lands.  Nothing is kept past the call.  A nest's loads and
 memcopy sources are checked for poison, statement by statement, before
 any of its writes land; a read of a fully written tensor needs no check.
@@ -148,7 +151,13 @@ _point_cache = _PointCache()
 # Execution
 
 
-def run(program: Program, inputs: TensorStore, *, _sizes_checked: bool = False) -> TensorStore:
+def run(
+    program: Program,
+    inputs: TensorStore,
+    *,
+    _sizes_checked: bool = False,
+    _indices: dict[tuple[QuasiAffineMap, IntBox, tuple[int, ...]], _Cells] | None = None,
+) -> TensorStore:
     """Execute and return the model-output tensors.
 
     If ``inputs`` holds several trials (``TensorStore.stack``), all of them
@@ -157,7 +166,8 @@ def run(program: Program, inputs: TensorStore, *, _sizes_checked: bool = False) 
     inputs and out-of-bounds accesses, PoisonRead for reads of never-written
     cells, BufferTooLarge before allocating a buffer or building a nest's
     points over BUFFER_BYTES.  ``equivalent``, which checks the sizes itself
-    before drawing inputs, passes ``_sizes_checked``.
+    before drawing inputs, passes ``_sizes_checked``, and passes both of its
+    runs one ``_indices`` memo; by default the call starts its own.
     """
     import numpy as np
 
@@ -185,8 +195,8 @@ def run(program: Program, inputs: TensorStore, *, _sizes_checked: bool = False) 
             written[t.name] = np.zeros(size, dtype=bool)
 
     decls = program.tensor_map
-    # the cells of each (access, box, shape), shared by every statement of this call
-    indices: dict[tuple[QuasiAffineMap, IntBox, tuple[int, ...]], _Cells] = {}
+    # the cells of each (access, box, shape), shared by every statement that has it
+    indices = {} if _indices is None else _indices
     # tensors whose every cell is written: their masks are all True
     full = {t.name for t in program.tensors if t.origin is Origin.MODEL_INPUT}
     for nest in program.nests:
@@ -303,7 +313,17 @@ def _apply_compute(opcode: str, args: list[np.ndarray]) -> np.ndarray:
 
 
 def _run_nest(nest, pts, decls, data, written, indices, full):
-    clash = set(nest.read_tensors()) & set(nest.written_tensors())
+    reads: set[str] = set()
+    writes_to: set[str] = set()
+    for stmt in nest.body:
+        if isinstance(stmt, Load):
+            reads.add(stmt.tensor)
+        elif isinstance(stmt, Store):
+            writes_to.add(stmt.tensor)
+        elif isinstance(stmt, Memcopy):
+            reads.add(stmt.src)
+            writes_to.add(stmt.dst)
+    clash = reads & writes_to
     if clash:
         raise InterpError(f"nest '{nest.name}' reads tensors it writes: {sorted(clash)}")
 
@@ -405,16 +425,24 @@ INPUT_RANGE = (-50, 50)
 
 
 def random_inputs(program: Program, seed: int, trial: int = 0) -> TensorStore:
-    """Deterministic pseudo-random integer inputs for the model-input tensors."""
+    """Deterministic pseudo-random integer inputs for the model-input tensors.
+
+    One draw covers every input, in declaration order, and each tensor's
+    array is its slice of that draw (a view): the same values as one draw
+    per tensor, in one generator call.
+    """
     import numpy as np
 
+    decls = [t for t in program.tensors if t.origin is Origin.MODEL_INPUT]
+    sizes = [math.prod(t.shape) for t in decls]
     rng = np.random.default_rng([seed, trial])
-    arrays = {
-        t.name: rng.integers(INPUT_RANGE[0], INPUT_RANGE[1], size=t.shape, dtype=np.int64)
-        for t in program.tensors
-        if t.origin is Origin.MODEL_INPUT
-    }
-    return TensorStore.from_arrays(arrays)
+    cells = rng.integers(INPUT_RANGE[0], INPUT_RANGE[1], size=sum(sizes), dtype=np.int64)
+    arrays = {}
+    start = 0
+    for t, size in zip(decls, sizes):
+        arrays[t.name] = cells[start : start + size].reshape(t.shape)
+        start += size
+    return TensorStore(arrays)
 
 
 def equivalent(p1: Program, p2: Program, trials: int = 5, seed: int = 0) -> EquivalenceResult:
@@ -446,10 +474,13 @@ def equivalent(p1: Program, p2: Program, trials: int = 5, seed: int = 0) -> Equi
             exc.side = side
             raise
     inputs = TensorStore.stack([random_inputs(p1, seed, trial) for trial in range(trials)])
+    # the two programs usually share most access keys; a key is stored only
+    # once its checks pass, so a bad one still raises on its own side
+    indices = {}
     results = []
     for side, program in enumerate((p1, p2)):
         try:
-            results.append(run(program, inputs, _sizes_checked=True))
+            results.append(run(program, inputs, _sizes_checked=True, _indices=indices))
         except InterpError as exc:
             exc.side = side
             raise

@@ -198,8 +198,30 @@ class Violation:
 INT64_OVERFLOW = "Int64Overflow"
 
 
-def validate(program: Program, limits: Limits = DEFAULT_LIMITS) -> list[Violation]:
-    """Structural validity report; empty iff the program is well formed."""
+class _Bounds:
+    """``validate``'s answers under one ``Limits`` value, by key: each
+    access's bounds check by (map, shape), each box's magnitude by its
+    bounds.  The CLI passes one to every ``validate`` call of a command, whose
+    programs share most accesses.  A map's key holds its domain, the nest
+    box, which fixes the magnitude its check depends on."""
+
+    def __init__(self, limits: Limits = DEFAULT_LIMITS) -> None:
+        self.limits = limits
+        self.escapes: dict[tuple[QuasiAffineMap, tuple[int, ...]], ImageEscape | str | None] = {}
+        self.magnitudes: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+
+
+def validate(
+    program: Program, limits: Limits = DEFAULT_LIMITS, *, _memo: _Bounds | None = None
+) -> list[Violation]:
+    """Structural validity report; empty iff the program is well formed.
+
+    ``_memo`` carries the answers already found for another program of the
+    same command, under the same ``limits``; by default the call starts empty.
+    """
+    memo = _Bounds(limits) if _memo is None else _memo
+    if memo.limits != limits:
+        raise ValueError("validate's memo holds answers for other limits")
     out: list[Violation] = []
     seen_tensors: set[str] = set()
     for t in program.tensors:
@@ -219,10 +241,9 @@ def validate(program: Program, limits: Limits = DEFAULT_LIMITS) -> list[Violatio
                 )
 
     decls = program.tensor_map
-    # programs repeat accesses and boxes; one answer per distinct (map, shape)
-    # and box bounds in this call.  No image is checked that int64 cannot hold.
-    bounds: dict[tuple[QuasiAffineMap, tuple[int, ...]], ImageEscape | str | None] = {}
-    magnitudes: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+    # one answer per distinct (map, shape) and box bounds while the memo
+    # lives.  No image is checked that int64 cannot hold.
+    bounds, magnitudes = memo.escapes, memo.magnitudes
     produced: set[str] = {t.name for t in program.tensors if t.origin is Origin.MODEL_INPUT}
     produced_by: dict[str, str] = {}
     seen_nests: set[str] = set()

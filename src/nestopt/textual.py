@@ -326,19 +326,24 @@ _ORIGINS = {None: Origin.INTERMEDIATE, "input": Origin.MODEL_INPUT, "output": Or
 
 
 class _CallMemo:
-    """One value per distinct text, for the length of one ``parse`` call.
+    """One value per distinct text, for the length of one command.
 
     A whole-model program repeats a few access texts and loop headers many
-    times.  Maps and expressions are frozen, so every repeat can share one.
-    A map's key holds its nest header's loop text, because ``QuasiAffineMap``
-    simplifies its expressions against its domain; the text names the box
-    without hashing it.  Only successful results are stored, so
-    a bad text still raises on its own line and column.  Nothing outlives
-    the call: a process that parses once would never see a shared cache pay
-    off, so none is kept.
+    times, and ``verify`` parses a program and its optimized output, which
+    repeats most of its lines.  Maps, expressions, boxes, declarations and
+    statements are frozen, so every repeat can share one.  A map's key holds
+    its nest header's loop text, because ``QuasiAffineMap`` simplifies its
+    expressions against its domain; the text names the box without hashing
+    it.  For the same reason a statement line is keyed by its stripped text
+    and its nest's loop text, and a declaration line by its text alone.
+    Only successful results are stored, so a bad text still raises in its
+    own file, on its own line and column.  A direct ``parse`` call gets a
+    fresh memo; the CLI passes one to both parses of a command.  Nothing
+    outlives the command.
     """
 
     def __init__(self) -> None:
+        self.lines: dict[str | tuple[str, str], TensorDecl | Statement] = {}
         self.maps: dict[tuple[str | None, str], QuasiAffineMap] = {}
         self.exprs: dict[tuple[str, int], QuasiAffineExpr] = {}
         self.boxes: dict[str, IntBox] = {}
@@ -397,21 +402,27 @@ class _CallMemo:
         return expr
 
 
-def parse(text: str) -> Program:
-    """Parse source text into a Program; structural checks are left to validate()."""
+def parse(text: str, *, _memo: _CallMemo | None = None) -> Program:
+    """Parse source text into a Program; structural checks are left to validate().
+
+    ``_memo`` carries the pieces already built for another program of the
+    same command; by default the call builds its own.
+    """
     tensors: list[TensorDecl] = []
     nests: list[OperatorNest] = []
     # the open nest's name, kind and header line; its loop text and body
     # statements are kept in ``loops_text`` and ``body``
     current: tuple[str, str, int] | None = None
-    memo = _CallMemo()
+    memo = _CallMemo() if _memo is None else _memo
+    lines = memo.lines
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if current is None:
-            m = _TENSOR_RE.match(line)
+            decl = lines.get(line)
+            m = None if decl is not None else _TENSOR_RE.match(line)
             if m:
                 name, es, shape_text, loc, axis, banks, policy, origin = m.groups()
                 try:
@@ -433,7 +444,9 @@ def parse(text: str) -> Program:
                         except ValueError as exc:
                             raise ParseError(str(exc), lineno) from None
                     location = OnChip(mapping)
-                tensors.append(TensorDecl(name, int(es), shape, location, _ORIGINS[origin]))
+                decl = lines[line] = TensorDecl(name, int(es), shape, location, _ORIGINS[origin])
+            if decl is not None:
+                tensors.append(decl)
                 continue
             m = _NEST_RE.match(line)
             if m:
@@ -444,41 +457,46 @@ def parse(text: str) -> Program:
                 continue
             raise ParseError(f"expected a tensor declaration or nest header, got '{line}'", lineno)
 
-        # inside a nest; an access's column counts from the start of the raw line
         if line == "}":
             nests.append(OperatorNest(current[0], current[1], memo.boxes[loops_text], tuple(body)))
             current = None
             continue
-        # each statement form starts with its own character; only a '%' line
-        # can be either of two, and only one that mentions 'load' can be a load
-        head = line[0]
-        if head == "%":
-            m = _LOAD_RE.match(line) if "load" in line else None
-            if m:
-                result, tensor, exprs_text = m.groups()
-                col0 = len(raw) - len(raw.lstrip()) + m.start(3) + 1
-                body.append(Load(result, tensor, memo.access(exprs_text, loops_text, lineno, col0)))
-                continue
-            m = _COMPUTE_RE.match(line)
-            if m:
-                result, opcode, ops_text = m.groups()
-                body.append(Compute(result, opcode, tuple([o[1:] for o in ops_text.split()])))
-                continue
-        elif head == "s":
-            m = _STORE_RE.match(line)
-            if m:
-                tensor, exprs_text, value = m.groups()
-                col0 = len(raw) - len(raw.lstrip()) + m.start(2) + 1
-                body.append(Store(tensor, memo.access(exprs_text, loops_text, lineno, col0), value))
-                continue
-        elif head == "m":
-            m = _MEMCOPY_RE.match(line)
-            if m:
-                dst, src = m.groups()
-                body.append(Memcopy(dst, src, memo.identity(loops_text)))
-                continue
-        raise ParseError(f"bad statement '{line}'", lineno)
+        stmt = lines.get((line, loops_text))
+        if stmt is None:
+            indent = len(raw) - len(raw.lstrip())
+            stmt = lines[line, loops_text] = _statement(line, indent, loops_text, lineno, memo)
+        body.append(stmt)
 
     if current is not None:
         raise ParseError(f"nest '{current[0]}' never closed (missing '}}')", current[2])
     return Program(tuple(tensors), tuple(nests))
+
+
+def _statement(line: str, indent: int, loops_text: str, lineno: int, memo: _CallMemo) -> Statement:
+    """The statement of a stripped body ``line``; an access's column counts
+    from the start of the raw line, which is ``indent`` wider."""
+    # each statement form starts with its own character; only a '%' line
+    # can be either of two, and only one that mentions 'load' can be a load
+    head = line[0]
+    if head == "%":
+        m = _LOAD_RE.match(line) if "load" in line else None
+        if m:
+            result, tensor, exprs_text = m.groups()
+            col0 = indent + m.start(3) + 1
+            return Load(result, tensor, memo.access(exprs_text, loops_text, lineno, col0))
+        m = _COMPUTE_RE.match(line)
+        if m:
+            result, opcode, ops_text = m.groups()
+            return Compute(result, opcode, tuple([o[1:] for o in ops_text.split()]))
+    elif head == "s":
+        m = _STORE_RE.match(line)
+        if m:
+            tensor, exprs_text, value = m.groups()
+            col0 = indent + m.start(2) + 1
+            return Store(tensor, memo.access(exprs_text, loops_text, lineno, col0), value)
+    elif head == "m":
+        m = _MEMCOPY_RE.match(line)
+        if m:
+            dst, src = m.groups()
+            return Memcopy(dst, src, memo.identity(loops_text))
+    raise ParseError(f"bad statement '{line}'", lineno)

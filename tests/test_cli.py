@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -12,8 +13,12 @@ from types import SimpleNamespace
 
 import pytest
 
+import nestopt.interp
+import nestopt.ir
+import nestopt.textual
 from nestopt.cli import _build_parser, main
 from nestopt.interp import BUFFER_BYTES
+from nestopt.ir import Load, Memcopy, Store
 from nestopt.report import validate_document
 from nestopt.textual import parse
 
@@ -729,3 +734,143 @@ def test_anchors_file_nested_too_deep_is_a_usage_error(tmp_path):
     assert proc.stdout == ""
     assert not (tmp_path / "o.ir").exists()
 
+
+
+# ---------------------------------------------------------------------------
+# Memos that last one command: verify's two programs, optimize's input and
+# output
+
+
+def _access_texts(text):
+    """(access text, loop text) of every load and store access in ``text``."""
+    keys = set()
+    loops = None
+    for line in text.splitlines():
+        header = re.match(r"nest \S+ kind=\w+ \((.*)\) \{$", line)
+        if header:
+            loops = header.group(1)
+        elif line.startswith("  "):
+            keys.update((access, loops) for access in re.findall(r"%\w+\[([^\]]*)\]", line))
+    return keys
+
+
+def _access_keys(program):
+    """(access map, tensor shape) of every access in ``program``, by value."""
+    shapes = {t.name: t.shape for t in program.tensors}
+    keys = set()
+    for nest in program.nests:
+        for stmt in nest.body:
+            if isinstance(stmt, (Load, Store)):
+                keys.add((stmt.access, shapes[stmt.tensor]))
+            elif isinstance(stmt, Memcopy):
+                keys.update((stmt.element_map, shapes[name]) for name in (stmt.dst, stmt.src))
+    return keys
+
+
+@pytest.fixture
+def wavenet_and_dme_output(tmp_path):
+    src, out = tmp_path / "w.ir", tmp_path / "w_opt.ir"
+    assert main(["gen", "wavenet", "30", "3", "--seed", "4", "-o", str(src)]) == 0
+    assert main(["optimize", str(src), "--pass", "dme", "-o", str(out)]) == 0
+    return src, out
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_verify_builds_each_map_of_its_two_files_once(wavenet_and_dme_output, monkeypatch, capsys):
+    src, out = wavenet_and_dme_output
+    left, right = _access_texts(src.read_text()), _access_texts(out.read_text())
+    assert len(left | right) < len(left) + len(right)
+    built = _counting(monkeypatch, nestopt.textual, "affine_map")
+    assert main(["verify", str(src), str(out)]) == 0
+    assert len(built) == len(left | right)
+    # nothing outlives the command: a second one builds every map again
+    assert main(["verify", str(src), str(out)]) == 0
+    assert len(built) == 2 * len(left | right)
+    assert capsys.readouterr().out == "equivalent: 5 trial(s), seed 0\n" * 2
+
+
+def test_verify_checks_and_indexes_each_access_key_of_its_two_files_once(wavenet_and_dme_output, monkeypatch):
+    src, out = wavenet_and_dme_output
+    left, right = _access_keys(parse(src.read_text())), _access_keys(parse(out.read_text()))
+    assert len(left | right) < len(left) + len(right)
+    checked = _counting(monkeypatch, nestopt.ir, "image_escape")
+    indexed = _counting(monkeypatch, nestopt.interp, "_flat_indices")
+    assert main(["verify", str(src), str(out)]) == 0
+    assert len(checked) == len(indexed) == len(left | right)
+    assert main(["verify", str(src), str(out)]) == 0
+    assert len(checked) == len(indexed) == 2 * len(left | right)
+
+
+def test_optimize_checks_each_access_key_of_its_input_and_output_once(tmp_path, monkeypatch):
+    src, out = tmp_path / "w.ir", tmp_path / "w_opt.ir"
+    assert main(["gen", "wavenet", "30", "3", "--seed", "4", "-o", str(src)]) == 0
+    checked = _counting(monkeypatch, nestopt.ir, "image_escape")
+    assert main(["optimize", str(src), "--pass", "dme", "-o", str(out)]) == 0
+    before, after = _access_keys(parse(src.read_text())), _access_keys(parse(out.read_text()))
+    assert len(before | after) < len(before) + len(after)
+    assert len(checked) == len(before | after)
+    assert main(["optimize", str(src), "--pass", "dme", "-o", str(out)]) == 0
+    assert len(checked) == 2 * len(before | after)
+
+
+BROADCAST_ROW = """\
+tensor %x : 4x[4] @dram input
+tensor %y : 4x[4, 4] @dram output
+
+nest n kind=repeat (i0 in 0..4, i1 in 0..4) {
+  %v = load %x[i1]
+  store %y[i0, i1] = %v
+}
+"""
+
+
+def test_verify_parse_error_in_a_line_the_left_file_parsed_names_the_right_file(tmp_path, capsys):
+    # the load line parses under the left file's rank-2 loops, not the right's rank-1
+    left, right = tmp_path / "l.ir", tmp_path / "r.ir"
+    left.write_text(BROADCAST_ROW)
+    right.write_text(
+        "# one row\n"
+        + BROADCAST_ROW.replace("tensor %y : 4x[4, 4]", "tensor %y : 4x[4]")
+        .replace("(i0 in 0..4, i1 in 0..4)", "(i0 in 0..4)")
+        .replace("%y[i0, i1]", "%y[i0]")
+    )
+    assert main(["verify", str(left), str(right)]) == 1
+    line = "  %v = load %x[i1]"
+    assert right.read_text().splitlines()[5] == line
+    message = f"{right}: line 6, col {line.index('i1') + 1}: unknown loop variable i1\n"
+    assert capsys.readouterr() == ("", message)
+
+
+SHIFTED_READ = """\
+tensor %x : 4x[5] @dram input
+tensor %y : 4x[4] @dram output
+
+nest shift kind=copy (i0 in 0..4) {
+  %v = load %x[i0 + 1]
+  store %y[i0] = %v
+}
+"""
+
+
+def test_verify_access_in_bounds_only_on_the_left_is_out_of_bounds_on_the_right(tmp_path, capsys):
+    left, right = tmp_path / "l.ir", tmp_path / "r.ir"
+    left.write_text(SHIFTED_READ)
+    right.write_text(SHIFTED_READ.replace("4x[5]", "4x[4]"))
+    assert main(["verify", str(left), str(right)]) == 1
+    message = f"{right}: OutOfBoundsAccess in nest 'shift' statement 0: access to 'x' leaves its shape at (3,)\n"
+    assert capsys.readouterr() == ("", message)
+    # each file on its own: the same verdicts
+    assert main(["report", str(left), "--json", str(tmp_path / "l.json")]) == 0
+    assert main(["report", str(right)]) == 1
+    assert capsys.readouterr() == ("", message)

@@ -1,6 +1,8 @@
 """Copy-elimination pass: rewrites, skip reasons, fixpoint behaviour."""
 
 import collections
+import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from nestopt.bankmap import AnchorRegistry, run_global_mapping, run_local_baseli
 from nestopt.dme import DmeResult, SkipReason, UseDefIndex, run_dme, try_eliminate_pair
 from nestopt.generators import generate_resnet_analog, generate_wavenet_analog
 from nestopt.interp import equivalent
-from nestopt.ir import Load, find_copy_pairs, validate
+from nestopt.ir import Load, Program, find_copy_pairs, validate
 from nestopt.textual import parse, print_program
 
 
@@ -518,3 +520,60 @@ def test_index_load_queries_follow_edits_in_program_order():
     assert first_pos not in index.loads_of(first.tensor)
     index.remove_statement(last_pos)
     assert list(index.loads_of(last.tensor)) == [first_pos, *before[:-1]]
+
+
+TWICE_STORED = """\
+tensor %a : 4x[4] @dram input
+tensor %t : 4x[4] @sbuf
+tensor %s : 4x[4] @sbuf
+tensor %y : 4x[4] @dram output
+tensor %z : 4x[4] @dram output
+
+nest twice kind=copy (i0 in 0..4) {
+  %v = load %a[i0]
+  store %t[i0] = %v
+  store %t[i0] = %v
+}
+
+nest once kind=copy (i0 in 0..4) {
+  %v = load %a[i0]
+  store %s[i0] = %v
+}
+
+nest outs kind=copy (i0 in 0..4) {
+  %v = load %t[i0]
+  store %y[i0] = %v
+  %w = load %s[i0]
+  store %z[i0] = %w
+}
+"""
+
+
+def test_equal_lines_parsed_as_one_statement_eliminate_as_distinct_ones():
+    shared = parse(TWICE_STORED)
+    twice, once, _ = shared.nests
+    # parse gives equal lines under equal loops one statement object
+    assert twice.body[1] is twice.body[2] and twice.body[0] is once.body[0]
+    distinct = Program(
+        shared.tensors,
+        tuple(replace(n, body=tuple(copy.copy(s) for s in n.body)) for n in shared.nests),
+    )
+    assert distinct == shared and distinct.nests[0].body[1] is not distinct.nests[0].body[2]
+    tried = []
+    for program in (shared, distinct):
+        outcomes = []
+        for pair in find_copy_pairs(program):
+            after, record = try_eliminate_pair(program, pair)
+            outcomes.append((pair.nest, record, print_program(after)))
+        tried.append(outcomes)
+    assert tried[0] == tried[1]
+    reasons = [(nest, r.tensor, r.skipped) for nest, r, _ in tried[0]]
+    assert reasons == [
+        ("twice", "t", SkipReason.NOT_TOTAL_COVER),
+        ("twice", "t", SkipReason.NOT_TOTAL_COVER),
+        ("once", "s", None),
+        ("outs", "y", SkipReason.ESCAPING_OUTPUT),
+        ("outs", "z", SkipReason.ESCAPING_OUTPUT),
+    ]
+    assert run_dme(shared) == run_dme(distinct)
+    assert equivalent(shared, run_dme(shared).program).equivalent

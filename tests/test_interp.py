@@ -5,7 +5,9 @@ import re
 import numpy as np
 import pytest
 
+from nestopt.generators import generate_resnet_analog, generate_wavenet_analog
 from nestopt.interp import (
+    INPUT_RANGE,
     BufferTooLarge,
     EquivalenceResult,
     InterpError,
@@ -15,7 +17,7 @@ from nestopt.interp import (
     random_inputs,
     run,
 )
-from nestopt.ir import Load, Memcopy, Store, validate
+from nestopt.ir import Load, Memcopy, Origin, Store, validate
 from nestopt.textual import parse
 
 
@@ -844,3 +846,101 @@ def test_equivalent_checks_each_programs_sizes_once(monkeypatch):
     checked.clear()
     run(right, random_inputs(right, 0))
     assert checked == [right]
+
+
+SHRUNK_T = """\
+tensor %x : 4x[8] @dram input
+tensor %t : 4x[8] @sbuf
+tensor %y : 4x[8] @dram output
+
+nest a kind=copy (i0 in 0..8) {
+  %v = load %x[i0]
+  store %t[i0] = %v
+}
+
+nest b kind=copy (i0 in 0..8) {
+  %v = load %t[i0]
+  store %y[i0] = %v
+}
+"""
+
+
+def test_equivalent_index_key_that_fails_only_on_the_right_names_the_right_side():
+    # every access of the left program has the one key (i0 over 0..8, shape
+    # (8,)), which the right program shares except for the smaller 't'
+    left, right = parse(SHRUNK_T), parse(SHRUNK_T.replace("%t : 4x[8]", "%t : 4x[4]"))
+    with pytest.raises(InterpError) as err:
+        equivalent(left, right, trials=2)
+    assert err.value.side == 1
+    message = "nest 'a' statement 1: access to 't' out of bounds at point (4,): index (4,) outside shape (4,)"
+    assert str(err.value) == message
+    with pytest.raises(InterpError) as err:
+        equivalent(right, left, trials=2)
+    assert (err.value.side, str(err.value)) == (0, message)
+
+
+def test_nest_that_reads_what_it_writes_names_every_such_tensor_in_order():
+    src = """\
+tensor %a : 4x[4] @dram input
+tensor %t : 4x[4] @sbuf
+tensor %s : 4x[4] @sbuf
+tensor %y : 4x[4] @dram output
+
+nest first kind=copy (i0 in 0..4) {
+  %v = load %a[i0]
+  store %t[i0] = %v
+}
+
+nest loop kind=other (i0 in 0..4) {
+  %v = load %t[i0]
+  store %s[i0] = %v
+  memcopy %t <- %s
+}
+"""
+    program = parse(src)
+    with pytest.raises(InterpError) as err:
+        run(program, store_of(a=[1, 2, 3, 4]))
+    assert str(err.value) == "nest 'loop' reads tensors it writes: ['s', 't']"
+
+
+def _inputs_drawn_per_tensor(program, seed, trial):
+    """The model inputs drawn one ``integers`` call per tensor, in declaration order."""
+    rng = np.random.default_rng([seed, trial])
+    return {
+        t.name: rng.integers(INPUT_RANGE[0], INPUT_RANGE[1], size=t.shape, dtype=np.int64)
+        for t in program.tensors
+        if t.origin is Origin.MODEL_INPUT
+    }
+
+
+ODD_SHAPES = """\
+tensor %one : 4x[1] @dram input
+tensor %odd : 4x[3, 5] @dram input
+tensor %mid : 4x[8] @sbuf
+tensor %deep : 4x[2, 3, 1, 7] @dram input
+tensor %cell : 4x[1, 1] @dram input
+tensor %y : 4x[1] @dram output
+"""
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: generate_wavenet_analog(12, 3, seed=1),
+        lambda: generate_resnet_analog(64, 3, seed=0),
+        lambda: generate_resnet_analog(2, 1, seed=3),
+        lambda: parse(ODD_SHAPES),
+    ],
+    ids=["wavenet", "resnet64", "resnet2", "odd_shapes"],
+)
+def test_random_inputs_match_one_draw_per_tensor(make):
+    program = make()
+    for seed in (0, 5, 777):
+        for trial in range(4):
+            drawn = random_inputs(program, seed, trial)
+            expected = _inputs_drawn_per_tensor(program, seed, trial)
+            assert drawn.trials is None and drawn.names() == set(expected)
+            for name, values in expected.items():
+                got = drawn.array(name)
+                assert got.dtype == values.dtype and got.shape == values.shape
+                assert np.array_equal(got, values)

@@ -12,6 +12,7 @@ from nestopt.affine import (
     DEFAULT_LIMITS,
     ImageEscape,
     IntBox,
+    Limits,
     MapClass,
     compose,
     expr_interval,
@@ -116,6 +117,19 @@ def test_validate_matches_enumeration_on_shrunk_tensors():
         assert report == _ref_validate(shrunk)
         violations += sum(v.rule == "OutOfBoundsAccess" for v in report)
     assert violations > 0
+
+
+def test_validate_memo_shared_by_several_programs_answers_as_fresh_calls():
+    rng = random.Random(11)
+    program = generate_wavenet_analog(12, 3, seed=1)
+    programs = [program, run_dme(program).program, _shrink_some(program, rng)]
+    memo = nestopt.ir._Bounds()
+    reports = [validate(p, _memo=memo) for p in programs]
+    assert reports == [validate(p) for p in programs]
+    assert reports[:2] == [[], []] and any(v.rule == "OutOfBoundsAccess" for v in reports[2])
+    # the memo holds answers for the limits it was made for only
+    with pytest.raises(ValueError, match="other limits"):
+        validate(program, Limits(enumerate_limit=4), _memo=memo)
 
 
 def test_validate_floordiv_interval_false_alarm():
