@@ -631,9 +631,16 @@ def _match_unflatten(m: QuasiAffineMap) -> tuple[int, tuple[int, ...]] | None:
         radices.append(prev // cur)
     if any(r < 2 for r in radices) or math.prod(radices) != total:
         return None
-    rebuilt = build_unflatten_exprs(base, tuple(radices))
-    if rebuilt != m.exprs:
-        return None
+    # each output must be ``build_unflatten_exprs``'s digit, already in normal
+    # form: ``(x - base) floordiv w - r * ((x - base) floordiv (w * r))``, the
+    # first floordiv written ``x - base`` when w is 1 and the second absent for
+    # the first digit, terms sorted by divisor
+    for j, (e, w, r) in enumerate(zip(m.exprs, _suffix_products(radices), radices)):
+        linear = ((1,), -base) if w == 1 else ((0,), 0)
+        terms = ([((1,), -base, w, 1)] if w > 1 else []) + ([((1,), -base, w * r, -r)] if j else [])
+        found = [(t.coeffs, t.const, t.divisor, t.weight) for t in e.terms]
+        if (e.coeffs, e.const) != linear or found != terms:
+            return None
     return base, tuple(radices)
 
 
@@ -703,7 +710,12 @@ class LatticeImage:
         return all(l >= bl and h <= bh for l, h, bl, bh in zip(bb.los, bb.his, box.los, box.his))
 
     def equals_box(self, box: IntBox) -> bool:
-        return all(s == 1 for s in self.strides) and self.bounding_box() == box
+        """``bounding_box() == box`` with unit strides, compared field by field."""
+        return (
+            self.los == box.los
+            and all(s == 1 for s in self.strides)
+            and box.his == tuple(lo + c for lo, c in zip(self.los, self.counts))
+        )
 
 
 @dataclass(frozen=True)

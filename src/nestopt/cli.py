@@ -124,6 +124,22 @@ class _UsageError(Exception):
     """Bad command-line input: one line on stderr, exit status 2."""
 
 
+def _refuse_clobber(option: str, path: Path | None, *others: tuple[str, Path | None]) -> None:
+    """Refuse ``path``, which ``option`` writes, when it names the same file
+    as one of ``others``, the command's other files as (what it is, path)."""
+    if path is None:
+        return
+    for what, other in others:
+        if other is None:
+            continue
+        try:
+            same = path.samefile(other)
+        except OSError:  # one of the two does not exist yet
+            same = path.resolve() == other.resolve()
+        if same:
+            raise _UsageError(f"{option} {path} is also the {what}; refusing to overwrite it")
+
+
 def _load_registry(args) -> AnchorRegistry:
     if args.banks is not None and args.banks < 1:
         raise _UsageError(f"--banks must be >= 1, got {args.banks}")
@@ -141,6 +157,10 @@ def _load_registry(args) -> AnchorRegistry:
 
 
 def _cmd_optimize(args) -> int:
+    # -o may name the input: the output replaces it
+    _refuse_clobber("-o", args.output, ("anchors file", args.anchors))
+    others = (("input", args.input), ("output", args.output), ("anchors file", args.anchors))
+    _refuse_clobber("--report", args.report, *others)
     registry = _load_registry(args)
     # the output shares most accesses with the input
     bounds = _Bounds()
@@ -209,6 +229,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    _refuse_clobber("--json", args.json_out, ("input", args.input))
     program = _load_program(args.input, _CallMemo(), _Bounds())
     report = account(
         program,

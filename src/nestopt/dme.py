@@ -18,8 +18,9 @@ whose load was rewritten (they read ``dst``) and the pairs that store
 origin, definitions, memcopy readers and store map of its destination) is
 untouched by an elimination, so a skipped pair not re-enqueued would be
 skipped again.  Taking the lowest dirty position therefore picks the same
-pair as a sweep restarted from the first pair, and ``reverse`` runs once
-per distinct store map.
+pair as a sweep restarted from the first pair.  Within one run,
+``reverse`` runs once per distinct store map and ``compose`` once per
+distinct (outer, inner) map pair, since a chain's copies share their maps.
 
 Failures never throw: each considered pair yields a record that is either
 an elimination or a named skip reason.
@@ -28,7 +29,7 @@ an elimination or a named skip reason.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .affine import (
@@ -46,6 +47,7 @@ from .ir import (
     CopyPair,
     Load,
     Memcopy,
+    OperatorNest,
     Origin,
     Program,
     Statement,
@@ -181,7 +183,7 @@ class UseDefIndex:
                 continue
             body = tuple(s for s in self.bodies[ni] if s is not None)
             if body:
-                nests.append(replace(nest, body=body))
+                nests.append(OperatorNest(nest.name, nest.kind, nest.box, body))
         tensors = tuple(t for t in self.program.tensors if t.name not in self._removed_tensors)
         return Program(tensors, tuple(nests))
 
@@ -192,17 +194,25 @@ def try_eliminate_pair(program: Program, pair: CopyPair) -> tuple[Program, Elimi
     ``pair`` must be one of ``find_copy_pairs(program)``.
     """
     index = UseDefIndex(program)
-    record, _ = _eliminate(index, index.position_of(pair), {})
+    record, _ = _eliminate(index, index.position_of(pair), {}, {})
     return (index.to_program() if record.eliminated else program), record
 
 
+# compose's answer per (outer, inner) pair: the map, or the AffineError's class and message
+ComposeMemo = dict[tuple[QuasiAffineMap, QuasiAffineMap], QuasiAffineMap | tuple[type, str]]
+
+
 def _eliminate(
-    index: UseDefIndex, pos: Position, inverses: dict[QuasiAffineMap, InverseResult]
+    index: UseDefIndex,
+    pos: Position,
+    inverses: dict[QuasiAffineMap, InverseResult],
+    composed: ComposeMemo,
 ) -> tuple[EliminationRecord, list[Position]]:
     """Try the pair whose store is at ``pos``, editing ``index`` if it goes.
 
     Returns the record and, after an elimination, the pairs whose inputs
-    changed.  ``inverses`` memoizes ``reverse`` by store map.
+    changed.  ``inverses`` memoizes ``reverse`` by store map, ``composed``
+    memoizes ``compose`` by (outer, inner) map pair.
     """
     nest_i, store_i = pos
     load_i = index.pairs[pos]
@@ -240,7 +250,7 @@ def _eliminate(
         )
 
     try:
-        dst_to_src = compose(load.access, inv.map)
+        dst_to_src = _compose_once(composed, load.access, inv.map)
     except UnrepresentableComposition:
         return skip(SkipReason.COMPOSITION_UNREPRESENTABLE, "store-to-load map left the expression language")
     except AffineError as exc:
@@ -253,7 +263,7 @@ def _eliminate(
             continue
         stmt = index.statement(load_pos)
         try:
-            routed = compose(dst_to_src, stmt.access)
+            routed = _compose_once(composed, dst_to_src, stmt.access)
         except UnrepresentableComposition:
             return skip(
                 SkipReason.COMPOSITION_UNREPRESENTABLE,
@@ -274,6 +284,24 @@ def _eliminate(
     touched.extend(index.pairs_storing.get(src_name, ()))
     index.remove_tensor(dst.name)
     return EliminationRecord(dst.name, dst.footprint_bytes, len(rewrites)), touched
+
+
+def _compose_once(composed: ComposeMemo, outer: QuasiAffineMap, inner: QuasiAffineMap) -> QuasiAffineMap:
+    """``compose(outer, inner)``, computed on the pair's first request only.
+    A failure is kept as its class and message, not as the exception, whose
+    traceback would hold the attempt's frames, and raised anew each time."""
+    key = (outer, inner)
+    answer = composed.get(key)
+    if answer is None:
+        try:
+            answer = compose(outer, inner)
+        except AffineError as exc:
+            answer = (type(exc), str(exc))
+        composed[key] = answer
+    if isinstance(answer, tuple):
+        error, message = answer
+        raise error(message)
+    return answer
 
 
 def _has_other_uses(body, value: str) -> bool:
@@ -321,6 +349,7 @@ def run_dme(program: Program) -> DmeResult:
     """
     index = UseDefIndex(program)
     inverses: dict[QuasiAffineMap, InverseResult] = {}
+    composed: ComposeMemo = {}
     worklist = sorted(index.pairs)  # a sorted list is already a heap
     queued = set(worklist)
     skips: dict[Position, EliminationRecord] = {}
@@ -328,7 +357,7 @@ def run_dme(program: Program) -> DmeResult:
     while worklist:
         pos = heapq.heappop(worklist)
         queued.remove(pos)
-        record, touched = _eliminate(index, pos, inverses)
+        record, touched = _eliminate(index, pos, inverses, composed)
         if not record.eliminated:
             skips[pos] = record
             continue

@@ -90,7 +90,7 @@ class TensorDecl:
     def rank(self) -> int:
         return len(self.shape)
 
-    @property
+    @cached_property
     def index_box(self) -> IntBox:
         return IntBox.from_extents(*self.shape)
 
@@ -243,7 +243,7 @@ def validate(
     decls = program.tensor_map
     # one answer per distinct (map, shape) and box bounds while the memo
     # lives.  No image is checked that int64 cannot hold.
-    bounds, magnitudes = memo.escapes, memo.magnitudes
+    magnitudes = memo.magnitudes
     produced: set[str] = {t.name for t in program.tensors if t.origin is Origin.MODEL_INPUT}
     produced_by: dict[str, str] = {}
     seen_nests: set[str] = set()
@@ -263,43 +263,31 @@ def validate(
         if mag > INT64_MAX:
             out.append(Violation(INT64_OVERFLOW, nest.name, None, "loop bounds leave int64"))
 
+        # the walk's own dispatch collects the nest's read and written
+        # tensors, each dict in first-reference order
+        reads: dict[str, None] = {}
+        writes: dict[str, None] = {}
         defined: set[str] = set()
         for si, stmt in enumerate(nest.body):
-            for tname, access in _accesses_of(stmt):
-                decl = decls.get(tname)
-                if decl is None:
-                    out.append(
-                        Violation("UndefinedTensor", nest.name, si, f"tensor '{tname}' not declared")
-                    )
-                    continue
-                if access.domain != nest.box:
-                    out.append(
-                        Violation("DomainMismatch", nest.name, si, "access domain differs from nest box")
-                    )
-                    continue
-                if access.out_arity != decl.rank:
-                    out.append(
-                        Violation(
-                            "RankMismatch",
-                            nest.name,
-                            si,
-                            f"access produces {access.out_arity} indices for rank-{decl.rank} '{tname}'",
-                        )
-                    )
-                    continue
-                key = (access, decl.shape)  # the access's domain is the nest box
-                escape = bounds.get(key, False)
-                if escape is False:
-                    if mag > INT64_MAX:
-                        escape = None
-                    elif map_fits_int64(access, mag):
-                        escape = image_escape(access, (0,) * decl.rank, decl.shape, limits)
-                    else:
-                        escape = INT64_OVERFLOW
-                    bounds[key] = escape
-                if escape is not None:
-                    out.append(_bounds_violation(escape, nest.name, si, tname))
-            if isinstance(stmt, Compute):
+            if isinstance(stmt, Load):
+                _check_access(out, memo, decls, nest, mag, si, stmt.tensor, stmt.access)
+                reads[stmt.tensor] = None
+                result = stmt.result
+            elif isinstance(stmt, Store):
+                _check_access(out, memo, decls, nest, mag, si, stmt.tensor, stmt.access)
+                if stmt.value not in defined:
+                    out.append(Violation("UseBeforeDef", nest.name, si, f"value %{stmt.value} not defined yet"))
+                _check_write(out, decls, nest, si, stmt.tensor)
+                writes[stmt.tensor] = None
+                continue
+            elif isinstance(stmt, Memcopy):
+                _check_access(out, memo, decls, nest, mag, si, stmt.dst, stmt.element_map)
+                _check_access(out, memo, decls, nest, mag, si, stmt.src, stmt.element_map)
+                _check_write(out, decls, nest, si, stmt.dst)
+                reads[stmt.src] = None
+                writes[stmt.dst] = None
+                continue
+            elif isinstance(stmt, Compute):
                 arity = OPCODE_ARITY.get(stmt.opcode)
                 if arity is None:
                     out.append(Violation("BadOpcode", nest.name, si, f"unknown opcode '{stmt.opcode}'"))
@@ -308,18 +296,14 @@ def validate(
                 for op in stmt.operands:
                     if op not in defined:
                         out.append(Violation("UseBeforeDef", nest.name, si, f"value %{op} not defined yet"))
-            if isinstance(stmt, Store) and stmt.value not in defined:
-                out.append(Violation("UseBeforeDef", nest.name, si, f"value %{stmt.value} not defined yet"))
-            if isinstance(stmt, (Load, Compute)):
-                if stmt.result in defined:
-                    out.append(Violation("Redefinition", nest.name, si, f"value %{stmt.result} redefined"))
-                defined.add(stmt.result)
-            for tname, _ in writes_of(stmt):
-                decl = decls.get(tname)
-                if decl is not None and decl.origin is Origin.MODEL_INPUT:
-                    out.append(Violation("StoreToInput", nest.name, si, f"model input '{tname}' written"))
+                result = stmt.result
+            else:
+                continue
+            if result in defined:
+                out.append(Violation("Redefinition", nest.name, si, f"value %{result} redefined"))
+            defined.add(result)
 
-        for tname in nest.read_tensors():
+        for tname in reads:
             if tname in decls and tname not in produced:
                 out.append(
                     Violation(
@@ -329,7 +313,7 @@ def validate(
                         f"tensor '{tname}' read before any earlier nest stores it",
                     )
                 )
-        for tname in nest.written_tensors():
+        for tname in writes:
             if tname in produced_by:
                 out.append(
                     Violation(
@@ -345,6 +329,51 @@ def validate(
     return out
 
 
+def _check_access(
+    out: list[Violation],
+    memo: _Bounds,
+    decls: dict[str, TensorDecl],
+    nest: OperatorNest,
+    mag: int,
+    si: int,
+    tname: str,
+    access: QuasiAffineMap,
+) -> None:
+    """Append the violation, if any, of statement ``si``'s access to ``tname``."""
+    decl = decls.get(tname)
+    if decl is None:
+        out.append(Violation("UndefinedTensor", nest.name, si, f"tensor '{tname}' not declared"))
+        return
+    if access.domain != nest.box:
+        out.append(Violation("DomainMismatch", nest.name, si, "access domain differs from nest box"))
+        return
+    if access.out_arity != decl.rank:
+        message = f"access produces {access.out_arity} indices for rank-{decl.rank} '{tname}'"
+        out.append(Violation("RankMismatch", nest.name, si, message))
+        return
+    key = (access, decl.shape)  # the access's domain is the nest box
+    escape = memo.escapes.get(key, False)
+    if escape is False:
+        if mag > INT64_MAX:
+            escape = None
+        elif map_fits_int64(access, mag):
+            escape = image_escape(access, (0,) * decl.rank, decl.shape, memo.limits)
+        else:
+            escape = INT64_OVERFLOW
+        memo.escapes[key] = escape
+    if escape is not None:
+        out.append(_bounds_violation(escape, nest.name, si, tname))
+
+
+def _check_write(
+    out: list[Violation], decls: dict[str, TensorDecl], nest: OperatorNest, si: int, tname: str
+) -> None:
+    """Append the violation, if any, of statement ``si``'s write to ``tname``."""
+    decl = decls.get(tname)
+    if decl is not None and decl.origin is Origin.MODEL_INPUT:
+        out.append(Violation("StoreToInput", nest.name, si, f"model input '{tname}' written"))
+
+
 def _bounds_violation(escape: ImageEscape | str, nest: str, si: int, tname: str) -> Violation:
     """The violation of an access whose bounds check found ``escape``."""
     if escape is INT64_OVERFLOW:
@@ -352,16 +381,6 @@ def _bounds_violation(escape: ImageEscape | str, nest: str, si: int, tname: str)
     where = f" at {escape.witness}" if escape.witness is not None else ""
     message = f"access to '{tname}' leaves its shape{where}"
     return Violation("OutOfBoundsAccess", nest, si, message, escape.witness)
-
-
-def _accesses_of(stmt: Statement):
-    if isinstance(stmt, Load):
-        yield stmt.tensor, stmt.access
-    elif isinstance(stmt, Store):
-        yield stmt.tensor, stmt.access
-    elif isinstance(stmt, Memcopy):
-        yield stmt.dst, stmt.element_map
-        yield stmt.src, stmt.element_map
 
 
 def reads_of(stmt: Statement) -> Iterator[tuple[str, QuasiAffineMap]]:

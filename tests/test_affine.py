@@ -7,6 +7,7 @@ with the implementation under test.
 
 import collections
 import dataclasses
+import functools
 import itertools
 import math
 import pickle
@@ -1024,3 +1025,88 @@ def test_int64_bound_counts_each_floordiv_term():
     wraps = affine_map(box, (sum(terms) + i0,))
     assert wraps.evaluate((1, 1)) == (2**63 + 1,)
     assert not map_fits_int64(wraps, box_magnitude(box))
+
+
+def _ref_match_unflatten(m):
+    """Reference recognizer: find (base, radices) from the divisors, then
+    rebuild the digits and compare."""
+    if m.in_arity != 1 or m.out_arity < 2 or m.domain.his[0] - m.domain.los[0] < 4:
+        return None
+    base, total = m.domain.los[0], m.domain.his[0] - m.domain.los[0]
+    weights = [min((t.divisor for t in e.terms), default=None) for e in m.exprs[:-1]] + [1]
+    if None in weights or total % weights[0]:
+        return None
+    radices = [total // weights[0]]
+    for prev, cur in zip(weights, weights[1:]):
+        if prev % cur:
+            return None
+        radices.append(prev // cur)
+    if min(radices) < 2 or math.prod(radices) != total:
+        return None
+    return (base, tuple(radices)) if _rebuilt_digits(base, tuple(radices)) == m.exprs else None
+
+
+_rebuilt_digits = functools.cache(build_unflatten_exprs)
+
+
+def _perturbed(e, kind):
+    """``e`` with its constant, its first term's constant or its coefficient moved by one."""
+    if kind == 0:
+        return QuasiAffineExpr(e.coeffs, e.const + 1, e.terms)
+    if kind == 1 and e.terms:
+        t = e.terms[0]
+        moved = DivModTerm(t.coeffs, t.const + 1, t.divisor, t.weight)
+        return QuasiAffineExpr(e.coeffs, e.const, (moved, *e.terms[1:]))
+    return QuasiAffineExpr((e.coeffs[0] + 1,), e.const, e.terms)
+
+
+def test_unflatten_recognizer_agrees_with_rebuilding_the_digits():
+    # every base and radix list of the grid, canonical, on a shifted domain,
+    # and with one digit's constant, first term or coefficient moved; the
+    # moved digit and what moves rotate through the grid
+    grid = itertools.product(
+        range(-13, 14),
+        itertools.chain.from_iterable(itertools.product(range(2, 6), repeat=n) for n in (2, 3, 4)),
+    )
+    recognized = 0
+    for i, (base, radices) in enumerate(grid):
+        total = math.prod(radices)
+        exprs = _rebuilt_digits(base, radices)
+        j = i % len(radices)
+        moved = (*exprs[:j], _perturbed(exprs[j], i % 3), *exprs[j + 1 :])
+        maps = [affine_map(box((lo, lo + total)), exprs) for lo in (base, base + 1)]
+        maps.append(affine_map(box((base, base + total)), moved))
+        for m in maps:
+            got = _match_unflatten(m)
+            assert got == _ref_match_unflatten(m), m
+            recognized += got is not None
+    assert recognized == 27 * (16 + 64 + 256)
+
+
+@st.composite
+def lattices_and_boxes(draw):
+    """A lattice image and a box, often its own bounding box, moved a little
+    or of another rank."""
+    n = draw(st.integers(0, 3))
+    img = LatticeImage(
+        tuple(draw(small_int) for _ in range(n)),
+        tuple(draw(st.integers(1, 3)) for _ in range(n)),
+        tuple(draw(st.integers(0, 4)) for _ in range(n)),
+    )
+    bb = img.bounding_box()
+    los, his = list(bb.los), list(bb.his)
+    if n and draw(st.booleans()):
+        k = draw(st.integers(0, n - 1))
+        los[k] -= draw(st.integers(0, 1))
+        his[k] += draw(st.integers(0, 1))
+    if draw(st.integers(0, 3)) == 0:
+        m = draw(st.integers(0, 3))
+        los, his = los[:m] + [0] * (m - n), his[:m] + [1] * (m - n)
+    return img, IntBox(tuple(los), tuple(his))
+
+
+@given(lattices_and_boxes())
+@settings(max_examples=300, derandomize=True)
+def test_lattice_equals_box_is_bounding_box_equality_with_unit_strides(case):
+    img, b = case
+    assert img.equals_box(b) == (all(s == 1 for s in img.strides) and img.bounding_box() == b)

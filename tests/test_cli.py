@@ -379,6 +379,73 @@ def test_bad_option_values_are_usage_errors(tmp_path, argv, message):
     assert not (tmp_path / "o.ir").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["optimize", "w.ir", "--pass", "dme", "-o", "o.ir", "--report", "o.ir"],
+            "nestopt optimize: --report o.ir is also the output; refusing to overwrite it",
+        ),
+        (
+            ["optimize", "w.ir", "--pass", "dme", "-o", "o.ir", "--report", "w.ir"],
+            "nestopt optimize: --report w.ir is also the input; refusing to overwrite it",
+        ),
+        (
+            ["optimize", "w.ir", "--pass", "dme", "-o", "w.ir", "--report", "sub/../w.ir"],
+            "nestopt optimize: --report sub/../w.ir is also the input; refusing to overwrite it",
+        ),
+        (
+            ["optimize", "w.ir", "--pass", "dme", "-o", "o.ir", "--report", "link.ir"],
+            "nestopt optimize: --report link.ir is also the input; refusing to overwrite it",
+        ),
+        (
+            ["optimize", "w.ir", "--pass", "dme", "-o", "o.ir", "--report", "hard.ir"],
+            "nestopt optimize: --report hard.ir is also the input; refusing to overwrite it",
+        ),
+        (
+            ["optimize", "w.ir", "--pass", "bankmap", "--anchors", "a.json", "-o", "o.ir", "--report", "a.json"],
+            "nestopt optimize: --report a.json is also the anchors file; refusing to overwrite it",
+        ),
+        (
+            ["optimize", "w.ir", "--pass", "bankmap", "--anchors", "a.json", "-o", "a.json"],
+            "nestopt optimize: -o a.json is also the anchors file; refusing to overwrite it",
+        ),
+        (["report", "w.ir", "--json", "w.ir"], "nestopt report: --json w.ir is also the input; refusing to overwrite it"),
+        (["report", "w.ir", "--json", "link.ir"], "nestopt report: --json link.ir is also the input; refusing to overwrite it"),
+    ],
+    ids=["report-is-output", "report-is-input", "report-is-input-by-another-path", "report-is-input-by-symlink",
+         "report-is-input-by-hard-link", "report-is-anchors", "output-is-anchors", "json-is-input", "json-is-input-by-symlink"],
+)
+def test_a_written_file_that_is_another_of_the_commands_files_is_a_usage_error(
+    tmp_path, monkeypatch, capsys, argv, message
+):
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "wavenet", "3", "0", "-o", "w.ir"]) == 0
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "link.ir").symlink_to("w.ir")
+    (tmp_path / "hard.ir").hardlink_to(tmp_path / "w.ir")
+    anchors = resources.files("nestopt").joinpath("data/anchors.json").read_bytes()
+    (tmp_path / "a.json").write_bytes(anchors)
+    program = (tmp_path / "w.ir").read_bytes()
+    capsys.readouterr()
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert err.splitlines() == [message]
+    assert out == ""
+    assert (tmp_path / "w.ir").read_bytes() == program
+    assert (tmp_path / "a.json").read_bytes() == anchors
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "hard.ir", "link.ir", "sub", "w.ir"]
+
+
+def test_optimize_may_write_its_output_over_its_input(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "wavenet", "3", "0", "-o", "w.ir"]) == 0
+    assert main(["optimize", "w.ir", "--pass", "dme", "-o", "o.ir"]) == 0
+    assert main(["optimize", "w.ir", "--pass", "dme", "-o", "w.ir", "--report", "r.json"]) == 0
+    assert (tmp_path / "w.ir").read_text() == (tmp_path / "o.ir").read_text()
+    assert validate_document(json.loads((tmp_path / "r.json").read_text())) is None
+
+
 RANK1_CONV = """\
 tensor %x : 4x[4] @dram input
 tensor %w : 4x[4] @dram input

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import nestopt.dme
+from nestopt.affine import ImageEscapesDomain
 from nestopt.bankmap import AnchorRegistry, run_global_mapping, run_local_baseline
-from nestopt.dme import DmeResult, SkipReason, UseDefIndex, run_dme, try_eliminate_pair
+from nestopt.dme import DmeResult, EliminationRecord, SkipReason, UseDefIndex, run_dme, try_eliminate_pair
 from nestopt.generators import generate_resnet_analog, generate_wavenet_analog
 from nestopt.interp import equivalent
 from nestopt.ir import Load, Program, find_copy_pairs, validate
@@ -577,3 +578,122 @@ def test_equal_lines_parsed_as_one_statement_eliminate_as_distinct_ones():
     ]
     assert run_dme(shared) == run_dme(distinct)
     assert equivalent(shared, run_dme(shared).program).equivalent
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: generate_wavenet_analog(100, 10, seed=2), lambda: generate_resnet_analog(8, 3, seed=1)],
+    ids=["wavenet", "resnet"],
+)
+def test_compose_runs_once_per_distinct_map_pair(monkeypatch, make):
+    program = make()
+    expected = run_dme(program)
+    calls = collections.Counter()
+    original = nestopt.dme.compose
+
+    def counting(outer, inner, *args, **kwargs):
+        calls[outer, inner] += 1
+        return original(outer, inner, *args, **kwargs)
+
+    monkeypatch.setattr(nestopt.dme, "compose", counting)
+    assert run_dme(program) == expected
+    assert expected.eliminated and calls and max(calls.values()) == 1
+
+
+# Two flattens whose consumers read alike through a floordiv, and two whose
+# own loads do: each pair of skips asks for one composition twice.
+FAILING_ALIKE = """\
+tensor %t0 : 4x[3, 4] @dram input
+tensor %s0 : 4x[2, 3] @dram input
+tensor %t1 : 4x[12] @sbuf
+tensor %t2 : 4x[12] @sbuf
+tensor %s1 : 4x[12] @sbuf
+tensor %s2 : 4x[12] @sbuf
+tensor %t3 : 4x[3, 4] @sbuf
+tensor %y1 : 4x[24] @dram output
+tensor %y2 : 4x[24] @dram output
+tensor %z : 4x[12] @dram output
+
+nest flat1 kind=reshape (i0 in 0..3, i1 in 0..4) {
+  %v = load %t0[i0, i1]
+  store %t1[4*i0 + i1] = %v
+}
+
+nest flat2 kind=reshape (i0 in 0..3, i1 in 0..4) {
+  %v = load %t0[i0, i1]
+  store %t2[4*i0 + i1] = %v
+}
+
+nest gather1 kind=reshape (i0 in 0..3, i1 in 0..4) {
+  %v = load %s0[(i1) floordiv 2, i0]
+  store %s1[4*i0 + i1] = %v
+}
+
+nest gather2 kind=reshape (i0 in 0..3, i1 in 0..4) {
+  %v = load %s0[(i1) floordiv 2, i0]
+  store %s2[4*i0 + i1] = %v
+}
+
+nest cp kind=copy (i0 in 0..3, i1 in 0..4) {
+  %v = load %t0[i0, i1]
+  store %t3[i0, i1] = %v
+}
+
+nest use1 kind=elementwise (i0 in 0..24) {
+  %v = load %t1[(i0) floordiv 2]
+  %w = neg %v
+  store %y1[i0] = %w
+}
+
+nest use2 kind=elementwise (i0 in 0..24) {
+  %v = load %t2[(i0) floordiv 2]
+  %w = neg %v
+  store %y2[i0] = %w
+}
+
+nest use3 kind=elementwise (i0 in 0..12) {
+  %a = load %s1[i0]
+  %b = load %s2[i0]
+  %c = load %t3[(i0) floordiv 4, (i0) mod 4]
+  %d = add %a %b
+  %e = add %d %c
+  store %z[i0] = %e
+}
+"""
+
+
+def test_compositions_that_fail_alike_keep_each_pairs_detail(monkeypatch):
+    program = parse(FAILING_ALIKE)
+    assert validate(program) == []
+    unrepresentable = SkipReason.COMPOSITION_UNREPRESENTABLE
+    t3 = EliminationRecord("t3", 48, 1)
+    s_skips = [
+        EliminationRecord(s, 48, 0, unrepresentable, "store-to-load map left the expression language")
+        for s in ("s1", "s2")
+    ]
+
+    def t_skips(detail):
+        return [EliminationRecord(t, 48, 0, unrepresentable, detail(t)) for t in ("t1", "t2")]
+
+    # the restart reference composes afresh for every try of every pair
+    rewritten = t_skips(lambda t: f"rewritten load in nest 'use{t[1]}' left the expression language")
+    assert assert_matches_restart(program).records == (t3, *rewritten, *s_skips)
+
+    # another AffineError keeps its message for every pair that asks
+    calls = collections.Counter()
+    original = nestopt.dme.compose
+
+    def escaping(outer, inner, *args, **kwargs):
+        calls[outer, inner] += 1
+        if inner.domain.cardinality == 24:
+            raise ImageEscapesDomain(f"forced on {inner.domain.his}")
+        return original(outer, inner, *args, **kwargs)
+
+    monkeypatch.setattr(nestopt.dme, "compose", escaping)
+    result = run_dme(program)
+    assert result.records == (t3, *t_skips(lambda t: "forced on (24,)"), *s_skips)
+    # eight requests for four pairs: each flatten asks for its store-to-load
+    # map and its routed load, each gather for its store-to-load map, and the
+    # copy for its identity store-to-load map and its routed load, which reads
+    # t3 through the very digit extraction that inverts the flattens' store
+    assert list(calls.values()) == [1] * 4

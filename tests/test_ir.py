@@ -14,6 +14,8 @@ from nestopt.affine import (
     IntBox,
     Limits,
     MapClass,
+    QuasiAffineExpr,
+    QuasiAffineMap,
     compose,
     expr_interval,
     identity_map,
@@ -22,10 +24,18 @@ from nestopt.bankmap import run_global_mapping, run_local_baseline
 from nestopt.dme import UseDefIndex, run_dme
 from nestopt.generators import generate_resnet_analog, generate_wavenet_analog
 from nestopt.ir import (
+    BankMapping,
     Compute,
     DependenceEdge,
     Load,
+    Memcopy,
+    OnChip,
+    OperatorNest,
+    Origin,
+    Program,
     Store,
+    TensorDecl,
+    Violation,
     dependence_edges,
     find_copy_pairs,
     is_pure_copy_nest,
@@ -234,6 +244,98 @@ nest two kind=copy (i0 in 0..4) {
 """
     rules = [v.rule for v in validate(parse(src))]
     assert rules == ["MultipleProducers"]
+
+
+
+def _lin(box, *rows):
+    return QuasiAffineMap(box, tuple(QuasiAffineExpr(c, k) for c, k in rows))
+
+
+def _breaks_every_rule():
+    """A program breaking every rule ``validate`` has, several within one
+    nest, in the order its walk meets them."""
+    b = IntBox.from_extents(4)
+    far = IntBox((-(1 << 63) - 1,), (-(1 << 63) + 1,))  # two points, past int64
+    ident, far_ident = _lin(b, ((1,), 0)), _lin(far, ((1,), 0))
+    tensors = (
+        TensorDecl("a", 4, (4,), origin=Origin.MODEL_INPUT),
+        TensorDecl("m", 4, (2, 2)),
+        TensorDecl("bad", 0, (4,)),
+        TensorDecl("huge", 4, (1 << 21, 1 << 20)),
+        TensorDecl("banked", 4, (4,), OnChip(BankMapping(2, 2))),
+        TensorDecl("b", 4, (4,)),
+        TensorDecl("c", 4, (4,)),
+        TensorDecl("m", 4, (2, 2)),
+        TensorDecl("y", 4, (4,), origin=Origin.MODEL_OUTPUT),
+    )
+    n1 = OperatorNest("n1", "bogus", b, (
+        Load("v", "ghost", ident),
+        Load("u", "a", _lin(IntBox.from_extents(5), ((1,), 0))),
+        Load("w", "a", _lin(b, ((1,), 0), ((1,), 0))),
+        Load("x", "b", _lin(b, ((1,), 1))),
+        Memcopy("c", "y", ident),
+        Compute("z", "frob", ("v", "nope")),
+        Compute("z", "add", ("v",)),
+        Store("a", ident, "q"),
+        Memcopy("a", "m", ident),
+        Memcopy("ghost2", "c", _lin(b, ((1,), 2))),
+        Store("b", ident, "v"),
+        Store("c", _lin(b, ((1 << 62,), 0)), "x"),
+        Load("x2", "m", _lin(b, ((0,), 0), ((1,), 0))),
+    ))
+    n3 = OperatorNest("n3", "copy", far, (
+        Load("v", "y", far_ident),
+        Memcopy("c", "banked", far_ident),
+        Load("u", "m", _lin(far, ((0,), 0), ((0,), 0))),
+        Store("b", far_ident, "v"),
+        Store("y", far_ident, "v"),
+        Memcopy("a", "b", far_ident),
+    ))
+    return Program(tensors, (n1, OperatorNest("n1", "copy", b, ()), n3))
+
+
+def test_validate_reports_every_rule_in_walk_order():
+    # a memcopy's destination is checked before its source, and a nest's
+    # read and written tensors follow their first reference
+    expected = [
+        ("BadDeclaration", None, None, "tensor 'bad' has bad shape/elem size", None),
+        ("BadDeclaration", None, None, "tensor 'huge' has 2199023255552 cells, more than 2^40", None),
+        ("BadDeclaration", None, None, "tensor 'banked' banks missing axis", None),
+        ("DuplicateTensor", None, None, "tensor 'm' declared twice", None),
+        ("UnknownKind", "n1", None, "operator kind 'bogus'", None),
+        ("UndefinedTensor", "n1", 0, "tensor 'ghost' not declared", None),
+        ("DomainMismatch", "n1", 1, "access domain differs from nest box", None),
+        ("RankMismatch", "n1", 2, "access produces 2 indices for rank-1 'a'", None),
+        ("OutOfBoundsAccess", "n1", 3, "access to 'b' leaves its shape at (3,)", (3,)),
+        ("BadOpcode", "n1", 5, "unknown opcode 'frob'", None),
+        ("UseBeforeDef", "n1", 5, "value %nope not defined yet", None),
+        ("BadOpcode", "n1", 6, "'add' wants 2 operands", None),
+        ("Redefinition", "n1", 6, "value %z redefined", None),
+        ("UseBeforeDef", "n1", 7, "value %q not defined yet", None),
+        ("StoreToInput", "n1", 7, "model input 'a' written", None),
+        ("RankMismatch", "n1", 8, "access produces 1 indices for rank-2 'm'", None),
+        ("StoreToInput", "n1", 8, "model input 'a' written", None),
+        ("UndefinedTensor", "n1", 9, "tensor 'ghost2' not declared", None),
+        ("OutOfBoundsAccess", "n1", 9, "access to 'c' leaves its shape at (2,)", (2,)),
+        ("Int64Overflow", "n1", 11, "access to 'c' can take values beyond int64", None),
+        ("OutOfBoundsAccess", "n1", 12, "access to 'm' leaves its shape at (2,)", (2,)),
+        ("ReadBeforeProduce", "n1", None, "tensor 'b' read before any earlier nest stores it", None),
+        ("ReadBeforeProduce", "n1", None, "tensor 'y' read before any earlier nest stores it", None),
+        ("ReadBeforeProduce", "n1", None, "tensor 'm' read before any earlier nest stores it", None),
+        ("ReadBeforeProduce", "n1", None, "tensor 'c' read before any earlier nest stores it", None),
+        ("DuplicateNest", "n1", None, "nest name reused", None),
+        ("EmptyBody", "n1", None, "nest body is empty", None),
+        ("Int64Overflow", "n3", None, "loop bounds leave int64", None),
+        ("StoreToInput", "n3", 5, "model input 'a' written", None),
+        ("ReadBeforeProduce", "n3", None, "tensor 'y' read before any earlier nest stores it", None),
+        ("ReadBeforeProduce", "n3", None, "tensor 'banked' read before any earlier nest stores it", None),
+        ("ReadBeforeProduce", "n3", None, "tensor 'm' read before any earlier nest stores it", None),
+        ("MultipleProducers", "n3", None, "tensor 'c' already produced by nest 'n1'", None),
+        ("MultipleProducers", "n3", None, "tensor 'b' already produced by nest 'n1'", None),
+        ("MultipleProducers", "n3", None, "tensor 'a' already produced by nest 'n1'", None),
+    ]
+    program = _breaks_every_rule()
+    assert validate(program) == [Violation(*v) for v in expected]
 
 
 CHAIN_SRC = """\
