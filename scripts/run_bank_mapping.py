@@ -47,11 +47,8 @@ def main() -> int:
             registry = AnchorRegistry.from_file(args.anchors, args.banks)
         except OSError as exc:
             ap.error(f"argument --anchors: cannot read {args.anchors}: {exc.strerror}")
-        except (AttributeError, KeyError, RecursionError, TypeError, ValueError) as exc:
-            # ValueError covers invalid JSON as well as bad axes, policies and bank
-            # counts; RecursionError covers JSON nested deeper than the decoder goes
-            detail = " ".join(str(exc).split())
-            ap.error(f"argument --anchors: malformed {args.anchors}: {type(exc).__name__}: {detail}")
+        except ValueError as exc:
+            ap.error(f"argument --anchors: malformed {args.anchors}: {exc}")
 
     print(f"{'B':>3}{'T':>3}{'global bytes':>14}{'local bytes':>13}{'saved':>9}")
     worst = 0.0

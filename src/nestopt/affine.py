@@ -26,7 +26,7 @@ building expressions by hand.  ``image_escape``, the one containment check,
 serves ``compose`` and ``ir.validate``: interval-first, it computes the exact
 image or enumerates only when some output's value interval leaves the box.
 Enumeration is in numpy int64, so ``ir.validate`` rejects each box and access
-whose values ``box_magnitude`` and ``map_fits_int64`` cannot bound within it.
+whose values ``IntBox.magnitude`` and ``map_fits_int64`` cannot bound within it.
 
 floordiv rounds toward -inf, so ``x mod d`` read that way is always in
 ``[0, d)`` and ``x == d * (x floordiv d) + (x mod d)`` holds unconditionally.
@@ -58,6 +58,9 @@ if TYPE_CHECKING:
     import numpy as np
 
 HARD_CARDINALITY_CAP = 1 << 40
+# the most points ``image``, ``image_escape`` and ``reverse`` enumerate; read
+# at call time, so a change reaches every caller
+ENUMERATE_LIMIT = 1 << 20
 
 
 class AffineError(Exception):
@@ -82,16 +85,6 @@ class DomainTooLarge(AffineError):
 
 class UnrepresentableComposition(AffineError):
     """Substitution would nest div/mod deeper than one level."""
-
-
-@dataclass(frozen=True)
-class Limits:
-    """Resource limit for the enumeration of a map's domain."""
-
-    enumerate_limit: int = 1 << 20
-
-
-DEFAULT_LIMITS = Limits()
 
 
 class _HashOnce:
@@ -172,6 +165,11 @@ class IntBox:
     @cached_property
     def cardinality(self) -> int:
         return math.prod(self.extents)
+
+    @cached_property
+    def magnitude(self) -> int:
+        """The largest magnitude of a bound, at least 1: a bound on every coordinate."""
+        return max(-min(self.los), max(self.his), 1) if self.los else 1
 
     @property
     def is_empty(self) -> bool:
@@ -445,18 +443,14 @@ def expr_interval(expr: QuasiAffineExpr, box: IntBox) -> tuple[int, int]:
 INT64_MAX = (1 << 63) - 1
 
 
-def box_magnitude(box: IntBox) -> int:
-    """The largest magnitude of a bound of ``box``, at least 1: a bound on every coordinate."""
-    return max(-min(box.los), max(box.his), 1) if box.los else 1
-
-
-def map_fits_int64(m: QuasiAffineMap, mag: int) -> bool:
-    """Whether ``evaluate_batch`` computes ``m`` exactly, given the ``box_magnitude``
-    ``mag`` of its domain.  A linear part's partial sums are at most |constant| plus
-    ``mag`` times the sum of |coefficients|, a floor quotient lies in the quotient
-    range of its inner interval, and a running sum adds |weight| times each
-    quotient's bound.  ``mag`` and quotient bounds count as at least 1, so every
-    coefficient and weight must be an int64 too."""
+def map_fits_int64(m: QuasiAffineMap) -> bool:
+    """Whether ``evaluate_batch`` computes ``m`` exactly.  With ``mag`` the magnitude
+    of its domain, a linear part's partial sums are at most |constant| plus ``mag``
+    times the sum of |coefficients|, a floor quotient lies in the quotient range of
+    its inner interval, and a running sum adds |weight| times each quotient's bound.
+    ``mag`` and quotient bounds count as at least 1, so every coefficient and
+    weight must be an int64 too."""
+    mag = m.domain.magnitude
     for e in m.exprs:
         total = abs(e.const) + mag * sum(map(abs, e.coeffs))
         for t in e.terms:
@@ -755,7 +749,7 @@ class ExplicitImage:
 ImageSet = Union[LatticeImage, ExplicitImage]
 
 
-def image(m: QuasiAffineMap, limits: Limits = DEFAULT_LIMITS) -> ImageSet:
+def image(m: QuasiAffineMap) -> ImageSet:
     """Exact image {f(p) : p in domain}, symbolic when the class permits."""
     if m.domain.is_empty:
         return ExplicitImage(frozenset())
@@ -781,7 +775,7 @@ def image(m: QuasiAffineMap, limits: Limits = DEFAULT_LIMITS) -> ImageSet:
         return LatticeImage(
             tuple(0 for _ in radices), tuple(1 for _ in radices), radices
         )
-    if m.domain.cardinality > limits.enumerate_limit:
+    if m.domain.cardinality > ENUMERATE_LIMIT:
         raise DomainTooLarge(
             f"cannot enumerate image of {m.domain.cardinality} points"
         )
@@ -802,15 +796,13 @@ class ImageEscape:
     interval: tuple[int, int, int, int] | None = None
 
 
-def image_escape(
-    m: QuasiAffineMap, los: tuple[int, ...], his: tuple[int, ...], limits: Limits = DEFAULT_LIMITS
-) -> ImageEscape | None:
+def image_escape(m: QuasiAffineMap, los: tuple[int, ...], his: tuple[int, ...]) -> ImageEscape | None:
     """None when every image point of ``m`` lies in the box ``[los, his)``.
 
     Each output's value interval is exact when linear and an
     over-approximation otherwise, so when all fit no point escapes.
     Otherwise the symbolic image of a normal form decides, and a domain of
-    at most ``limits.enumerate_limit`` points is enumerated for the first
+    at most ``ENUMERATE_LIMIT`` points is enumerated for the first
     witness (or, for a general map, to rule out a false alarm).  A general
     map above the limit escapes as soon as an interval does.
     """
@@ -822,11 +814,11 @@ def image_escape(
         return None
     general = m.map_class is MapClass.GENERAL
     if not general:
-        img = image(m, limits)  # a LatticeImage, never enumerated
+        img = image(m)  # a LatticeImage, never enumerated
         spans = zip(img.los, img.strides, img.counts, los, his)
         if all(lo <= first and first + s * (c - 1) < hi for first, s, c, lo, hi in spans):
             return None
-    if dom.cardinality <= limits.enumerate_limit:
+    if dom.cardinality <= ENUMERATE_LIMIT:
         import numpy as np
 
         pts = dom.points_array()
@@ -869,15 +861,14 @@ class NotInvertible:
 InverseResult = Union[SymbolicInverse, InjectiveOnly, NotInvertible]
 
 
-def reverse(m: QuasiAffineMap, limits: Limits = DEFAULT_LIMITS) -> InverseResult:
+def reverse(m: QuasiAffineMap) -> InverseResult:
     """Inverse of ``m`` restricted to its image.
 
     Symbolic for the PermShift / StridedEmbed / MixedRadix normal forms
     (the symbolic inverse's declared box is the image's bounding box; the
     precise image accompanies the result).  A strided image whose bounding
     box passes ``HARD_CARDINALITY_CAP`` has no such box: ``NotInvertible``.
-    A general map of at most
-    ``limits.enumerate_limit`` points is probed for a collision: the answer
+    A general map of at most ``ENUMERATE_LIMIT`` points is probed for a collision: the answer
     is ``InjectiveOnly`` or ``NotInvertible`` naming the first collision in
     point order.  Non-invertibility is a value, not an error.
     """
@@ -888,7 +879,7 @@ def reverse(m: QuasiAffineMap, limits: Limits = DEFAULT_LIMITS) -> InverseResult
     cls = m.map_class
     img = None
     if cls in (MapClass.PERM_SHIFT, MapClass.STRIDED_EMBED, MapClass.MIXED_RADIX):
-        img = image(m, limits)
+        img = image(m)
     if cls in (MapClass.PERM_SHIFT, MapClass.STRIDED_EMBED):
         span = math.prod(s * (c - 1) + 1 for s, c in zip(img.strides, img.counts))
         if span > HARD_CARDINALITY_CAP:
@@ -919,7 +910,7 @@ def reverse(m: QuasiAffineMap, limits: Limits = DEFAULT_LIMITS) -> InverseResult
         inv = QuasiAffineMap(img.bounding_box(), (QuasiAffineExpr(_suffix_products(radices), base),))
         return SymbolicInverse(inv, img)
     card = m.domain.cardinality
-    if card > limits.enumerate_limit:
+    if card > ENUMERATE_LIMIT:
         return NotInvertible(f"domain too large to tabulate ({card} points)")
     import numpy as np
 
@@ -943,9 +934,7 @@ def reverse(m: QuasiAffineMap, limits: Limits = DEFAULT_LIMITS) -> InverseResult
 # Composition
 
 
-def compose(
-    outer: QuasiAffineMap, inner: QuasiAffineMap, limits: Limits = DEFAULT_LIMITS
-) -> QuasiAffineMap:
+def compose(outer: QuasiAffineMap, inner: QuasiAffineMap) -> QuasiAffineMap:
     """outer after inner: evaluate(result, p) == outer(inner(p)).
 
     A pullback by substitution, in one pass per output: each inner output,
@@ -964,7 +953,7 @@ def compose(
         raise ArityMismatch(
             f"inner produces {inner.out_arity} values, outer consumes {outer.in_arity}"
         )
-    escape = image_escape(inner, outer.domain.los, outer.domain.his, limits)
+    escape = image_escape(inner, outer.domain.los, outer.domain.his)
     if escape is not None:
         if escape.interval is None:
             raise ImageEscapesDomain("inner image escapes outer domain")

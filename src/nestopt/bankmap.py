@@ -123,8 +123,15 @@ class AnchorRegistry:
 
     @staticmethod
     def from_file(path, banks: int | None = None) -> "AnchorRegistry":
+        """Registry from the anchors file at ``path``.  A file that cannot be read
+        raises its ``OSError``; a malformed one (bad JSON or UTF-8, JSON nested too
+        deep, a bad document) one ``ValueError`` reading ``"<ExcType>: <detail>"``."""
         with open(path, "r", encoding="utf-8") as fh:
-            return AnchorRegistry.from_dict(json.load(fh), banks)
+            try:
+                return AnchorRegistry.from_dict(json.load(fh), banks)
+            except (AttributeError, KeyError, RecursionError, TypeError, ValueError) as exc:
+                detail = " ".join(str(exc).split())
+                raise ValueError(f"{type(exc).__name__}: {detail}") from None
 
     @staticmethod
     def default(banks: int | None = None) -> "AnchorRegistry":

@@ -17,8 +17,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterator, Union
 
-from .affine import DEFAULT_LIMITS, HARD_CARDINALITY_CAP, ImageEscape, IntBox, Limits, QuasiAffineMap, image_escape
-from .affine import INT64_MAX, box_magnitude, map_fits_int64
+from .affine import HARD_CARDINALITY_CAP, INT64_MAX, ImageEscape, IntBox, QuasiAffineMap, image_escape, map_fits_int64
 
 
 OPCODE_ARITY = {"add": 2, "mul": 2, "max": 2, "neg": 1, "identity": 1}
@@ -198,30 +197,15 @@ class Violation:
 INT64_OVERFLOW = "Int64Overflow"
 
 
-class _Bounds:
-    """``validate``'s answers under one ``Limits`` value, by key: each
-    access's bounds check by (map, shape), each box's magnitude by its
-    bounds.  The CLI passes one to every ``validate`` call of a command, whose
-    programs share most accesses.  A map's key holds its domain, the nest
-    box, which fixes the magnitude its check depends on."""
-
-    def __init__(self, limits: Limits = DEFAULT_LIMITS) -> None:
-        self.limits = limits
-        self.escapes: dict[tuple[QuasiAffineMap, tuple[int, ...]], ImageEscape | str | None] = {}
-        self.magnitudes: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-
-
-def validate(
-    program: Program, limits: Limits = DEFAULT_LIMITS, *, _memo: _Bounds | None = None
-) -> list[Violation]:
+def validate(program: Program, *, _memo: dict | None = None) -> list[Violation]:
     """Structural validity report; empty iff the program is well formed.
 
-    ``_memo`` carries the answers already found for another program of the
-    same command, under the same ``limits``; by default the call starts empty.
+    ``_memo`` carries each access's bounds check by (map, shape) from another
+    program of the same command, whose programs share most accesses; by
+    default the call starts empty.  A map's key holds its domain, the nest
+    box, which fixes the magnitude its check depends on.
     """
-    memo = _Bounds(limits) if _memo is None else _memo
-    if memo.limits != limits:
-        raise ValueError("validate's memo holds answers for other limits")
+    memo = {} if _memo is None else _memo
     out: list[Violation] = []
     seen_tensors: set[str] = set()
     for t in program.tensors:
@@ -241,9 +225,6 @@ def validate(
                 )
 
     decls = program.tensor_map
-    # one answer per distinct (map, shape) and box bounds while the memo
-    # lives.  No image is checked that int64 cannot hold.
-    magnitudes = memo.magnitudes
     produced: set[str] = {t.name for t in program.tensors if t.origin is Origin.MODEL_INPUT}
     produced_by: dict[str, str] = {}
     seen_nests: set[str] = set()
@@ -256,11 +237,7 @@ def validate(
             out.append(Violation("EmptyBody", nest.name, None, "nest body is empty"))
         if nest.kind not in OPERATOR_KINDS:
             out.append(Violation("UnknownKind", nest.name, None, f"operator kind '{nest.kind}'"))
-        box = nest.box
-        mag = magnitudes.get((box.los, box.his))
-        if mag is None:
-            mag = magnitudes[box.los, box.his] = box_magnitude(box)
-        if mag > INT64_MAX:
+        if nest.box.magnitude > INT64_MAX:
             out.append(Violation(INT64_OVERFLOW, nest.name, None, "loop bounds leave int64"))
 
         # the walk's own dispatch collects the nest's read and written
@@ -270,19 +247,19 @@ def validate(
         defined: set[str] = set()
         for si, stmt in enumerate(nest.body):
             if isinstance(stmt, Load):
-                _check_access(out, memo, decls, nest, mag, si, stmt.tensor, stmt.access)
+                _check_access(out, memo, decls, nest, si, stmt.tensor, stmt.access)
                 reads[stmt.tensor] = None
                 result = stmt.result
             elif isinstance(stmt, Store):
-                _check_access(out, memo, decls, nest, mag, si, stmt.tensor, stmt.access)
+                _check_access(out, memo, decls, nest, si, stmt.tensor, stmt.access)
                 if stmt.value not in defined:
                     out.append(Violation("UseBeforeDef", nest.name, si, f"value %{stmt.value} not defined yet"))
                 _check_write(out, decls, nest, si, stmt.tensor)
                 writes[stmt.tensor] = None
                 continue
             elif isinstance(stmt, Memcopy):
-                _check_access(out, memo, decls, nest, mag, si, stmt.dst, stmt.element_map)
-                _check_access(out, memo, decls, nest, mag, si, stmt.src, stmt.element_map)
+                _check_access(out, memo, decls, nest, si, stmt.dst, stmt.element_map)
+                _check_access(out, memo, decls, nest, si, stmt.src, stmt.element_map)
                 _check_write(out, decls, nest, si, stmt.dst)
                 reads[stmt.src] = None
                 writes[stmt.dst] = None
@@ -331,10 +308,9 @@ def validate(
 
 def _check_access(
     out: list[Violation],
-    memo: _Bounds,
+    memo: dict,
     decls: dict[str, TensorDecl],
     nest: OperatorNest,
-    mag: int,
     si: int,
     tname: str,
     access: QuasiAffineMap,
@@ -352,15 +328,15 @@ def _check_access(
         out.append(Violation("RankMismatch", nest.name, si, message))
         return
     key = (access, decl.shape)  # the access's domain is the nest box
-    escape = memo.escapes.get(key, False)
+    escape = memo.get(key, False)
     if escape is False:
-        if mag > INT64_MAX:
+        if nest.box.magnitude > INT64_MAX:  # no image is checked that int64 cannot hold
             escape = None
-        elif map_fits_int64(access, mag):
-            escape = image_escape(access, (0,) * decl.rank, decl.shape, memo.limits)
+        elif map_fits_int64(access):
+            escape = image_escape(access, (0,) * decl.rank, decl.shape)
         else:
             escape = INT64_OVERFLOW
-        memo.escapes[key] = escape
+        memo[key] = escape
     if escape is not None:
         out.append(_bounds_violation(escape, nest.name, si, tname))
 

@@ -58,7 +58,7 @@ class ParseError(Exception):
 # Printing
 
 
-def _print_linear(coeffs, const, force_const: bool = False) -> list[tuple[int, str]]:
+def _print_linear(coeffs, const) -> list[tuple[int, str]]:
     """(sign, piece) monomials of a linear expression; sign is +1/-1."""
     pieces: list[tuple[int, str]] = []
     for j, c in enumerate(coeffs):
@@ -66,7 +66,7 @@ def _print_linear(coeffs, const, force_const: bool = False) -> list[tuple[int, s
             continue
         mag = abs(c)
         pieces.append((1 if c > 0 else -1, f"i{j}" if mag == 1 else f"{mag}*i{j}"))
-    if const != 0 or (force_const and not pieces):
+    if const != 0:
         pieces.append((1 if const >= 0 else -1, str(abs(const))))
     return pieces
 

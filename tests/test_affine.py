@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 import nestopt.dme
 from nestopt import affine as affine_module
 from nestopt.affine import (
-    DEFAULT_LIMITS,
     ArityMismatch,
     DivModTerm,
     DomainTooLarge,
@@ -30,7 +29,6 @@ from nestopt.affine import (
     InjectiveOnly,
     IntBox,
     LatticeImage,
-    Limits,
     MapClass,
     NotInvertible,
     PointOutsideDomain,
@@ -39,7 +37,6 @@ from nestopt.affine import (
     SymbolicInverse,
     UnrepresentableComposition,
     affine_map,
-    box_magnitude,
     build_unflatten_exprs,
     classify,
     compose,
@@ -274,10 +271,11 @@ def test_image_flatten_dense():
     assert img.equals_box(box((0, 12)))
 
 
-def test_image_too_large():
+def test_image_too_large(monkeypatch):
+    monkeypatch.setattr(affine_module, "ENUMERATE_LIMIT", 100)
     m = affine_map(box((0, 100), (0, 100)), (variables(2)[0] + variables(2)[1],))
     with pytest.raises(DomainTooLarge):
-        image(m, Limits(enumerate_limit=100))
+        image(m)
 
 
 # ---------------------------------------------------------------------------
@@ -321,10 +319,11 @@ def test_reverse_general_tabulated():
     assert len(set(vals)) == len(vals)
 
 
-def test_reverse_tabulate_limit():
+def test_reverse_tabulate_limit(monkeypatch):
+    monkeypatch.setattr(affine_module, "ENUMERATE_LIMIT", 100)
     i0, i1 = variables(2)
     m = affine_map(box((0, 40), (0, 40)), (i0 + 41 * i1, i1 + i0))
-    res = reverse(m, Limits(enumerate_limit=100))
+    res = reverse(m)
     assert isinstance(res, NotInvertible)
     assert "too large" in res.reason
 
@@ -601,15 +600,15 @@ def ref_build_unflatten_exprs(base, radices):
     return tuple(exprs)
 
 
-def ref_reverse(m, limits=DEFAULT_LIMITS):
+def ref_reverse(m):
     if m.domain.is_empty:
         empty = IntBox(tuple(0 for _ in range(m.out_arity)), tuple(0 for _ in range(m.out_arity)))
         exprs = tuple(const_expr(m.out_arity, 0) for _ in range(m.in_arity))
         return SymbolicInverse(QuasiAffineMap(empty, exprs), ExplicitImage(frozenset()))
     cls = classify(m)
     if cls is MapClass.GENERAL:
-        return reverse(m, limits)  # the tabulating branch builds no expression
-    img = image(m, limits)
+        return reverse(m)  # the tabulating branch builds no expression
+    img = image(m)
     if cls in (MapClass.PERM_SHIFT, MapClass.STRIDED_EMBED):
         n = m.in_arity
         by_dim = {}
@@ -640,13 +639,13 @@ def ref_reverse(m, limits=DEFAULT_LIMITS):
     return SymbolicInverse(QuasiAffineMap(img.bounding_box(), (acc,)), img)
 
 
-def ref_check_image_in_domain(inner, b, limits):
+def ref_check_image_in_domain(inner, b):
     if inner.domain.is_empty:
         return
     if inner.out_arity != b.ndim:
         raise ArityMismatch("image arity != domain arity")
     try:
-        img = image(inner, limits)
+        img = image(inner)
     except DomainTooLarge:
         for e, lo, hi in zip(inner.exprs, b.los, b.his):
             elo, ehi = expr_interval(e, inner.domain)
@@ -657,10 +656,10 @@ def ref_check_image_in_domain(inner, b, limits):
         raise ImageEscapesDomain("inner image escapes outer domain")
 
 
-def ref_compose(outer, inner, limits=DEFAULT_LIMITS):
+def ref_compose(outer, inner):
     if inner.out_arity != outer.in_arity:
         raise ArityMismatch(f"inner produces {inner.out_arity} values, outer consumes {outer.in_arity}")
-    ref_check_image_in_domain(inner, outer.domain, limits)
+    ref_check_image_in_domain(inner, outer.domain)
     exprs = []
     for oe in outer.exprs:
         acc = const_expr(inner.in_arity, oe.const)
@@ -688,9 +687,9 @@ def _outcome(f, *args):
         return type(exc), str(exc)
 
 
-def _assert_compose_matches(outer, inner, limits=DEFAULT_LIMITS):
-    got = _outcome(compose, outer, inner, limits)
-    assert got == _outcome(ref_compose, outer, inner, limits), (outer, inner)
+def _assert_compose_matches(outer, inner):
+    got = _outcome(compose, outer, inner)
+    assert got == _outcome(ref_compose, outer, inner), (outer, inner)
     return got
 
 
@@ -799,22 +798,24 @@ WRAPPED = affine_map(box((0, 42)), (variables(1)[0].mod(21),))
 @pytest.mark.parametrize(
     "outer_box, limits, expected",
     [
-        ((0, 21), DEFAULT_LIMITS, None),
-        ((0, 20), DEFAULT_LIMITS, "inner image escapes outer domain"),
-        ((0, 21), Limits(enumerate_limit=10), "output range [-21, 41] escapes [0, 21)"),
+        ((0, 21), {}, None),
+        ((0, 20), {}, "inner image escapes outer domain"),
+        ((0, 21), {"ENUMERATE_LIMIT": 10}, "output range [-21, 41] escapes [0, 21)"),
     ],
 )
-def test_compose_falls_back_to_the_image_when_an_interval_escapes(outer_box, limits, expected):
+def test_compose_falls_back_to_the_image_when_an_interval_escapes(monkeypatch, outer_box, limits, expected):
+    for name, value in limits.items():
+        monkeypatch.setattr(affine_module, name, value)
     assert expr_interval(WRAPPED.exprs[0], WRAPPED.domain) == (-21, 41)
     (y,) = variables(1)
     outer = affine_map(box(outer_box), (3 * y + 1,))
-    _assert_compose_matches(outer, WRAPPED, limits)
+    _assert_compose_matches(outer, WRAPPED)
     if expected is None:
-        c = compose(outer, WRAPPED, limits)
+        c = compose(outer, WRAPPED)
         assert [c.evaluate((p,)) for p in range(42)] == [(3 * (p % 21) + 1,) for p in range(42)]
     else:
         with pytest.raises(ImageEscapesDomain) as exc:
-            compose(outer, WRAPPED, limits)
+            compose(outer, WRAPPED)
         assert str(exc.value) == expected
 
 
@@ -843,7 +844,9 @@ def test_image_escape_matches_enumeration(m, data):
     assert escape == (None if first_bad is None else ImageEscape(witness=first_bad))
     # above the limit a normal form stays exact without its witness; a
     # general map escapes exactly when some value interval does
-    small = image_escape(m, los, his, Limits(enumerate_limit=4))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(affine_module, "ENUMERATE_LIMIT", 4)
+        small = image_escape(m, los, his)
     if m.domain.cardinality <= 4:
         assert small == escape
     elif m.map_class is not MapClass.GENERAL:
@@ -1000,20 +1003,20 @@ def test_map_with_filled_cached_properties_is_still_a_dict_key():
 
 def test_int64_bounds_are_tight_at_the_edge():
     top = (1 << 63) - 1
-    assert box_magnitude(IntBox((top - 4, -3), (top, 2))) == top
-    assert box_magnitude(IntBox((top - 4,), (top + 1,))) > top
-    assert box_magnitude(IntBox((-top - 1,), (-top + 3,))) > top
-    assert box_magnitude(IntBox((), ())) == box_magnitude(IntBox.from_extents(1)) == 1
+    assert IntBox((top - 4, -3), (top, 2)).magnitude == top
+    assert IntBox((top - 4,), (top + 1,)).magnitude > top
+    assert IntBox((-top - 1,), (-top + 3,)).magnitude > top
+    assert IntBox((), ()).magnitude == IntBox.from_extents(1).magnitude == 1
     # the bound takes every coordinate as large as the box's largest bound
     box = IntBox((top - 5,), (top - 1,))
     (x,) = variables(1)
     fits = affine_map(box, (x + 1,))
-    assert map_fits_int64(fits, box_magnitude(box))
+    assert map_fits_int64(fits)
     pts = box.points_array()
     assert fits.evaluate_batch(pts)[:, 0].tolist() == [fits.evaluate(p)[0] for p in box.points()]
-    assert not map_fits_int64(affine_map(box, (x + 2,)), box_magnitude(box))
+    assert not map_fits_int64(affine_map(box, (x + 2,)))
     # a coefficient on a one-point dimension still has to be an int64
-    assert not map_fits_int64(affine_map(IntBox.from_extents(1), ((1 << 63) * x,)), 1)
+    assert not map_fits_int64(affine_map(IntBox.from_extents(1), ((1 << 63) * x,)))
 
 
 def test_int64_bound_counts_each_floordiv_term():
@@ -1021,10 +1024,10 @@ def test_int64_bound_counts_each_floordiv_term():
     i0, i1 = variables(2)
     # each term is 0 or 1 times 2^61 here, and all four are 1 at (1, 1)
     terms = [(1 << 61) * (k * i0 + k * i1 + k - 1).floordiv(2 * k) for k in range(1, 5)]
-    assert map_fits_int64(affine_map(box, (sum(terms[:3]) + i0,)), box_magnitude(box))
+    assert map_fits_int64(affine_map(box, (sum(terms[:3]) + i0,)))
     wraps = affine_map(box, (sum(terms) + i0,))
     assert wraps.evaluate((1, 1)) == (2**63 + 1,)
-    assert not map_fits_int64(wraps, box_magnitude(box))
+    assert not map_fits_int64(wraps)
 
 
 def _ref_match_unflatten(m):

@@ -233,6 +233,39 @@ def test_anchor_registry_checks_the_documents_banks_even_when_overridden(banks):
         AnchorRegistry.from_dict({"banks": 0, "operators": {}}, banks)
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"not json\n", "JSONDecodeError: Expecting value: line 1 column 1 (char 0)"),
+        (b"[" * 100_000, "RecursionError: maximum recursion depth exceeded"),
+        (b"\xff{}", "UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff"),
+        (b'{"operators": {"conv2d": {"operands": 3}}}', "TypeError: 'int' object is not iterable"),
+        (b'{"operators": {"conv2d": {"operands": [{}]}}}', "KeyError: 'axis'"),
+        (b'{"operators": {"conv2d": []}}', "AttributeError: 'list' object has no attribute"),
+        # a line break in a name the message quotes becomes a space
+        (
+            b'{"operators": {"conv\\n 2d": {}}}',
+            "ValueError: anchors document names unknown operator kind 'conv 2d'",
+        ),
+    ],
+    ids=["not-json", "too-deep", "not-utf8", "type", "key", "attribute", "value"],
+)
+def test_anchors_file_that_is_malformed_raises_one_value_error(tmp_path, data, message):
+    path = tmp_path / "a.json"
+    path.write_bytes(data)
+    with pytest.raises(ValueError) as err:
+        AnchorRegistry.from_file(path)
+    assert type(err.value) is ValueError
+    assert str(err.value).startswith(message) and "\n" not in str(err.value)
+
+
+def test_anchors_file_that_cannot_be_read_raises_its_os_error(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        AnchorRegistry.from_file(tmp_path / "missing.json")
+    with pytest.raises(IsADirectoryError):
+        AnchorRegistry.from_file(tmp_path)
+
+
 def test_seed_rank_mismatch_raises():
     with pytest.raises(RankMismatchError) as err:
         seed_anchors(parse(RANK1_CONV), AnchorRegistry.default())

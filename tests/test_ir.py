@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nestopt.affine
 import nestopt.ir
 from nestopt.affine import (
-    DEFAULT_LIMITS,
     ImageEscape,
     IntBox,
-    Limits,
     MapClass,
     QuasiAffineExpr,
     QuasiAffineMap,
@@ -87,7 +86,7 @@ nest shift kind=copy (i0 in 0..4) {
     assert v.witness == (first_bad,)
 
 
-def _ref_image_escape(access, los, his, limits):
+def _ref_image_escape(access, los, his):
     """Bounds check by evaluating every point in lexicographic order."""
     for p in access.domain.points():
         if not all(lo <= v < hi for v, lo, hi in zip(access.evaluate(p), los, his)):
@@ -133,19 +132,15 @@ def test_validate_memo_shared_by_several_programs_answers_as_fresh_calls():
     rng = random.Random(11)
     program = generate_wavenet_analog(12, 3, seed=1)
     programs = [program, run_dme(program).program, _shrink_some(program, rng)]
-    memo = nestopt.ir._Bounds()
+    memo = {}
     reports = [validate(p, _memo=memo) for p in programs]
     assert reports == [validate(p) for p in programs]
     assert reports[:2] == [[], []] and any(v.rule == "OutOfBoundsAccess" for v in reports[2])
-    # the memo holds answers for the limits it was made for only
-    with pytest.raises(ValueError, match="other limits"):
-        validate(program, Limits(enumerate_limit=4), _memo=memo)
 
 
-def test_validate_floordiv_interval_false_alarm():
-    # the interval of i0 mod 2 (i0 - 2*(i0 floordiv 2)) over [0, 4) is
-    # [-2, 3], but every value lies in [0, 2)
-    src = """\
+# the interval of i0 mod 2 (i0 - 2*(i0 floordiv 2)) over [0, 4) is [-2, 3],
+# but every value lies in [0, 2)
+FOLD_SRC = """\
 tensor %a : 4x[2] @dram input
 tensor %b : 4x[4] @sbuf
 
@@ -154,8 +149,23 @@ nest fold kind=copy (i0 in 0..4) {
   store %b[i0] = %v
 }
 """
-    program = parse(src)
+
+
+def test_validate_floordiv_interval_false_alarm():
+    program = parse(FOLD_SRC)
     assert validate(program) == _ref_validate(program) == []
+
+
+def test_validate_follows_the_enumeration_limit(monkeypatch):
+    # (i0) mod 2 is a general map: above the limit its escaping interval is
+    # all the verdict rests on, and no point is named
+    program = parse(FOLD_SRC)
+    assert program.nests[0].body[0].access.map_class is MapClass.GENERAL
+    assert validate(program) == []
+    monkeypatch.setattr(nestopt.affine, "ENUMERATE_LIMIT", 3)
+    assert validate(program) == [
+        Violation("OutOfBoundsAccess", "fold", 0, "access to 'a' leaves its shape", None)
+    ]
 
 
 # a row-major reshape whose domain is above the enumeration limit: the
@@ -176,7 +186,7 @@ def test_validate_and_compose_agree_on_a_reshape_above_the_limit():
     program = parse(RESHAPE_SRC)
     store = program.nests[0].body[1]
     m = store.access
-    assert m.domain.cardinality > DEFAULT_LIMITS.enumerate_limit
+    assert m.domain.cardinality > nestopt.affine.ENUMERATE_LIMIT
     assert m.map_class is MapClass.MIXED_RADIX
     assert expr_interval(m.exprs[1], m.domain)[0] < 0
     assert validate(program) == []
