@@ -18,18 +18,47 @@ written), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 from functools import cache
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .bankmap import AnchorRegistry, RankMismatchError, run_global_mapping, run_local_baseline
-from .dme import run_dme
-from .generators import generate_resnet_analog, generate_wavenet_analog
-from .interp import InterpError, equivalent
-from .ir import Program, validate
-from .report import bankmap_pass_entry, build_document, dme_pass_entry, document_text
-from .textual import ParseError, _CallMemo, parse, print_program
-from .traffic import account
+if TYPE_CHECKING:
+    from .ir import Program
+
+# The names the commands use, by the module they come from.  Importing the
+# CLI loads none of these modules: a name is imported by the first command
+# that needs it (``_need``) or on first access as an attribute, and is then
+# kept in this module's globals, so that ``setattr(nestopt.cli, name, f)``
+# makes every later command call ``f``.
+_IMPORTS = {
+    "bankmap": ("AnchorRegistry", "RankMismatchError", "run_global_mapping", "run_local_baseline"),
+    "dme": ("run_dme",),
+    "generators": ("generate_resnet_analog", "generate_wavenet_analog"),
+    "interp": ("InterpError", "equivalent"),
+    "ir": ("validate",),
+    "report": ("bankmap_pass_entry", "build_document", "dme_pass_entry", "document_text"),
+    "textual": ("ParseError", "_CallMemo", "parse", "print_program"),
+    "traffic": ("account",),
+}
+_HOME = {name: module for module, names in _IMPORTS.items() for name in names}
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __package__), name)
+    globals()[name] = value
+    return value
+
+
+def _need(*names: str) -> None:
+    """Import each of ``names`` that this module does not hold yet; a name
+    already set, by an earlier import or by ``setattr``, stays as it is."""
+    for name in names:
+        if name not in globals():
+            __getattr__(name)
 
 
 @cache
@@ -158,6 +187,13 @@ def _cmd_optimize(args) -> int:
     _refuse_clobber("-o", args.output, ("anchors file", args.anchors))
     others = (("input", args.input), ("output", args.output), ("anchors file", args.anchors))
     _refuse_clobber("--report", args.report, *others)
+    _need(
+        "AnchorRegistry", "RankMismatchError", "run_global_mapping", "run_local_baseline",
+        "_CallMemo", "parse", "ParseError", "validate", "account", "print_program",
+        "bankmap_pass_entry", "build_document", "dme_pass_entry", "document_text",
+    )
+    if "dme" in args.passes:
+        _need("run_dme")
     registry = _load_registry(args)
     # the output shares most accesses with the input
     bounds = {}
@@ -207,6 +243,7 @@ def _cmd_verify(args) -> int:
         raise _UsageError(f"--trials must be >= 1, got {args.trials}")
     if args.seed < 0:
         raise _UsageError(f"--seed must be >= 0, got {args.seed}")
+    _need("_CallMemo", "parse", "ParseError", "validate", "InterpError", "equivalent")
     # the two programs are usually a program and its optimized output,
     # which repeats most of its lines
     parses, bounds = _CallMemo(), {}
@@ -227,6 +264,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_report(args) -> int:
     _refuse_clobber("--json", args.json_out, ("input", args.input))
+    _need("_CallMemo", "parse", "ParseError", "validate", "account", "build_document", "document_text")
     program = _load_program(args.input, _CallMemo(), {})
     report = account(
         program,
@@ -249,11 +287,13 @@ def _cmd_gen(args) -> int:
         if not 0 <= args.non_invertible <= args.pairs:
             print("gen wavenet: need 0 <= non_invertible <= pairs", file=sys.stderr)
             return 2
+        _need("generate_wavenet_analog", "print_program")
         program = generate_wavenet_analog(args.pairs, args.non_invertible, args.seed)
     else:
         if args.blocks < 1 or args.transposes < 0:
             print("gen resnet: need blocks >= 1 and transposes >= 0", file=sys.stderr)
             return 2
+        _need("generate_resnet_analog", "print_program")
         program = generate_resnet_analog(args.blocks, args.transposes, args.seed)
     _write_text(args.output, print_program(program))
     return 0

@@ -18,13 +18,14 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from typing import TYPE_CHECKING, Any
 
 from . import __version__
-from .bankmap import MappingReport
-from .dme import DmeResult
 from .ir import BankMapping
 from .traffic import TrafficReport, compare
 
 if TYPE_CHECKING:
     import jsonschema
+
+    from .bankmap import MappingReport
+    from .dme import DmeResult
 
 SCHEMA_VERSION = 1
 

@@ -339,6 +339,53 @@ def test_module_entry_point(tmp_path):
     assert len(program.nests) == 8
 
 
+_CLI = ["nestopt", "nestopt.cli"]
+_READ = [*_CLI, "nestopt.affine", "nestopt.ir", "nestopt.textual"]
+_OPTIMIZE = [*_READ, "nestopt.bankmap", "nestopt.report", "nestopt.traffic"]
+
+LOAD_PROBE = """\
+import json, sys
+{statement}
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "nestopt")))
+"""
+
+
+def _main(code, *argv):
+    return f"from nestopt.cli import main; assert main({list(argv)!r}) == {code}"
+
+
+@pytest.mark.parametrize(
+    "statement, loaded",
+    [
+        pytest.param("import nestopt", ["nestopt"], id="import nestopt"),
+        pytest.param("import nestopt.cli", _CLI, id="import nestopt.cli"),
+        pytest.param(_main(0, "--help"), _CLI, id="help"),
+        pytest.param(_main(2, "verify", "a", "b", "--trials", "0"), _CLI, id="usage error"),
+        pytest.param(_main(0, "gen", "resnet", "2", "1", "-o", "g.ir"), [*_READ, "nestopt.generators"], id="gen"),
+        pytest.param(_main(0, "verify", "r.ir", "r.ir"), [*_READ, "nestopt.interp"], id="verify"),
+        pytest.param(_main(0, "report", "r.ir"), [*_READ, "nestopt.report", "nestopt.traffic"], id="report"),
+        pytest.param(
+            _main(0, "optimize", "r.ir", "--pass", "dme", "-o", "o.ir"), [*_OPTIMIZE, "nestopt.dme"], id="dme"
+        ),
+        pytest.param(_main(0, "optimize", "r.ir", "--pass", "bankmap", "-o", "o.ir"), _OPTIMIZE, id="bankmap"),
+    ],
+)
+def test_each_entry_point_loads_only_the_modules_it_runs(tmp_path, statement, loaded):
+    assert main(["gen", "resnet", "2", "1", "-o", str(tmp_path / "r.ir")]) == 0
+    src = Path(__file__).resolve().parents[1] / "src"
+    pythonpath = filter(None, [str(src), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)}
+    proc = subprocess.run(
+        [sys.executable, "-c", LOAD_PROBE.format(statement=statement)],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == sorted(loaded)
+
+
 def _run_module(tmp_path, *args, preexec_fn=None):
     """``python -m nestopt *args`` from this checkout's src/, in tmp_path."""
     src = Path(__file__).resolve().parents[1] / "src"
