@@ -51,7 +51,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from typing import TYPE_CHECKING, Iterator, Union
 
 if TYPE_CHECKING:
@@ -341,8 +341,10 @@ class QuasiAffineExpr:
         return QuasiAffineExpr(self.coeffs, self.const, (DivModTerm(self.coeffs, self.const, d, -d),))
 
 
+@cache
 def variables(arity: int) -> tuple[QuasiAffineExpr, ...]:
-    """Unit expressions i0..i{arity-1}."""
+    """Unit expressions i0..i{arity-1}: one shared tuple per arity, since
+    the expressions are immutable and every identity map reuses them."""
     return tuple(
         QuasiAffineExpr(tuple(1 if j == k else 0 for j in range(arity)))
         for k in range(arity)
@@ -513,11 +515,6 @@ class QuasiAffineMap:
     @property
     def out_arity(self) -> int:
         return len(self.exprs)
-
-    @property
-    def is_pure_affine(self) -> bool:
-        """True when representable as C@i + b (no div/mod terms)."""
-        return all(e.is_linear for e in self.exprs)
 
     @cached_property
     def map_class(self) -> MapClass:

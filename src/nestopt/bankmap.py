@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import json
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache
 from importlib import resources
 from types import MappingProxyType
 from typing import Sequence, Union
 
-from .affine import QuasiAffineMap, identity_map
+from .affine import IntBox, QuasiAffineMap, identity_map
 from .ir import (
     OPERATOR_KINDS,
     BankMapping,
@@ -416,9 +416,14 @@ def _nest_requirement(
     return None
 
 
-def _identity_copy_nest(name: str, dst: str, src: str, decl: TensorDecl) -> OperatorNest:
+def _identity_copy_nest(
+    name: str, dst: str, src: str, decl: TensorDecl, identities: dict[IntBox, QuasiAffineMap]
+) -> OperatorNest:
+    """``dst = src`` over ``decl``'s index box, its element map taken from
+    (or added to) ``identities``, the caller's one identity map per box."""
     box = decl.index_box
-    return OperatorNest(name, "copy", box, (Memcopy(dst, src, identity_map(box)),))
+    ident = identities.get(box) or identities.setdefault(box, identity_map(box))
+    return OperatorNest(name, "copy", box, (Memcopy(dst, src, ident),))
 
 
 def _retarget_reads(nest: OperatorNest, old: str, new: str) -> OperatorNest:
@@ -430,7 +435,7 @@ def _retarget_reads(nest: OperatorNest, old: str, new: str) -> OperatorNest:
             body.append(Memcopy(s.dst, new, s.element_map))
         else:
             body.append(s)
-    return replace(nest, body=tuple(body))
+    return OperatorNest(nest.name, nest.kind, nest.box, tuple(body))
 
 
 # (tensor, mapping its consumers need, indices of those consumers, ascending)
@@ -456,10 +461,15 @@ def _rebank(
     with one counter for all fixes that skips names already taken.
     """
     tag = "r" if mode == "global" else "l"
+    # one location per distinct mapping and one identity map per box, for this call
+    locations: dict[BankMapping, OnChip] = {}
+    identities: dict[IntBox, QuasiAffineMap] = {}
     new_tensors = []
     for decl in program.tensors:
         if isinstance(decl.location, OnChip):
-            new_tensors.append(replace(decl, location=OnChip(final[decl.name])))
+            m = final[decl.name]
+            loc = locations.get(m) or locations.setdefault(m, OnChip(m))
+            new_tensors.append(TensorDecl(decl.name, decl.elem_size, decl.shape, loc, decl.origin))
         else:
             new_tensors.append(decl)
 
@@ -476,8 +486,9 @@ def _rebank(
         existing.add(new_name)
         counter += 1
         decl = program.tensor(tensor)
-        new_tensors.append(TensorDecl(new_name, decl.elem_size, decl.shape, OnChip(req)))
-        copy_nest = _identity_copy_nest(f"bankfix_{new_name}", new_name, tensor, decl)
+        loc = locations.get(req) or locations.setdefault(req, OnChip(req))
+        new_tensors.append(TensorDecl(new_name, decl.elem_size, decl.shape, loc))
+        copy_nest = _identity_copy_nest(f"bankfix_{new_name}", new_name, tensor, decl, identities)
         inserts_at.setdefault(consumers[0], []).append(copy_nest)
         for ni in consumers:
             base = nest_replacements.get(ni, program.nests[ni])

@@ -328,10 +328,6 @@ class DmeResult:
     def skipped(self) -> tuple[EliminationRecord, ...]:
         return tuple(r for r in self.records if not r.eliminated)
 
-    @property
-    def eliminated_bytes(self) -> int:
-        return sum(r.bytes for r in self.eliminated)
-
 
 def run_dme(program: Program) -> DmeResult:
     """Eliminate copy pairs, always the first eliminable one in program

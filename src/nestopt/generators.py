@@ -11,15 +11,20 @@ Two structural analogs of real networks, sized for desk-scale runs:
 
 Generation is deterministic per seed: identical arguments produce
 byte-identical printed programs.
+
+A builder makes each box once per shape and each access map once per
+distinct (box, expressions), and identity maps share the unit expressions
+of ``variables``: the values are immutable, so one object serves every nest
+and access that needs it.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .affine import IntBox, affine_map, identity_map, variables
+from .affine import IntBox, QuasiAffineMap, affine_map, variables
 from .ir import (
     OPCODE_ARITY,
     Compute,
@@ -38,9 +43,21 @@ ELEM_SIZE = 4
 
 @dataclass
 class _Builder:
-    tensors: list[TensorDecl]
-    nests: list[OperatorNest]
+    tensors: list[TensorDecl] = field(default_factory=list)
+    nests: list[OperatorNest] = field(default_factory=list)
     counter: int = 0
+    boxes: dict[tuple[int, ...], IntBox] = field(default_factory=dict)
+    maps: dict[tuple[IntBox, tuple], QuasiAffineMap] = field(default_factory=dict)
+
+    def box(self, *extents: int) -> IntBox:
+        return self.boxes.get(extents) or self.boxes.setdefault(extents, IntBox.from_extents(*extents))
+
+    def map(self, box: IntBox, exprs: tuple) -> QuasiAffineMap:
+        key = (box, exprs)
+        return self.maps.get(key) or self.maps.setdefault(key, affine_map(box, exprs))
+
+    def identity(self, box: IntBox) -> QuasiAffineMap:
+        return self.map(box, variables(box.ndim))
 
     def fresh(self, prefix: str = "t") -> str:
         name = f"{prefix}{self.counter}"
@@ -58,9 +75,10 @@ class _Builder:
 def _emit_op(b: _Builder, name: str, kind: str, opcode: str, srcs: tuple[str, ...], out: str, box: IntBox):
     """``out = opcode(srcs)`` element-wise over ``box``; a binary op on one
     source reads it as both operands."""
-    loads = tuple(Load(v, src, identity_map(box)) for v, src in zip("vu", srcs))
+    ident = b.identity(box)
+    loads = tuple(Load(v, src, ident) for v, src in zip("vu", srcs))
     operands = ("v", "u") if len(srcs) == 2 else ("v",) * OPCODE_ARITY[opcode]
-    body = (*loads, Compute("w", opcode, operands), Store(out, identity_map(box), "w"))
+    body = (*loads, Compute("w", opcode, operands), Store(out, ident, "w"))
     b.nests.append(OperatorNest(name, kind, box, body))
 
 
@@ -70,7 +88,7 @@ def _emit_op(b: _Builder, name: str, kind: str, opcode: str, srcs: tuple[str, ..
 
 def _emit_compute(b: _Builder, idx: int, src: str, shape, opcode: str, out_decl=None) -> str:
     out = b.declare(b.fresh(), shape, OnChip()) if out_decl is None else out_decl
-    _emit_op(b, f"ew{idx}", "elementwise", opcode, (src,), out, IntBox.from_extents(*shape))
+    _emit_op(b, f"ew{idx}", "elementwise", opcode, (src,), out, b.box(*shape))
     return out
 
 
@@ -98,63 +116,63 @@ def _emit_copy(b: _Builder, idx: int, src: str, shape, kind: str, rng: random.Ra
     """
     if kind == "transpose":
         a, c = shape
-        box = IntBox.from_extents(a, c)
+        box = b.box(a, c)
         i0, i1 = variables(2)
-        load_map, store_map = identity_map(box), affine_map(box, (i1, i0))
+        load_map, store_map = b.identity(box), b.map(box, (i1, i0))
         dst_shape, nest_kind = (c, a), "transpose"
     elif kind == "flatten":
         a, c = shape
-        box = IntBox.from_extents(a, c)
+        box = b.box(a, c)
         i0, i1 = variables(2)
-        load_map, store_map = identity_map(box), affine_map(box, (c * i0 + i1,))
+        load_map, store_map = b.identity(box), b.map(box, (c * i0 + i1,))
         dst_shape, nest_kind = (a * c,), "reshape"
     elif kind == "unflatten":
         (n,) = shape
         inner = rng.choice([d for d in (2, 4, 8) if n % d == 0 and n // d >= 2])
-        box = IntBox.from_extents(n)
+        box = b.box(n)
         (x,) = variables(1)
-        load_map, store_map = identity_map(box), affine_map(box, (x.floordiv(inner), x.mod(inner)))
+        load_map, store_map = b.identity(box), b.map(box, (x.floordiv(inner), x.mod(inner)))
         dst_shape, nest_kind = (n // inner, inner), "reshape"
     elif kind == "repeat":
         (n,) = shape
         reps = rng.choice([2, 4]) if n <= 32 else 2
-        box = IntBox.from_extents(reps, n)
+        box = b.box(reps, n)
         i0, i1 = variables(2)
-        load_map, store_map = affine_map(box, (i1,)), affine_map(box, (n * i0 + i1,))
+        load_map, store_map = b.map(box, (i1,)), b.map(box, (n * i0 + i1,))
         dst_shape, nest_kind = (reps * n,), "repeat"
     elif kind == "slice":
         (n,) = shape
         off = rng.choice([0, 1])
-        box = IntBox.from_extents(n // 2)
+        box = b.box(n // 2)
         (x,) = variables(1)
-        load_map, store_map = affine_map(box, (2 * x + off,)), identity_map(box)
+        load_map, store_map = b.map(box, (2 * x + off,)), b.identity(box)
         dst_shape, nest_kind = (n // 2,), "strided_slice"
     elif kind == "split":
         (n,) = shape
         half = rng.choice([0, 1])
-        box = IntBox.from_extents(n // 2)
+        box = b.box(n // 2)
         (x,) = variables(1)
-        load_map, store_map = affine_map(box, (x + half * (n // 2),)), identity_map(box)
+        load_map, store_map = b.map(box, (x + half * (n // 2),)), b.identity(box)
         dst_shape, nest_kind = (n // 2,), "split"
     elif kind == "reverse":
         (n,) = shape
-        box = IntBox.from_extents(n)
+        box = b.box(n)
         (x,) = variables(1)
-        load_map, store_map = affine_map(box, ((n - 1) - x,)), identity_map(box)
+        load_map, store_map = b.map(box, ((n - 1) - x,)), b.identity(box)
         dst_shape, nest_kind = (n,), "strided_slice"
     elif kind == "collide2":
         a, c = shape
-        box = IntBox.from_extents(a, c)
+        box = b.box(a, c)
         i0, i1 = variables(2)
-        load_map, store_map = identity_map(box), affine_map(box, (i0 + i1,))
+        load_map, store_map = b.identity(box), b.map(box, (i0 + i1,))
         dst_shape, nest_kind = (a + c - 1,), "other"
     elif kind == "collide1":
         # broadcast-load over (2, n) with a colliding store; grows by one
         # cell so consecutive colliders never shrink below collision size
         (n,) = shape
-        box = IntBox.from_extents(2, n)
+        box = b.box(2, n)
         i0, i1 = variables(2)
-        load_map, store_map = affine_map(box, (i1,)), affine_map(box, (i0 + i1,))
+        load_map, store_map = b.map(box, (i1,)), b.map(box, (i0 + i1,))
         dst_shape, nest_kind = (n + 1,), "other"
     else:
         raise ValueError(kind)
@@ -168,10 +186,14 @@ def generate_wavenet_analog(copy_pairs: int, non_invertible: int, seed: int = 0)
     """Chain of `copy_pairs` data-movement nests interleaved with compute,
     exactly `non_invertible` of which use colliding (non-reversible) stores.
     """
+    if copy_pairs < 0:
+        raise ValueError("copy_pairs must be >= 0")
+    if non_invertible < 0:
+        raise ValueError("non_invertible must be >= 0")
     if non_invertible > copy_pairs:
         raise ValueError("non_invertible must be <= copy_pairs")
     rng = random.Random(seed)
-    b = _Builder([], [])
+    b = _Builder()
     shape: tuple[int, ...] = (32,)
     cur = b.declare("x", shape, OffChip(), Origin.MODEL_INPUT)
     colliders = set(rng.sample(range(copy_pairs), non_invertible))
@@ -212,11 +234,14 @@ def generate_resnet_analog(blocks: int, transposes_between: int, seed: int = 0) 
     """
     if blocks < 1:
         raise ValueError("blocks must be >= 1")
+    if transposes_between < 0:
+        raise ValueError("transposes_between must be >= 0")
     rng = random.Random(seed)
     side = rng.choice([4, 8])
-    box = IntBox.from_extents(side, side)
+    b = _Builder()
+    box = b.box(side, side)
     i0, i1 = variables(2)
-    b = _Builder([], [])
+    ident, transposed = b.identity(box), b.map(box, (i1, i0))
 
     if blocks == 1 and transposes_between == 0:
         x = b.declare("x1", (side, side), OffChip(), Origin.MODEL_INPUT)
@@ -238,7 +263,7 @@ def generate_resnet_analog(blocks: int, transposes_between: int, seed: int = 0) 
                     f"tr{blk}_{t}",
                     "transpose",
                     box,
-                    (Load("v", v, identity_map(box)), Store(vt, affine_map(box, (i1, i0)), "v")),
+                    (Load("v", v, ident), Store(vt, transposed, "v")),
                 )
             )
             v = vt

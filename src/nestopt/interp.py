@@ -87,12 +87,6 @@ class TensorStore:
     trials: int | None = None
 
     @staticmethod
-    def from_arrays(arrays: dict[str, np.ndarray]) -> "TensorStore":
-        import numpy as np
-
-        return TensorStore({k: np.array(v, dtype=np.int64) for k, v in arrays.items()})
-
-    @staticmethod
     def stack(stores: list["TensorStore"]) -> "TensorStore":
         """One store holding each single-trial store as a trial, in order."""
         import numpy as np

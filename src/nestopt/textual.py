@@ -28,6 +28,7 @@ from .affine import (
     QuasiAffineMap,
     affine_map,
     identity_map,
+    variables,
 )
 from .ir import (
     BankMapping,
@@ -110,12 +111,10 @@ def _print_location(loc: Location) -> str:
 
 def print_program(program: Program) -> str:
     lines: list[str] = []
-    # memcopy element maps, one per box, and the index text of each access
-    # map, both kept for this call only.  Index texts are keyed by the map's
-    # id: the program keeps its maps alive for the call, and a pass's output
-    # shares most maps as objects, so hashing each map would cost more than
-    # formatting an equal copy again.
-    identities: dict[IntBox, QuasiAffineMap] = {}
+    # the index text of each access map, kept for this call only and keyed
+    # by the map's id: the program keeps its maps alive for the call, and
+    # the builders and passes share most maps as objects, so hashing each
+    # map would cost more than formatting an equal copy again.
     indices: dict[int, str] = {}
     for t in program.tensors:
         shape = ", ".join(str(d) for d in t.shape)
@@ -133,17 +132,12 @@ def print_program(program: Program) -> str:
         )
         lines.append(f"nest {nest.name} kind={nest.kind} ({loops}) {{")
         for stmt in nest.body:
-            lines.append("  " + _print_statement(stmt, nest, identities, indices))
+            lines.append("  " + _print_statement(stmt, nest, indices))
         lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def _print_statement(
-    stmt: Statement,
-    nest: OperatorNest,
-    identities: dict[IntBox, QuasiAffineMap],
-    indices: dict[int, str],
-) -> str:
+def _print_statement(stmt: Statement, nest: OperatorNest, indices: dict[int, str]) -> str:
     if isinstance(stmt, Load):
         return f"%{stmt.result} = load {_print_access(stmt.tensor, stmt.access, indices)}"
     if isinstance(stmt, Store):
@@ -152,10 +146,9 @@ def _print_statement(
         ops = " ".join(f"%{o}" for o in stmt.operands)
         return f"%{stmt.result} = {stmt.opcode} {ops}"
     if isinstance(stmt, Memcopy):
-        ident = identities.get(nest.box)
-        if ident is None:
-            ident = identities[nest.box] = identity_map(nest.box)
-        if stmt.element_map != ident:
+        # ``== identity_map(nest.box)`` field by field, without building the map
+        m = stmt.element_map
+        if m.domain != nest.box or m.exprs != variables(nest.box.ndim):
             raise ValueError("memcopy with a non-identity element map is not printable")
         return f"memcopy %{stmt.dst} <- %{stmt.src}"
     raise TypeError(stmt)

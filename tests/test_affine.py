@@ -111,6 +111,11 @@ def unflatten_map():
 # evaluate
 
 
+def test_variables_is_one_shared_table():
+    assert variables(2) is variables(2)
+    assert variables(2) == (QuasiAffineExpr((1, 0)), QuasiAffineExpr((0, 1)))
+
+
 def test_evaluate_shift():
     (i,) = variables(1)
     m = affine_map(box((0, 10)), (i + 5,))
@@ -229,10 +234,8 @@ def test_classify_fixed_examples():
     assert classify(strided) is MapClass.STRIDED_EMBED
     summed = affine_map(box((0, 2), (0, 2)), (i0 + i1,))
     assert classify(summed) is MapClass.GENERAL
-    assert summed.is_pure_affine
     assert classify(flatten_map()) is MapClass.MIXED_RADIX
     assert classify(unflatten_map()) is MapClass.MIXED_RADIX
-    assert not unflatten_map().is_pure_affine
 
 
 def test_classify_reversal_is_strided():

@@ -340,7 +340,7 @@ def test_eliminated_bytes_match_footprint_drop():
         from nestopt.ir import Origin
         return sum(t.footprint_bytes for t in p.tensors if t.origin is Origin.INTERMEDIATE)
     drop = intermediate_bytes(program) - intermediate_bytes(result.program)
-    assert drop == result.eliminated_bytes
+    assert drop == sum(r.bytes for r in result.eliminated)
 
 
 # ---------------------------------------------------------------------------

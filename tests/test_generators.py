@@ -4,10 +4,11 @@ import hashlib
 
 import pytest
 
+from nestopt.affine import identity_map
 from nestopt.bankmap import run_global_mapping, run_local_baseline
 from nestopt.dme import run_dme
 from nestopt.generators import generate_resnet_analog, generate_wavenet_analog
-from nestopt.ir import find_copy_pairs, validate
+from nestopt.ir import Load, Store, find_copy_pairs, validate
 from nestopt.textual import parse, print_program
 
 from test_bankmap import MATCHING_REGISTRY
@@ -111,3 +112,44 @@ def test_resnet_matching_registry_propagates_cleanly():
     _, state, g_report = run_global_mapping(program, MATCHING_REGISTRY)
     assert state.conflicts() == ()
     assert g_report.inserted == ()
+
+
+@pytest.mark.parametrize(
+    "generate,args,argument",
+    [
+        (generate_resnet_analog, (0, 0), "blocks"),
+        (generate_resnet_analog, (1, -1), "transposes_between"),
+        (generate_resnet_analog, (2, -3), "transposes_between"),
+        (generate_wavenet_analog, (-1, 0), "copy_pairs"),
+        (generate_wavenet_analog, (5, -1), "non_invertible"),
+        (generate_wavenet_analog, (2, 3), "non_invertible"),
+    ],
+)
+def test_generators_reject_out_of_range_arguments(generate, args, argument):
+    with pytest.raises(ValueError, match=f"^{argument} must be"):
+        generate(*args, 0)
+
+
+def _accesses(program):
+    return [(nest, s) for nest in program.nests for s in nest.body if isinstance(s, (Load, Store))]
+
+
+def test_resnet_shares_its_identity_and_transpose_maps():
+    program = generate_resnet_analog(8, 3, 0)
+    identities = {id(s.access) for n, s in _accesses(program) if s.access == identity_map(n.box)}
+    transposes = {id(s.access) for n, s in _accesses(program) if n.kind == "transpose" and isinstance(s, Store)}
+    assert len(identities) == 1
+    assert len(transposes) == 1
+    assert len({id(n.box) for n in program.nests}) == 1
+
+
+def test_wavenet_holds_one_identity_map_per_distinct_box():
+    program = generate_wavenet_analog(60, 6, 3)
+    identities = {}
+    for nest, s in _accesses(program):
+        if s.access == identity_map(nest.box):
+            identities.setdefault(nest.box, set()).add(id(s.access))
+    assert len(identities) > 5
+    assert all(len(ids) == 1 for ids in identities.values())
+    # equal boxes are one object as well
+    assert len({id(n.box) for n in program.nests}) == len({n.box for n in program.nests})

@@ -22,7 +22,7 @@ from nestopt.textual import parse
 
 
 def store_of(**arrays):
-    return TensorStore.from_arrays({k: np.asarray(v) for k, v in arrays.items()})
+    return TensorStore({k: np.array(v, dtype=np.int64) for k, v in arrays.items()})
 
 
 def test_transpose_of_ramp():

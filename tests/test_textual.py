@@ -625,22 +625,34 @@ def test_parse_builds_one_map_per_distinct_access_and_box(monkeypatch):
     assert len(built) == 2 * len(distinct)
 
 
-def test_print_builds_one_memcopy_identity_per_distinct_box(monkeypatch):
+def test_print_builds_no_map_for_memcopies(monkeypatch):
     local, _ = run_local_baseline(generate_resnet_analog(64, 3, seed=0))
     expected = print_program(local)
     memcopy_boxes = [n.box for n in local.nests for s in n.body if isinstance(s, Memcopy)]
     assert len(memcopy_boxes) > 20 * len(set(memcopy_boxes))
-    built = []
 
-    def counting_affine_map(box, exprs):
-        built.append(box)
-        return affine_map(box, exprs)
+    def no_map(*args):
+        raise AssertionError("print_program built a map")
 
-    monkeypatch.setattr(textual, "affine_map", counting_affine_map)
-    # memcopy element maps come from identity_map
-    monkeypatch.setattr(textual, "identity_map", lambda box: counting_affine_map(box, variables(box.ndim)))
+    monkeypatch.setattr(textual, "affine_map", no_map)
+    monkeypatch.setattr(textual, "identity_map", no_map)
     assert print_program(local) == expected
-    assert sorted(built, key=repr) == sorted(set(memcopy_boxes), key=repr)
-    # nothing is kept across calls: a second print builds them again
-    assert print_program(local) == expected
-    assert len(built) == 2 * len(set(memcopy_boxes))
+
+
+@pytest.mark.parametrize(
+    "element_map",
+    [
+        affine_map(IntBox.from_extents(2, 3), variables(2)[::-1]),
+        affine_map(IntBox.from_extents(2, 4), variables(2)),
+        affine_map(IntBox.from_extents(6), variables(1)),
+    ],
+    ids=["transposed", "other-box", "other-arity"],
+)
+def test_print_rejects_a_memcopy_whose_map_is_not_its_box_identity(element_map):
+    box = IntBox.from_extents(2, 3)
+    program = Program(
+        (TensorDecl("a", 4, (2, 3), OnChip()), TensorDecl("b", 4, (2, 3), OnChip())),
+        (OperatorNest("c", "copy", box, (Memcopy("b", "a", element_map),)),),
+    )
+    with pytest.raises(ValueError, match="non-identity element map"):
+        print_program(program)

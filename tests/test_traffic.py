@@ -131,7 +131,8 @@ def test_footprint_drop_matches_dme_records():
     result = run_dme(program)
     before = account(program)
     after = account(result.program)
-    assert before.intermediate_tensor_bytes - after.intermediate_tensor_bytes == result.eliminated_bytes
+    eliminated_bytes = sum(r.bytes for r in result.eliminated)
+    assert before.intermediate_tensor_bytes - after.intermediate_tensor_bytes == eliminated_bytes
 
 
 def test_compare_percentages():
