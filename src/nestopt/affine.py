@@ -39,10 +39,13 @@ on the instance (the cached hash of hash-consing, Filliatre & Conchon
 tree.  ``==`` answers at once for the same object and otherwise compares
 fields, as the generated method did.
 
-numpy is imported only inside the functions that enumerate points
-(``points_array``, ``evaluate_batch``, and the enumerating branches of
-``image``, ``image_escape`` and ``reverse``), so a process that only builds,
-composes and reverses normal forms never loads it.
+``image`` is symbolic only: the lattice of a normal form, and an
+``AffineError`` for a general map.  ``image_escape`` and ``reverse`` are the
+two callers that enumerate a domain, both through ``_tabulate``, which gives
+the points and values of a map of at most ``ENUMERATE_LIMIT`` points.  numpy
+is imported only inside the functions that enumerate (``points_array``,
+``evaluate_batch`` and those two), so a process that only builds, composes
+and reverses normal forms never loads it.
 """
 
 from __future__ import annotations
@@ -58,8 +61,8 @@ if TYPE_CHECKING:
     import numpy as np
 
 HARD_CARDINALITY_CAP = 1 << 40
-# the most points ``image``, ``image_escape`` and ``reverse`` enumerate; read
-# at call time, so a change reaches every caller
+# the most points ``_tabulate`` enumerates for ``image_escape`` and
+# ``reverse``; read at call time, so a change reaches every caller
 ENUMERATE_LIMIT = 1 << 20
 
 
@@ -76,10 +79,6 @@ class ArityMismatch(AffineError):
 
 
 class ImageEscapesDomain(AffineError):
-    pass
-
-
-class DomainTooLarge(AffineError):
     pass
 
 
@@ -681,75 +680,25 @@ class LatticeImage:
         )
         return IntBox(self.los, his)
 
-    def __contains__(self, point) -> bool:
-        if len(point) != len(self.los):
-            return False
-        for p, lo, s, c in zip(point, self.los, self.strides, self.counts):
-            if c == 0 or p < lo or p > lo + s * (c - 1) or (p - lo) % s != 0:
-                return False
-        return True
-
-    def points(self) -> Iterator[tuple[int, ...]]:
-        return itertools.product(
-            *(range(lo, lo + s * c, s) for lo, s, c in zip(self.los, self.strides, self.counts))
-        )
-
-    def is_subset_of_box(self, box: IntBox) -> bool:
-        if self.cardinality == 0:
-            return True
-        bb = self.bounding_box()
-        return all(l >= bl and h <= bh for l, h, bl, bh in zip(bb.los, bb.his, box.los, box.his))
-
     def equals_box(self, box: IntBox) -> bool:
-        """``bounding_box() == box`` with unit strides, compared field by field."""
-        return (
-            self.los == box.los
-            and all(s == 1 for s in self.strides)
-            and box.his == tuple(lo + c for lo, c in zip(self.los, self.counts))
-        )
-
-
-@dataclass(frozen=True)
-class ExplicitImage:
-    """Image as an explicit finite point set."""
-
-    pts: frozenset
-
-    @property
-    def cardinality(self) -> int:
-        return len(self.pts)
-
-    def bounding_box(self) -> IntBox:
-        if not self.pts:
-            return IntBox((), ())
-        arr = list(self.pts)
-        nd = len(arr[0])
-        los = tuple(min(p[j] for p in arr) for j in range(nd))
-        his = tuple(max(p[j] for p in arr) + 1 for j in range(nd))
-        return IntBox(los, his)
-
-    def __contains__(self, point) -> bool:
-        return tuple(point) in self.pts
-
-    def points(self) -> Iterator[tuple[int, ...]]:
-        return iter(sorted(self.pts))
-
-    def is_subset_of_box(self, box: IntBox) -> bool:
-        return all(box.contains(p) for p in self.pts)
-
-    def equals_box(self, box: IntBox) -> bool:
-        if len(self.pts) != box.cardinality:
+        """Whether the lattice and the box hold the same points: of one rank,
+        both empty, or equal per axis, where a stride counts only on an
+        axis of more than one point."""
+        if len(self.los) != box.ndim:
             return False
-        return all(box.contains(p) for p in self.pts)
+        if self.cardinality == 0 or box.is_empty:
+            return self.cardinality == box.cardinality
+        spans = zip(self.los, self.strides, self.counts, box.los, box.his)
+        return all(lo == blo and lo + c == bhi and (s == 1 or c == 1) for lo, s, c, blo, bhi in spans)
 
 
-ImageSet = Union[LatticeImage, ExplicitImage]
-
-
-def image(m: QuasiAffineMap) -> ImageSet:
-    """Exact image {f(p) : p in domain}, symbolic when the class permits."""
+def image(m: QuasiAffineMap) -> LatticeImage:
+    """Exact image {f(p) : p in domain} of a PermShift, StridedEmbed or
+    MixedRadix map, with zero counts for an empty domain.  A general map has
+    no symbolic image: ``AffineError``."""
     if m.domain.is_empty:
-        return ExplicitImage(frozenset())
+        zeros = tuple(0 for _ in m.exprs)
+        return LatticeImage(zeros, tuple(1 for _ in m.exprs), zeros)
     cls = m.map_class
     if cls is MapClass.PERM_SHIFT or cls is MapClass.STRIDED_EMBED:
         los, strides, counts = [], [], []
@@ -772,13 +721,17 @@ def image(m: QuasiAffineMap) -> ImageSet:
         return LatticeImage(
             tuple(0 for _ in radices), tuple(1 for _ in radices), radices
         )
+    raise AffineError(f"a {cls.value} map has no symbolic image")
+
+
+def _tabulate(m: QuasiAffineMap) -> tuple[np.ndarray, np.ndarray] | None:
+    """The domain points of ``m`` in lexicographic order and their values,
+    as int64 arrays, or None when the domain has more than
+    ``ENUMERATE_LIMIT`` points."""
     if m.domain.cardinality > ENUMERATE_LIMIT:
-        raise DomainTooLarge(
-            f"cannot enumerate image of {m.domain.cardinality} points"
-        )
+        return None
     pts = m.domain.points_array()
-    vals = m.evaluate_batch(pts)
-    return ExplicitImage(frozenset(map(tuple, vals.tolist())))
+    return pts, m.evaluate_batch(pts)
 
 
 @dataclass(frozen=True)
@@ -811,15 +764,15 @@ def image_escape(m: QuasiAffineMap, los: tuple[int, ...], his: tuple[int, ...]) 
         return None
     general = m.map_class is MapClass.GENERAL
     if not general:
-        img = image(m)  # a LatticeImage, never enumerated
+        img = image(m)
         spans = zip(img.los, img.strides, img.counts, los, his)
         if all(lo <= first and first + s * (c - 1) < hi for first, s, c, lo, hi in spans):
             return None
-    if dom.cardinality <= ENUMERATE_LIMIT:
+    table = _tabulate(m)
+    if table is not None:
         import numpy as np
 
-        pts = dom.points_array()
-        vals = m.evaluate_batch(pts)
+        pts, vals = table
         box_lo, box_hi = np.asarray(los, dtype=np.int64), np.asarray(his, dtype=np.int64)
         rows = ((vals < box_lo) | (vals >= box_hi)).any(axis=1)
         if not rows.any():
@@ -839,10 +792,7 @@ def image_escape(m: QuasiAffineMap, los: tuple[int, ...], his: tuple[int, ...]) 
 @dataclass(frozen=True)
 class SymbolicInverse:
     map: QuasiAffineMap
-    image: ImageSet
-
-    def apply(self, point) -> tuple[int, ...]:
-        return self.map.evaluate(point)
+    image: LatticeImage
 
 
 @dataclass(frozen=True)
@@ -870,9 +820,9 @@ def reverse(m: QuasiAffineMap) -> InverseResult:
     point order.  Non-invertibility is a value, not an error.
     """
     if m.domain.is_empty:
-        empty = IntBox(tuple(0 for _ in range(m.out_arity)), tuple(0 for _ in range(m.out_arity)))
+        img = image(m)
         exprs = tuple(const_expr(m.out_arity, 0) for _ in range(m.in_arity))
-        return SymbolicInverse(QuasiAffineMap(empty, exprs), ExplicitImage(frozenset()))
+        return SymbolicInverse(QuasiAffineMap(img.bounding_box(), exprs), img)
     cls = m.map_class
     img = None
     if cls in (MapClass.PERM_SHIFT, MapClass.STRIDED_EMBED, MapClass.MIXED_RADIX):
@@ -906,13 +856,12 @@ def reverse(m: QuasiAffineMap) -> InverseResult:
         base, radices = m.unflatten
         inv = QuasiAffineMap(img.bounding_box(), (QuasiAffineExpr(_suffix_products(radices), base),))
         return SymbolicInverse(inv, img)
-    card = m.domain.cardinality
-    if card > ENUMERATE_LIMIT:
-        return NotInvertible(f"domain too large to tabulate ({card} points)")
+    table = _tabulate(m)
+    if table is None:
+        return NotInvertible(f"domain too large to tabulate ({m.domain.cardinality} points)")
     import numpy as np
 
-    pts = m.domain.points_array()
-    vals = m.evaluate_batch(pts)
+    pts, vals = table
     # lexsort is stable, so equal values stay in point order and every row
     # after a group's first is a repeat; the earliest repeat is the first
     # collision a scan in point order meets

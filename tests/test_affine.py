@@ -20,10 +20,9 @@ from hypothesis import strategies as st
 import nestopt.dme
 from nestopt import affine as affine_module
 from nestopt.affine import (
+    AffineError,
     ArityMismatch,
     DivModTerm,
-    DomainTooLarge,
-    ExplicitImage,
     ImageEscape,
     ImageEscapesDomain,
     InjectiveOnly,
@@ -81,6 +80,12 @@ def ref_graph(m):
     """Full point->value table by enumeration."""
     ranges = [range(l, h) for l, h in zip(m.domain.los, m.domain.his)]
     return {p: ref_eval_map(m, p) for p in itertools.product(*ranges)}
+
+
+def lattice_points(img):
+    """The points of a lattice image, read off its fields."""
+    spans = zip(img.los, img.strides, img.counts)
+    return set(itertools.product(*(range(lo, lo + s * c, s) for lo, s, c in spans)))
 
 
 def box(*bounds):
@@ -256,29 +261,32 @@ def test_classify_three_digit_unflatten():
 
 def test_image_identity():
     m = identity_map(box((0, 4)))
-    img = image(m)
-    assert set(img.points()) == {(0,), (1,), (2,), (3,)}
+    assert image(m) == LatticeImage((0,), (1,), (4,))
+    assert lattice_points(image(m)) == set(ref_graph(m).values()) == {(0,), (1,), (2,), (3,)}
 
 
 def test_image_stride_lattice():
     (i,) = variables(1)
     m = affine_map(box((0, 3)), (3 * i,))
-    img = image(m)
-    assert set(img.points()) == {(0,), (3,), (6,)}
-    assert (3,) in img and (2,) not in img
+    assert image(m) == LatticeImage((0,), (3,), (3,))
+    assert lattice_points(image(m)) == set(ref_graph(m).values()) == {(0,), (3,), (6,)}
 
 
 def test_image_flatten_dense():
     img = image(flatten_map())
-    assert set(img.points()) == {(k,) for k in range(12)}
+    assert img == LatticeImage((0,), (1,), (12,))
+    assert lattice_points(img) == set(ref_graph(flatten_map()).values())
     assert img.equals_box(box((0, 12)))
 
 
-def test_image_too_large(monkeypatch):
-    monkeypatch.setattr(affine_module, "ENUMERATE_LIMIT", 100)
-    m = affine_map(box((0, 100), (0, 100)), (variables(2)[0] + variables(2)[1],))
-    with pytest.raises(DomainTooLarge):
-        image(m)
+def test_image_of_a_general_map_is_an_error():
+    i0, i1 = variables(2)
+    with pytest.raises(AffineError) as exc:
+        image(affine_map(box((0, 2), (0, 2)), (i0 + i1,)))
+    assert str(exc.value) == "a general map has no symbolic image"
+    # an empty domain has the empty lattice, whatever the map
+    empty = affine_map(box((0, 0), (0, 2)), (i0 + i1, i1, i0))
+    assert image(empty) == LatticeImage((0, 0, 0), (1, 1, 1), (0, 0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +308,9 @@ def test_reverse_stride_two():
     m = affine_map(box((0, 5)), (2 * i,))
     inv = reverse(m)
     assert isinstance(inv, SymbolicInverse)
-    assert set(inv.image.points()) == {(0,), (2,), (4,), (6,), (8,)}
+    assert inv.image == LatticeImage((0,), (2,), (5,))
     for p in range(5):
-        assert inv.apply(m.evaluate((p,))) == (p,)
+        assert inv.map.evaluate(m.evaluate((p,))) == (p,)
 
 
 def test_reverse_collision():
@@ -391,7 +399,7 @@ def test_reverse_round_trip(make):
     inv = reverse(m)
     assert isinstance(inv, SymbolicInverse)
     for p, v in ref_graph(m).items():
-        assert inv.apply(v) == p
+        assert inv.map.evaluate(v) == p
 
 
 def test_reverse_then_compose_gives_identity():
@@ -509,7 +517,7 @@ def test_perm_shift_classified_and_invertible(m):
     inv = reverse(m)
     assert isinstance(inv, SymbolicInverse)
     for p, v in ref_graph(m).items():
-        assert inv.apply(v) == p
+        assert inv.map.evaluate(v) == p
 
 
 @given(strided_maps())
@@ -519,7 +527,7 @@ def test_strided_round_trip(m):
     inv = reverse(m)
     assert isinstance(inv, SymbolicInverse)
     for p, v in ref_graph(m).items():
-        assert inv.apply(v) == p
+        assert inv.map.evaluate(v) == p
 
 
 @given(quasi_maps())
@@ -533,7 +541,7 @@ def test_general_reverse_sound(m):
         assert len(set(vals)) == len(vals)
     else:
         for p, v in ref_graph(m).items():
-            assert inv.apply(v) == p
+            assert inv.map.evaluate(v) == p
 
 
 @given(boxes(), st.data())
@@ -605,9 +613,10 @@ def ref_build_unflatten_exprs(base, radices):
 
 def ref_reverse(m):
     if m.domain.is_empty:
-        empty = IntBox(tuple(0 for _ in range(m.out_arity)), tuple(0 for _ in range(m.out_arity)))
+        zeros = tuple(0 for _ in range(m.out_arity))
         exprs = tuple(const_expr(m.out_arity, 0) for _ in range(m.in_arity))
-        return SymbolicInverse(QuasiAffineMap(empty, exprs), ExplicitImage(frozenset()))
+        img = LatticeImage(zeros, tuple(1 for _ in zeros), zeros)
+        return SymbolicInverse(QuasiAffineMap(IntBox(zeros, zeros), exprs), img)
     cls = classify(m)
     if cls is MapClass.GENERAL:
         return reverse(m)  # the tabulating branch builds no expression
@@ -647,15 +656,18 @@ def ref_check_image_in_domain(inner, b):
         return
     if inner.out_arity != b.ndim:
         raise ArityMismatch("image arity != domain arity")
-    try:
-        img = image(inner)
-    except DomainTooLarge:
+    if classify(inner) is not MapClass.GENERAL:
+        bb = image(inner).bounding_box()
+        inside = all(bl <= l and h <= bh for l, h, bl, bh in zip(bb.los, bb.his, b.los, b.his))
+    elif inner.domain.cardinality <= affine_module.ENUMERATE_LIMIT:
+        inside = all(b.contains(ref_eval_map(inner, p)) for p in inner.domain.points())
+    else:
         for e, lo, hi in zip(inner.exprs, b.los, b.his):
             elo, ehi = expr_interval(e, inner.domain)
             if elo < lo or ehi >= hi:
                 raise ImageEscapesDomain(f"output range [{elo}, {ehi}] escapes [{lo}, {hi})")
         return
-    if not img.is_subset_of_box(b):
+    if not inside:
         raise ImageEscapesDomain("inner image escapes outer domain")
 
 
@@ -830,6 +842,14 @@ def reshape_maps(draw):
     if draw(st.booleans()):
         return affine_map(box((base, base + math.prod(radices))), build_unflatten_exprs(base, radices))
     return affine_map(IntBox.from_extents(*radices), (QuasiAffineExpr(_suffix_products(radices), base),))
+
+
+@given(st.one_of(perm_shift_maps(), strided_maps(), reshape_maps()))
+@settings(max_examples=200, derandomize=True)
+def test_image_of_a_normal_form_is_its_enumerated_image(m):
+    img = image(m)
+    assert lattice_points(img) == set(ref_graph(m).values())
+    assert img.cardinality == m.domain.cardinality
 
 
 @given(st.one_of(quasi_maps(), reshape_maps()), st.data())
@@ -1113,6 +1133,6 @@ def lattices_and_boxes(draw):
 
 @given(lattices_and_boxes())
 @settings(max_examples=300, derandomize=True)
-def test_lattice_equals_box_is_bounding_box_equality_with_unit_strides(case):
+def test_lattice_equals_box_is_point_set_equality(case):
     img, b = case
-    assert img.equals_box(b) == (all(s == 1 for s in img.strides) and img.bounding_box() == b)
+    assert img.equals_box(b) == ((len(img.los), lattice_points(img)) == (b.ndim, set(b.points())))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import nestopt.dme
-from nestopt.affine import ImageEscapesDomain
+from nestopt.affine import ImageEscapesDomain, reverse
 from nestopt.bankmap import AnchorRegistry, run_global_mapping, run_local_baseline
 from nestopt.dme import DmeResult, EliminationRecord, SkipReason, UseDefIndex, run_dme, try_eliminate_pair
 from nestopt.generators import generate_resnet_analog, generate_wavenet_analog
@@ -125,6 +125,50 @@ nest use kind=elementwise (i0 in 0..4) {
     program = parse(src)
     _, record = try_eliminate_pair(program, pair_for(program, "partial"))
     assert record.skipped is SkipReason.NOT_TOTAL_COVER
+
+
+def _one_copy(extent, loop, store_index):
+    """A copy of %x into %t over ``loop``, storing at ``store_index``, and a
+    consumer of all of %t."""
+    return f"""\
+tensor %x : 4x[{extent}] @dram input
+tensor %t : 4x[{extent}] @sbuf
+tensor %y : 4x[{extent}] @dram output
+
+nest c kind=copy (i0 in {loop}) {{
+  %v = load %x[i0]
+  store %t[{store_index}] = %v
+}}
+
+nest use kind=elementwise (i0 in 0..{extent}) {{
+  %v = load %t[i0]
+  %w = neg %v
+  store %y[i0] = %w
+}}
+"""
+
+
+@pytest.mark.parametrize("store_index", ["i0", "2*i0"])
+def test_store_over_one_point_covers_its_cell_whatever_the_stride(store_index):
+    # a stride means nothing on an axis of one point: 2*i0 over 0..1 writes
+    # the one cell of %t exactly as i0 does
+    program = parse(_one_copy(1, "0..1", store_index))
+    assert validate(program) == []
+    result = run_dme(program)
+    assert [r.tensor for r in result.eliminated] == ["t"] and result.skipped == ()
+    assert [n.name for n in result.program.nests] == ["use"]
+    assert equivalent(program, result.program, trials=3, seed=0).equivalent
+
+
+def test_store_over_an_empty_loop_covers_no_cell():
+    program = parse(_one_copy(4, "0..0", "i0"))
+    result = run_dme(program)
+    assert result.eliminated == ()
+    record = next(r for r in result.skipped if r.tensor == "t")
+    assert record.skipped is SkipReason.NOT_TOTAL_COVER
+    assert record.detail == "store covers 0 of 4 cells"
+    store = program.nest("c").body[-1]
+    assert reverse(store.access).image.cardinality == 0
 
 
 def test_model_output_never_eliminated():
