@@ -16,7 +16,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from nestopt.dme import run_dme  # noqa: E402
 from nestopt.generators import generate_wavenet_analog  # noqa: E402
-from nestopt.interp import equivalent  # noqa: E402
+from nestopt.interp import TRIALS_LIMIT, equivalent  # noqa: E402
 from nestopt.traffic import account, compare  # noqa: E402
 
 
@@ -45,6 +45,8 @@ def main() -> int:
     args = ap.parse_args()
     if args.non_invertible > args.pairs:
         ap.error(f"argument --non-invertible: must be <= --pairs ({args.pairs}), got {args.non_invertible}")
+    if args.verify_trials > TRIALS_LIMIT:
+        ap.error(f"argument --verify-trials: must be <= {TRIALS_LIMIT}, got {args.verify_trials}")
 
     program = generate_wavenet_analog(args.pairs, args.non_invertible, args.seed)
     before = account(program)

@@ -11,9 +11,11 @@ front of the first consumer that needs it.
 A local baseline assigns templates/defaults per operator with no
 propagation and pays a memcopy on every mismatched dependence edge.
 
-Transfers read access maps from the nest they cross, both modes find each
-tensor's producer through ``ir.producers``, and both insert memcopies
-through the same rewrite.
+Transfers read access maps from the nest they cross through
+``ir.reads_of``/``ir.writes_of``, which give a memcopy its nest's identity
+map.  Both modes find each tensor's producer through ``ir.producers``, and
+both insert memcopies through the same rewrite; an inserted memcopy holds
+no map, only its two tensors.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from importlib import resources
 from types import MappingProxyType
 from typing import Sequence, Union
 
-from .affine import IntBox, QuasiAffineMap, identity_map
+from .affine import QuasiAffineMap
 from .ir import (
     OPERATOR_KINDS,
     BankMapping,
@@ -305,8 +307,8 @@ def _nest_transfer(
 ) -> BankMapping | None:
     """Transfer through ``nest`` as a whole; None when blocked or ambiguous."""
     results = set()
-    write_maps = [m for s in nest.body for t, m in writes_of(s) if t == result]
-    for lm in (m for s in nest.body for t, m in reads_of(s) if t == operand):
+    write_maps = [m for t, m in writes_of(nest) if t == result]
+    for lm in (m for t, m in reads_of(nest) if t == operand):
         for sm in write_maps:
             r = transfer(mapping, lm, sm, direction)
             if isinstance(r, Blocked):
@@ -416,23 +418,13 @@ def _nest_requirement(
     return None
 
 
-def _identity_copy_nest(
-    name: str, dst: str, src: str, decl: TensorDecl, identities: dict[IntBox, QuasiAffineMap]
-) -> OperatorNest:
-    """``dst = src`` over ``decl``'s index box, its element map taken from
-    (or added to) ``identities``, the caller's one identity map per box."""
-    box = decl.index_box
-    ident = identities.get(box) or identities.setdefault(box, identity_map(box))
-    return OperatorNest(name, "copy", box, (Memcopy(dst, src, ident),))
-
-
 def _retarget_reads(nest: OperatorNest, old: str, new: str) -> OperatorNest:
     body: list[Statement] = []
     for s in nest.body:
         if isinstance(s, Load) and s.tensor == old:
             body.append(Load(s.result, new, s.access))
         elif isinstance(s, Memcopy) and s.src == old:
-            body.append(Memcopy(s.dst, new, s.element_map))
+            body.append(Memcopy(s.dst, new))
         else:
             body.append(s)
     return OperatorNest(nest.name, nest.kind, nest.box, tuple(body))
@@ -461,9 +453,8 @@ def _rebank(
     with one counter for all fixes that skips names already taken.
     """
     tag = "r" if mode == "global" else "l"
-    # one location per distinct mapping and one identity map per box, for this call
+    # one location per distinct mapping, for this call
     locations: dict[BankMapping, OnChip] = {}
-    identities: dict[IntBox, QuasiAffineMap] = {}
     new_tensors = []
     for decl in program.tensors:
         if isinstance(decl.location, OnChip):
@@ -488,7 +479,7 @@ def _rebank(
         decl = program.tensor(tensor)
         loc = locations.get(req) or locations.setdefault(req, OnChip(req))
         new_tensors.append(TensorDecl(new_name, decl.elem_size, decl.shape, loc))
-        copy_nest = _identity_copy_nest(f"bankfix_{new_name}", new_name, tensor, decl, identities)
+        copy_nest = OperatorNest(f"bankfix_{new_name}", "copy", decl.index_box, (Memcopy(new_name, tensor),))
         inserts_at.setdefault(consumers[0], []).append(copy_nest)
         for ni in consumers:
             base = nest_replacements.get(ni, program.nests[ni])

@@ -244,6 +244,10 @@ def _cmd_verify(args) -> int:
     if args.seed < 0:
         raise _UsageError(f"--seed must be >= 0, got {args.seed}")
     _need("_CallMemo", "parse", "ParseError", "validate", "InterpError", "equivalent")
+    from .interp import TRIALS_LIMIT
+
+    if args.trials > TRIALS_LIMIT:
+        raise _UsageError(f"--trials must be <= {TRIALS_LIMIT}, got {args.trials}")
     # the two programs are usually a program and its optimized output,
     # which repeats most of its lines
     parses, bounds = _CallMemo(), {}

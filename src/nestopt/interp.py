@@ -110,6 +110,9 @@ POINT_CACHE_BYTES = 64 << 20
 # largest int64 array, over all trials, that ``run`` allocates for one tensor,
 # one nest's points or one statement's values
 BUFFER_BYTES = 1 << 30
+# most trials ``equivalent`` runs: it draws inputs and compares outputs one
+# trial at a time, which ``BUFFER_BYTES`` does not bound
+TRIALS_LIMIT = 1 << 16
 
 
 class _PointCache:
@@ -344,8 +347,8 @@ def _run_nest(nest, pts, decls, data, written, indices, full):
             dst = cells(stmt.access, stmt.tensor, si)
             writes.setdefault(stmt.tensor, []).append((dst, env[stmt.value]))
         elif isinstance(stmt, Memcopy):
-            sflat = cells(stmt.element_map, stmt.src, si).flat
-            dst = cells(stmt.element_map, stmt.dst, si)
+            sflat = cells(nest.identity, stmt.src, si).flat
+            dst = cells(nest.identity, stmt.dst, si)
             if stmt.src not in full:
                 _check_written(written[stmt.src], sflat, pts, nest.name, si, "memcopy reads", stmt.src)
             writes.setdefault(stmt.dst, []).append((dst, data[stmt.src][:, sflat]))
@@ -445,14 +448,17 @@ def equivalent(p1: Program, p2: Program, trials: int = 5, seed: int = 0) -> Equi
     Trial ``k`` feeds both programs ``random_inputs(p1, seed, k)``; each
     program runs once over all trials.  The counterexample is the first
     difference by trial, then output name, then cell.  Raises ValueError
-    for ``trials < 1`` or ``seed < 0`` before running anything, and
-    BufferTooLarge before drawing inputs; an ``InterpError`` from a size
-    check or a run names that program in its ``side``.
+    for ``trials`` outside ``1..TRIALS_LIMIT`` or ``seed < 0`` before
+    running anything, and BufferTooLarge before drawing inputs; an
+    ``InterpError`` from a size check or a run names that program in its
+    ``side``.
     """
     import numpy as np
 
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if trials > TRIALS_LIMIT:
+        raise ValueError(f"trials must be <= {TRIALS_LIMIT}, got {trials}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     in1 = {(t.name, t.shape, t.elem_size) for t in p1.tensors if t.origin is Origin.MODEL_INPUT}

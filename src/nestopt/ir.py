@@ -4,7 +4,9 @@ A Program is a dependence-ordered list of perfectly nested operator loops
 over tensors with declared locations (off-chip DRAM vs on-chip scratchpad,
 optionally annotated with a bank mapping).  Statements are element-wise
 loads/stores with quasi-affine access maps, a small fixed set of compute
-opcodes, and first-class memcopies.
+opcodes, and first-class memcopies.  A memcopy holds no map: it copies
+``dst[i] = src[i]`` at each point ``i`` of its nest box, and the nest's
+``identity`` is the one place that map is built.
 
 Everything is an immutable value: passes build new Programs.
 """
@@ -17,7 +19,8 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterator, Union
 
-from .affine import HARD_CARDINALITY_CAP, INT64_MAX, ImageEscape, IntBox, QuasiAffineMap, image_escape, map_fits_int64
+from .affine import HARD_CARDINALITY_CAP, INT64_MAX, ImageEscape, IntBox, QuasiAffineMap
+from .affine import identity_map, image_escape, map_fits_int64
 
 
 OPCODE_ARITY = {"add": 2, "mul": 2, "max": 2, "neg": 1, "identity": 1}
@@ -121,11 +124,10 @@ class Compute:
 
 @dataclass(frozen=True)
 class Memcopy:
-    """Element-wise copy dst[f(i)] = src[f(i)] over the nest box."""
+    """Element-wise copy dst[i] = src[i] at each point i of the nest box."""
 
     dst: str
     src: str
-    element_map: QuasiAffineMap
 
 
 Statement = Union[Load, Store, Compute, Memcopy]
@@ -137,6 +139,11 @@ class OperatorNest:
     kind: str
     box: IntBox
     body: tuple[Statement, ...]
+
+    @cached_property
+    def identity(self) -> QuasiAffineMap:
+        """The map of both sides of each memcopy in the body."""
+        return identity_map(self.box)
 
     def read_tensors(self) -> tuple[str, ...]:
         """Tensors read, in first-reference order, deduplicated."""
@@ -167,12 +174,6 @@ class Program:
 
     def tensor(self, name: str) -> TensorDecl:
         return self.tensor_map[name]
-
-    def nest(self, name: str) -> OperatorNest:
-        for n in self.nests:
-            if n.name == name:
-                return n
-        raise KeyError(name)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +213,7 @@ def validate(program: Program, *, _memo: dict | None = None) -> list[Violation]:
         if t.name in seen_tensors:
             out.append(Violation("DuplicateTensor", None, None, f"tensor '{t.name}' declared twice"))
         seen_tensors.add(t.name)
-        if t.elem_size < 1 or any(d < 1 for d in t.shape):
+        if t.elem_size < 1 or not t.shape or any(d < 1 for d in t.shape):
             out.append(Violation("BadDeclaration", None, None, f"tensor '{t.name}' has bad shape/elem size"))
         elif math.prod(t.shape) > HARD_CARDINALITY_CAP:
             # so that every access image checked below fits an IntBox
@@ -258,8 +259,8 @@ def validate(program: Program, *, _memo: dict | None = None) -> list[Violation]:
                 writes[stmt.tensor] = None
                 continue
             elif isinstance(stmt, Memcopy):
-                _check_access(out, memo, decls, nest, si, stmt.dst, stmt.element_map)
-                _check_access(out, memo, decls, nest, si, stmt.src, stmt.element_map)
+                _check_access(out, memo, decls, nest, si, stmt.dst, nest.identity)
+                _check_access(out, memo, decls, nest, si, stmt.src, nest.identity)
                 _check_write(out, decls, nest, si, stmt.dst)
                 reads[stmt.src] = None
                 writes[stmt.dst] = None
@@ -359,20 +360,22 @@ def _bounds_violation(escape: ImageEscape | str, nest: str, si: int, tname: str)
     return Violation("OutOfBoundsAccess", nest, si, message, escape.witness)
 
 
-def reads_of(stmt: Statement) -> Iterator[tuple[str, QuasiAffineMap]]:
-    """(tensor, access map) of what ``stmt`` reads: a load's or memcopy's source."""
-    if isinstance(stmt, Load):
-        yield stmt.tensor, stmt.access
-    elif isinstance(stmt, Memcopy):
-        yield stmt.src, stmt.element_map
+def reads_of(nest: OperatorNest) -> Iterator[tuple[str, QuasiAffineMap]]:
+    """(tensor, access map) of each load and memcopy source in ``nest``, in body order."""
+    for s in nest.body:
+        if isinstance(s, Load):
+            yield s.tensor, s.access
+        elif isinstance(s, Memcopy):
+            yield s.src, nest.identity
 
 
-def writes_of(stmt: Statement) -> Iterator[tuple[str, QuasiAffineMap]]:
-    """(tensor, access map) of what ``stmt`` writes: a store's or memcopy's destination."""
-    if isinstance(stmt, Store):
-        yield stmt.tensor, stmt.access
-    elif isinstance(stmt, Memcopy):
-        yield stmt.dst, stmt.element_map
+def writes_of(nest: OperatorNest) -> Iterator[tuple[str, QuasiAffineMap]]:
+    """(tensor, access map) of each store and memcopy destination in ``nest``, in body order."""
+    for s in nest.body:
+        if isinstance(s, Store):
+            yield s.tensor, s.access
+        elif isinstance(s, Memcopy):
+            yield s.dst, nest.identity
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,9 @@
       memcopy %dst <- %src
     }
 
+A memcopy holds no map: it copies ``dst[i] = src[i]`` at each point ``i``
+of its nest box.
+
 Expressions are sums of integer constants, scaled loop variables ``k*iN``
 and parenthesized depth-one quotients ``(linear) floordiv k`` /
 ``(linear) mod k``, optionally scaled.  ``#`` starts a comment.  Printing
@@ -27,8 +30,6 @@ from .affine import (
     QuasiAffineExpr,
     QuasiAffineMap,
     affine_map,
-    identity_map,
-    variables,
 )
 from .ir import (
     BankMapping,
@@ -132,12 +133,12 @@ def print_program(program: Program) -> str:
         )
         lines.append(f"nest {nest.name} kind={nest.kind} ({loops}) {{")
         for stmt in nest.body:
-            lines.append("  " + _print_statement(stmt, nest, indices))
+            lines.append("  " + _print_statement(stmt, indices))
         lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def _print_statement(stmt: Statement, nest: OperatorNest, indices: dict[int, str]) -> str:
+def _print_statement(stmt: Statement, indices: dict[int, str]) -> str:
     if isinstance(stmt, Load):
         return f"%{stmt.result} = load {_print_access(stmt.tensor, stmt.access, indices)}"
     if isinstance(stmt, Store):
@@ -146,10 +147,6 @@ def _print_statement(stmt: Statement, nest: OperatorNest, indices: dict[int, str
         ops = " ".join(f"%{o}" for o in stmt.operands)
         return f"%{stmt.result} = {stmt.opcode} {ops}"
     if isinstance(stmt, Memcopy):
-        # ``== identity_map(nest.box)`` field by field, without building the map
-        m = stmt.element_map
-        if m.domain != nest.box or m.exprs != variables(nest.box.ndim):
-            raise ValueError("memcopy with a non-identity element map is not printable")
         return f"memcopy %{stmt.dst} <- %{stmt.src}"
     raise TypeError(stmt)
 
@@ -337,7 +334,7 @@ class _CallMemo:
 
     def __init__(self) -> None:
         self.lines: dict[str | tuple[str, str], TensorDecl | Statement] = {}
-        self.maps: dict[tuple[str | None, str], QuasiAffineMap] = {}
+        self.maps: dict[tuple[str, str], QuasiAffineMap] = {}
         self.exprs: dict[tuple[str, int], QuasiAffineExpr] = {}
         self.boxes: dict[str, IntBox] = {}
 
@@ -377,14 +374,6 @@ class _CallMemo:
             if not exprs:
                 raise ParseError("access needs at least one index expression", line)
             access = self.maps[key] = affine_map(box, exprs)
-        return access
-
-    def identity(self, loops_text: str) -> QuasiAffineMap:
-        """A memcopy's element map, keyed apart from every access text."""
-        key = (None, loops_text)
-        access = self.maps.get(key)
-        if access is None:
-            access = self.maps[key] = identity_map(self.boxes[loops_text])
         return access
 
     def expr(self, text: str, ndim: int, line: int, col0: int) -> QuasiAffineExpr:
@@ -491,5 +480,5 @@ def _statement(line: str, indent: int, loops_text: str, lineno: int, memo: _Call
         m = _MEMCOPY_RE.match(line)
         if m:
             dst, src = m.groups()
-            return Memcopy(dst, src, memo.identity(loops_text))
+            return Memcopy(dst, src)
     raise ParseError(f"bad statement '{line}'", lineno)

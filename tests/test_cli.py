@@ -412,6 +412,7 @@ def _run_module(tmp_path, *args, preexec_fn=None):
         (["optimize", "w.ir", "--pass", "bankmap", "--anchors", "bad.json", "-o", "o.ir"], "malformed"),
         (["verify", "w.ir", "w.ir", "--seed", "-1"], "--seed must be >= 0, got -1"),
         (["gen", "wavenet", "3", "0", "--seed", "-5", "-o", "o.ir"], "--seed must be >= 0, got -5"),
+        (["verify", "w.ir", "w.ir", "--trials", "65537"], "--trials must be <= 65536, got 65537"),
     ],
 )
 def test_bad_option_values_are_usage_errors(tmp_path, argv, message):
@@ -661,6 +662,17 @@ nest c kind=copy (i0 in 0..1000000000) {
 """
 
 
+def test_verify_reads_the_trial_limit_at_call_time(tmp_path, monkeypatch, capsys):
+    src = tmp_path / "w.ir"
+    assert main(["gen", "wavenet", "3", "0", "-o", str(src)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(nestopt.interp, "TRIALS_LIMIT", 2)
+    assert main(["verify", str(src), str(src), "--trials", "3"]) == 2
+    assert capsys.readouterr() == ("", "nestopt verify: --trials must be <= 2, got 3\n")
+    assert main(["verify", str(src), str(src), "--trials", "2"]) == 0
+    assert capsys.readouterr() == ("equivalent: 2 trial(s), seed 0\n", "")
+
+
 def test_verify_refuses_a_box_over_the_interpreters_buffer_limit(tmp_path):
     (tmp_path / "p.ir").write_text(GIANT_BOX)
     proc = _run_module(tmp_path, "verify", "p.ir", "p.ir", preexec_fn=_cap_address_space)
@@ -877,7 +889,7 @@ def _access_keys(program):
             if isinstance(stmt, (Load, Store)):
                 keys.add((stmt.access, shapes[stmt.tensor]))
             elif isinstance(stmt, Memcopy):
-                keys.update((stmt.element_map, shapes[name]) for name in (stmt.dst, stmt.src))
+                keys.update((nest.identity, shapes[name]) for name in (stmt.dst, stmt.src))
     return keys
 
 

@@ -48,7 +48,7 @@ def test_eliminate_transpose_rewrites_consumer():
     assert record.bytes == 4 * 6
     assert "t1" not in out.tensor_map
     assert [n.name for n in out.nests] == ["use"]
-    load = next(s for s in out.nest("use").body if isinstance(s, Load))
+    load = next(s for s in next(n for n in out.nests if n.name == "use").body if isinstance(s, Load))
     assert load.tensor == "t0"
     # consumer now reads t0[i1, i0]
     assert load.access.evaluate((1, 0)) == (0, 1)
@@ -76,7 +76,7 @@ nest use kind=elementwise (i0 in 0..4) {
     program = parse(src)
     out, record = try_eliminate_pair(program, pair_for(program, "sl"))
     assert record.eliminated
-    load = next(s for s in out.nest("use").body if isinstance(s, Load))
+    load = next(s for s in next(n for n in out.nests if n.name == "use").body if isinstance(s, Load))
     assert load.tensor == "t0"
     assert [load.access.evaluate((i,)) for i in range(4)] == [(0,), (2,), (4,), (6,)]
     assert equivalent(program, out, trials=4, seed=1).equivalent
@@ -167,7 +167,7 @@ def test_store_over_an_empty_loop_covers_no_cell():
     record = next(r for r in result.skipped if r.tensor == "t")
     assert record.skipped is SkipReason.NOT_TOTAL_COVER
     assert record.detail == "store covers 0 of 4 cells"
-    store = program.nest("c").body[-1]
+    store = next(n for n in program.nests if n.name == "c").body[-1]
     assert reverse(store.access).image.cardinality == 0
 
 
@@ -321,7 +321,7 @@ def test_chain_of_three_transposes_fully_eliminated():
     result = run_dme(program)
     assert len(result.eliminated) == 3
     assert [n.name for n in result.program.nests] == ["use"]
-    load = next(s for s in result.program.nest("use").body if isinstance(s, Load))
+    load = next(s for s in next(n for n in result.program.nests if n.name == "use").body if isinstance(s, Load))
     assert load.tensor == "t0"
     # three swaps compose to one swap: consumer (i0, i1) reads t0[i1, i0]
     for i0 in range(3):

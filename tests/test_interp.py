@@ -8,6 +8,7 @@ import pytest
 from nestopt.generators import generate_resnet_analog, generate_wavenet_analog
 from nestopt.interp import (
     INPUT_RANGE,
+    TRIALS_LIMIT,
     BufferTooLarge,
     EquivalenceResult,
     InterpError,
@@ -295,6 +296,29 @@ def test_equivalent_refuses_a_negative_seed_before_running(monkeypatch):
     for seed in (-1, -7):
         with pytest.raises(ValueError, match=f"seed must be >= 0, got {seed}$"):
             equivalent(p, p, seed=seed)
+
+
+def test_equivalent_refuses_more_trials_than_its_limit_before_drawing(monkeypatch):
+    import nestopt.interp
+
+    def unreachable(*args):
+        raise AssertionError("drew inputs")
+
+    monkeypatch.setattr(nestopt.interp, "random_inputs", unreachable)
+    p = parse("tensor %a : 4x[2] @dram input\ntensor %y : 4x[2] @dram output\n")
+    for trials in (TRIALS_LIMIT + 1, 1 << 40):
+        with pytest.raises(ValueError, match=f"trials must be <= {TRIALS_LIMIT}, got {trials}$"):
+            equivalent(p, p, trials=trials)
+
+
+def test_equivalent_reads_the_trial_limit_at_call_time(monkeypatch):
+    import nestopt.interp
+
+    monkeypatch.setattr(nestopt.interp, "TRIALS_LIMIT", 3)
+    p = parse(COPY_A_TO_Y)
+    assert equivalent(p, p, trials=3) == EquivalenceResult(True, 3, None)
+    with pytest.raises(ValueError, match="trials must be <= 3, got 4$"):
+        equivalent(p, p, trials=4)
 
 
 def test_equivalent_names_the_side_whose_run_raised():
@@ -588,8 +612,8 @@ def _index_keys(program):
             if isinstance(stmt, (Load, Store)):
                 keys.append((stmt.access, nest.box, shapes[stmt.tensor]))
             elif isinstance(stmt, Memcopy):
-                keys.append((stmt.element_map, nest.box, shapes[stmt.src]))
-                keys.append((stmt.element_map, nest.box, shapes[stmt.dst]))
+                keys.append((nest.identity, nest.box, shapes[stmt.src]))
+                keys.append((nest.identity, nest.box, shapes[stmt.dst]))
     return set(keys), len(keys)
 
 

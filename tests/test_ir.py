@@ -3,6 +3,7 @@
 import dataclasses
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +23,7 @@ from nestopt.affine import (
 from nestopt.bankmap import run_global_mapping, run_local_baseline
 from nestopt.dme import UseDefIndex, run_dme
 from nestopt.generators import generate_resnet_analog, generate_wavenet_analog
+from nestopt.interp import TensorStore, run
 from nestopt.ir import (
     BankMapping,
     Compute,
@@ -41,7 +43,7 @@ from nestopt.ir import (
     producers,
     validate,
 )
-from nestopt.textual import parse
+from nestopt.textual import parse, print_program
 
 TRANSPOSE_SRC = """\
 tensor %t0 : 4x[2, 3] @dram input
@@ -275,6 +277,7 @@ def _breaks_every_rule():
         TensorDecl("banked", 4, (4,), OnChip(BankMapping(2, 2))),
         TensorDecl("b", 4, (4,)),
         TensorDecl("c", 4, (4,)),
+        TensorDecl("s", 4, (3,)),
         TensorDecl("m", 4, (2, 2)),
         TensorDecl("y", 4, (4,), origin=Origin.MODEL_OUTPUT),
     )
@@ -283,23 +286,23 @@ def _breaks_every_rule():
         Load("u", "a", _lin(IntBox.from_extents(5), ((1,), 0))),
         Load("w", "a", _lin(b, ((1,), 0), ((1,), 0))),
         Load("x", "b", _lin(b, ((1,), 1))),
-        Memcopy("c", "y", ident),
+        Memcopy("c", "y"),
         Compute("z", "frob", ("v", "nope")),
         Compute("z", "add", ("v",)),
         Store("a", ident, "q"),
-        Memcopy("a", "m", ident),
-        Memcopy("ghost2", "c", _lin(b, ((1,), 2))),
+        Memcopy("a", "m"),
+        Memcopy("ghost2", "s"),
         Store("b", ident, "v"),
         Store("c", _lin(b, ((1 << 62,), 0)), "x"),
         Load("x2", "m", _lin(b, ((0,), 0), ((1,), 0))),
     ))
     n3 = OperatorNest("n3", "copy", far, (
         Load("v", "y", far_ident),
-        Memcopy("c", "banked", far_ident),
+        Memcopy("c", "banked"),
         Load("u", "m", _lin(far, ((0,), 0), ((0,), 0))),
         Store("b", far_ident, "v"),
         Store("y", far_ident, "v"),
-        Memcopy("a", "b", far_ident),
+        Memcopy("a", "b"),
     ))
     return Program(tensors, (n1, OperatorNest("n1", "copy", b, ()), n3))
 
@@ -326,13 +329,13 @@ def test_validate_reports_every_rule_in_walk_order():
         ("RankMismatch", "n1", 8, "access produces 1 indices for rank-2 'm'", None),
         ("StoreToInput", "n1", 8, "model input 'a' written", None),
         ("UndefinedTensor", "n1", 9, "tensor 'ghost2' not declared", None),
-        ("OutOfBoundsAccess", "n1", 9, "access to 'c' leaves its shape at (2,)", (2,)),
+        ("OutOfBoundsAccess", "n1", 9, "access to 's' leaves its shape at (3,)", (3,)),
         ("Int64Overflow", "n1", 11, "access to 'c' can take values beyond int64", None),
         ("OutOfBoundsAccess", "n1", 12, "access to 'm' leaves its shape at (2,)", (2,)),
         ("ReadBeforeProduce", "n1", None, "tensor 'b' read before any earlier nest stores it", None),
         ("ReadBeforeProduce", "n1", None, "tensor 'y' read before any earlier nest stores it", None),
         ("ReadBeforeProduce", "n1", None, "tensor 'm' read before any earlier nest stores it", None),
-        ("ReadBeforeProduce", "n1", None, "tensor 'c' read before any earlier nest stores it", None),
+        ("ReadBeforeProduce", "n1", None, "tensor 's' read before any earlier nest stores it", None),
         ("DuplicateNest", "n1", None, "nest name reused", None),
         ("EmptyBody", "n1", None, "nest body is empty", None),
         ("Int64Overflow", "n3", None, "loop bounds leave int64", None),
@@ -346,6 +349,43 @@ def test_validate_reports_every_rule_in_walk_order():
     ]
     program = _breaks_every_rule()
     assert validate(program) == [Violation(*v) for v in expected]
+
+
+def _offset_copy(src_extent):
+    """``y <- x`` over ``(i0 in 2..6)``, then ``z[i0 - 2] = y[i0]``: z shows
+    the cells the memcopy wrote."""
+    box = IntBox((2,), (6,))
+    tensors = (
+        TensorDecl("x", 4, (src_extent,), origin=Origin.MODEL_INPUT),
+        TensorDecl("y", 4, (8,), OnChip()),
+        TensorDecl("z", 4, (4,), origin=Origin.MODEL_OUTPUT),
+    )
+    copy = OperatorNest("c", "copy", box, (Memcopy("y", "x"),))
+    body = (Load("v", "y", identity_map(box)), Store("z", _lin(box, ((1,), -2)), "v"))
+    return Program(tensors, (copy, OperatorNest("o", "copy", box, body)))
+
+
+def test_memcopy_copies_each_point_of_an_offset_box():
+    program = _offset_copy(8)
+    assert validate(program) == []
+    x = np.arange(10, 18)
+    out = run(program, TensorStore({"x": x}))
+    assert np.array_equal(out.array("z"), x[2:6])
+    assert parse(print_program(program)) == program
+
+
+def test_memcopy_box_past_its_source_is_out_of_bounds_at_the_first_escaping_point():
+    assert validate(_offset_copy(4)) == [
+        Violation("OutOfBoundsAccess", "c", 0, "access to 'x' leaves its shape at (4,)", (4,))
+    ]
+
+
+def test_validate_rejects_a_rank_zero_tensor():
+    # the text cannot declare one: parse needs at least one extent
+    point = IntBox((), ())
+    nest = OperatorNest("n", "copy", point, (Load("v", "x", _lin(point)),))
+    program = Program((TensorDecl("x", 4, (), origin=Origin.MODEL_INPUT),), (nest,))
+    assert validate(program) == [Violation("BadDeclaration", None, None, "tensor 'x' has bad shape/elem size")]
 
 
 CHAIN_SRC = """\
@@ -468,7 +508,7 @@ def test_find_copy_pairs_transpose():
     pairs = find_copy_pairs(program)
     assert len(pairs) == 1
     assert pairs[0].nest == "tr"
-    assert is_pure_copy_nest(program.nest("tr"))
+    assert is_pure_copy_nest(next(n for n in program.nests if n.name == "tr"))
 
 
 def test_find_copy_pairs_compute_blocks():

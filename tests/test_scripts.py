@@ -36,6 +36,19 @@ def test_script_runs_from_checkout(tmp_path, script, args, agreed):
     assert agreed in proc.stdout
 
 
+def test_copy_elimination_refuses_more_verify_trials_than_the_oracle_runs(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "run_copy_elimination.py"), "--pairs", "4", "--verify-trials", "65537"],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "--verify-trials: must be <= 65536, got 65537" in proc.stderr
+    assert "oracle agreed" not in proc.stdout
+
+
 @pytest.mark.parametrize("trials", ["0", "-1"])
 def test_copy_elimination_refuses_fewer_than_one_verify_trial(tmp_path, trials):
     proc = subprocess.run(

@@ -83,8 +83,8 @@ def ref_run(program, inputs):
                 elif isinstance(stmt, Store):
                     data[stmt.tensor][_ref_index(stmt.access, point, shapes[stmt.tensor])] = env[stmt.value]
                 elif isinstance(stmt, Memcopy):
-                    flat_src = _ref_index(stmt.element_map, point, shapes[stmt.src])
-                    flat_dst = _ref_index(stmt.element_map, point, shapes[stmt.dst])
+                    flat_src = _ref_index(nest.identity, point, shapes[stmt.src])
+                    flat_dst = _ref_index(nest.identity, point, shapes[stmt.dst])
                     v = data[stmt.src][flat_src]
                     assert v is not None
                     data[stmt.dst][flat_dst] = v

@@ -354,7 +354,7 @@ def _ref_parse(text):
         m = textual._MEMCOPY_RE.match(line)
         if m:
             dst, src = m.groups()
-            current["body"].append(Memcopy(dst, src, affine_map(box, variables(box.ndim))))
+            current["body"].append(Memcopy(dst, src))
             continue
         m = textual._COMPUTE_RE.match(line)
         if m:
@@ -635,24 +635,4 @@ def test_print_builds_no_map_for_memcopies(monkeypatch):
         raise AssertionError("print_program built a map")
 
     monkeypatch.setattr(textual, "affine_map", no_map)
-    monkeypatch.setattr(textual, "identity_map", no_map)
     assert print_program(local) == expected
-
-
-@pytest.mark.parametrize(
-    "element_map",
-    [
-        affine_map(IntBox.from_extents(2, 3), variables(2)[::-1]),
-        affine_map(IntBox.from_extents(2, 4), variables(2)),
-        affine_map(IntBox.from_extents(6), variables(1)),
-    ],
-    ids=["transposed", "other-box", "other-arity"],
-)
-def test_print_rejects_a_memcopy_whose_map_is_not_its_box_identity(element_map):
-    box = IntBox.from_extents(2, 3)
-    program = Program(
-        (TensorDecl("a", 4, (2, 3), OnChip()), TensorDecl("b", 4, (2, 3), OnChip())),
-        (OperatorNest("c", "copy", box, (Memcopy("b", "a", element_map),)),),
-    )
-    with pytest.raises(ValueError, match="non-identity element map"):
-        print_program(program)
