@@ -16,7 +16,6 @@ _EXPORTS = {
         "QuasiAffineExpr",
         "QuasiAffineMap",
         "affine_map",
-        "classify",
         "compose",
         "identity_map",
         "image",

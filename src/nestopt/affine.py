@@ -653,10 +653,6 @@ def _classify(m: QuasiAffineMap) -> MapClass:
     return MapClass.GENERAL
 
 
-def classify(m: QuasiAffineMap) -> MapClass:
-    return m.map_class
-
-
 # ---------------------------------------------------------------------------
 # Images
 

@@ -12,22 +12,36 @@ many times, and ``equivalent``'s two programs share most of theirs, so one
 ``equivalent`` call (or one ``run`` called on its own) computes and checks
 each distinct key once and keeps, read-only, what every later statement
 with that key needs: the indices, whether they hit no cell twice
-(``injective``) and whether they hit every cell of the tensor
-(``covers``).  Only a key whose checks pass is kept, so a bad key raises
-at its first occurrence, naming that statement and its program.  ``run``
-also keeps the set of fully written tensors: the model inputs, and each
-tensor on which a covering
-injective store lands.  Nothing is kept past the call.  A nest's loads and
-memcopy sources are checked for poison, statement by statement, before
-any of its writes land; a read of a fully written tensor needs no check.
-This is exact because a nest never reads a tensor it writes (validation
-forbids it, and the interpreter refuses such a nest), so the only order a
-reader can observe is the order of writes to one cell.  A tensor written
-once in a nest, through an injective key, takes a plain scatter.
-Otherwise the last-writer rule settles it: a cell's final value is the
-write with the greatest (point index, statement index), picked with a
-stable sort whenever some cell is written more than once, whether by
-several statements or by one store whose access is not injective.
+(``injective``), whether they hit every cell of the tensor (``covers``)
+and whether they are exactly ``0, 1, ..., size - 1`` (``whole``, as for an
+identity access, or a flatten such as ``%y[3*i0 + i1]``).  Only a key whose
+checks pass is kept, so a bad key raises at its first occurrence, naming
+that statement and its program.  A nest's points are built (through the
+point cache) only when one of its keys misses or an error names a point,
+and a nest with an empty box runs nothing.  ``run`` also keeps the set of
+fully written tensors (the model inputs, and each tensor on which a
+covering injective store lands) and a written-cell mask for each other
+tensor, made at its first partial write; a tensor with neither has no cell
+written.  Nothing is kept past the call.  A nest's loads and memcopy
+sources are checked for poison, statement by statement, before any of its
+writes land; a read of a fully written tensor needs no check.  This is
+exact because a nest never reads a tensor it writes (validation forbids it,
+and the interpreter refuses such a nest), so the only order a reader can
+observe is the order of writes to one cell.  A tensor written once in a
+nest, through an injective key, takes a plain scatter, or a copy into the
+whole buffer for a ``whole`` key.  Otherwise the last-writer rule settles
+it: a cell's final value is the write with the greatest (point index,
+statement index), picked with a stable sort whenever some cell is written
+more than once, whether by several statements or by one store whose access
+is not injective.
+
+A load or memcopy source with a ``whole`` key takes the tensor's buffer
+itself, not a gathered copy, and ``identity`` passes its operand on
+uncopied, so a value in a nest's ``env`` may be a buffer.  That is safe by
+one invariant: no value in a nest's ``env`` is ever written in place.  The
+nest never writes a tensor it reads (the clash check), its writes land
+only after all its statements have run, every write copies values into its
+destination's own buffer, and no two tensors share a buffer.
 
 Buffers carry a leading trial axis, so ``equivalent`` runs each program once
 for all its trials.  Which cells a program writes does not depend on its
@@ -36,7 +50,9 @@ are shared by every trial.  Before drawing inputs or allocating, each
 tensor's buffer over all trials, and each nest's point array and values of
 one statement over all trials, are checked against ``BUFFER_BYTES``, once
 per program: by ``equivalent`` before it draws inputs, or by ``run`` when
-called on its own.
+called on its own.  ``equivalent`` compares each output over all trials at
+once, and walks trial, output name and cell for the first difference only
+when some output differs.
 
 numpy is imported inside the functions that use it, so importing this
 module (as ``import nestopt`` and ``import nestopt.cli`` do) does not load it.
@@ -177,7 +193,6 @@ def run(
     if not _sizes_checked:
         _check_buffer_sizes(program, batch)
     data: dict[str, np.ndarray] = {}
-    written: dict[str, np.ndarray] = {}
     for t in program.tensors:
         if t.origin is Origin.MODEL_INPUT:
             src = inputs.array(t.name)
@@ -185,27 +200,26 @@ def run(
             if tuple(shape) != t.shape:
                 raise InterpError(f"input '{t.name}' has shape {shape}, declared {t.shape}")
             data[t.name] = np.array(src, dtype=np.int64).reshape(batch, -1)
-            written[t.name] = np.ones(data[t.name].shape[1], dtype=bool)
         else:
-            size = math.prod(t.shape)
-            data[t.name] = np.zeros((batch, size), dtype=np.int64)
-            written[t.name] = np.zeros(size, dtype=bool)
+            data[t.name] = np.zeros((batch, math.prod(t.shape)), dtype=np.int64)
 
     decls = program.tensor_map
     # the cells of each (access, box, shape), shared by every statement that has it
     indices = {} if _indices is None else _indices
-    # tensors whose every cell is written: their masks are all True
+    # tensors whose every cell is written, and the written-cell mask of each
+    # tensor written in part: a tensor in neither has no cell written
     full = {t.name for t in program.tensors if t.origin is Origin.MODEL_INPUT}
+    written: dict[str, np.ndarray] = {}
     for nest in program.nests:
-        pts = _point_cache.points(nest.box)
-        if pts.shape[0]:
-            _run_nest(nest, pts, decls, data, written, indices, full)
+        if nest.box.cardinality:
+            _run_nest(nest, decls, data, written, indices, full)
 
     outputs = {}
     for t in program.tensors:
         if t.origin is Origin.MODEL_OUTPUT:
-            if t.name not in full and not written[t.name].all():
-                cell = np.unravel_index(int(np.argmin(written[t.name])), t.shape)
+            mask = written.get(t.name)
+            if t.name not in full and (mask is None or not mask.all()):
+                cell = np.unravel_index(0 if mask is None else int(np.argmin(mask)), t.shape)
                 raise PoisonRead(
                     f"model output '{t.name}' is not fully written: cell {_tuple(cell)} never is"
                 )
@@ -244,6 +258,7 @@ class _Cells(NamedTuple):
     flat: np.ndarray  # row-major cell at each point, read-only
     injective: bool  # no cell is reached twice
     covers: bool  # every cell of the tensor is reached
+    whole: bool  # ``flat`` is exactly 0, 1, ..., size - 1
 
 
 def _cells(access, pts, decl, nest_name, si) -> _Cells:
@@ -251,10 +266,13 @@ def _cells(access, pts, decl, nest_name, si) -> _Cells:
 
     flat = _flat_indices(access, pts, decl, nest_name, si)
     flat.flags.writeable = False
-    hit = np.zeros(math.prod(decl.shape), dtype=bool)
+    size = math.prod(decl.shape)
+    if flat.size == size and np.array_equal(flat, np.arange(size)):
+        return _Cells(flat, True, True, True)
+    hit = np.zeros(size, dtype=bool)
     hit[flat] = True
     reached = int(np.count_nonzero(hit))
-    return _Cells(flat, reached == flat.size, reached == hit.size)
+    return _Cells(flat, reached == flat.size, reached == size, False)
 
 
 def _flat_indices(access, pts, decl, nest_name, si):
@@ -281,13 +299,16 @@ def _flat_indices(access, pts, decl, nest_name, si):
     return flat
 
 
-def _check_written(mask, flat, pts, nest_name, si, verb, tensor):
-    """Raise PoisonRead naming the first point, in lexicographic order, that reads an unwritten cell."""
+def _check_written(mask, flat, box, nest_name, si, verb, tensor):
+    """Raise PoisonRead naming the first point, in lexicographic order, that reads an unwritten cell.
+
+    A missing ``mask`` means no cell of ``tensor`` is written.
+    """
     import numpy as np
 
-    read = mask[flat]
-    if not read.all():
-        point = _tuple(pts[int(np.argmin(read))])
+    row = 0 if mask is None else int(np.argmin(mask[flat]))
+    if mask is None or not mask[flat[row]]:
+        point = _tuple(_point_cache.points(box)[row])
         raise PoisonRead(
             f"nest '{nest_name}' statement {si}: {verb} unwritten cell of '{tensor}' at point {point}"
         )
@@ -305,11 +326,13 @@ def _apply_compute(opcode: str, args: list[np.ndarray]) -> np.ndarray:
     if opcode == "neg":
         return -args[0]
     if opcode == "identity":
-        return args[0].copy()
+        # no copy: no value in a nest's ``env`` is ever written in place
+        return args[0]
     raise InterpError(f"unknown opcode '{opcode}'")
 
 
-def _run_nest(nest, pts, decls, data, written, indices, full):
+def _run_nest(nest, decls, data, written, indices, full):
+    """Run one nest over its (non-empty) box, for every trial at once."""
     reads: set[str] = set()
     writes_to: set[str] = set()
     for stmt in nest.body:
@@ -329,49 +352,61 @@ def _run_nest(nest, pts, decls, data, written, indices, full):
         key = (access, nest.box, decl.shape)
         found = indices.get(key)
         if found is None:
-            found = indices[key] = _cells(access, pts, decl, nest.name, si)
+            found = indices[key] = _cells(access, _point_cache.points(nest.box), decl, nest.name, si)
         return found
+
+    def read(found, tensor, si, verb):
+        if tensor not in full:
+            _check_written(written.get(tensor), found.flat, nest.box, nest.name, si, verb, tensor)
+        return data[tensor] if found.whole else data[tensor][:, found.flat]
 
     env: dict[str, np.ndarray] = {}
     # per written tensor, (cells, values) of each writing statement in body order
     writes: dict[str, list[tuple[_Cells, np.ndarray]]] = {}
     for si, stmt in enumerate(nest.body):
         if isinstance(stmt, Load):
-            flat = cells(stmt.access, stmt.tensor, si).flat
-            if stmt.tensor not in full:
-                _check_written(written[stmt.tensor], flat, pts, nest.name, si, "load reads", stmt.tensor)
-            env[stmt.result] = data[stmt.tensor][:, flat]
+            env[stmt.result] = read(cells(stmt.access, stmt.tensor, si), stmt.tensor, si, "load reads")
         elif isinstance(stmt, Compute):
             env[stmt.result] = _apply_compute(stmt.opcode, [env[o] for o in stmt.operands])
         elif isinstance(stmt, Store):
             dst = cells(stmt.access, stmt.tensor, si)
             writes.setdefault(stmt.tensor, []).append((dst, env[stmt.value]))
         elif isinstance(stmt, Memcopy):
-            sflat = cells(nest.identity, stmt.src, si).flat
+            src = cells(nest.identity, stmt.src, si)
             dst = cells(nest.identity, stmt.dst, si)
-            if stmt.src not in full:
-                _check_written(written[stmt.src], sflat, pts, nest.name, si, "memcopy reads", stmt.src)
-            writes.setdefault(stmt.dst, []).append((dst, data[stmt.src][:, sflat]))
+            writes.setdefault(stmt.dst, []).append((dst, read(src, stmt.src, si, "memcopy reads")))
     for name, stmt_writes in writes.items():
+        buf = data[name]
         if len(stmt_writes) == 1 and stmt_writes[0][0].injective:
-            (flat, _, covers), vals = stmt_writes[0]
-            data[name][:, flat] = vals
-            if covers:
+            dst, vals = stmt_writes[0]
+            if dst.whole:
+                buf[...] = vals
+            else:
+                buf[:, dst.flat] = vals
+            if dst.covers:
                 full.add(name)
             elif name not in full:
-                written[name][flat] = True
+                mask = written.get(name)
+                if mask is None:
+                    import numpy as np
+
+                    mask = written[name] = np.zeros(buf.shape[1], dtype=bool)
+                mask[dst.flat] = True
         else:
-            _write_last(data[name], written[name], [(c.flat, v) for c, v in stmt_writes])
+            mask = _write_last(buf, written.get(name), [(c.flat, v) for c, v in stmt_writes])
+            if name not in full:
+                written[name] = mask
 
 
 def _write_last(buf, mask, stmt_writes):
-    """Give each written cell of ``buf`` the value of its last write.
+    """Give each written cell of ``buf`` the value of its last write; return ``mask`` with them marked.
 
     Writes are ordered by (point index, statement index): stacking each
     statement's points as a column and reading the rows in order lists them
     that way.  When some cell is hit more than once, a stable sort by cell
     keeps each cell's final write.  ``_run_nest`` sends only several
-    statements' writes, or one non-injective store's, this way.
+    statements' writes, or one non-injective store's, this way.  A missing
+    ``mask`` (no cell written yet) comes back as a new one.
     """
     import numpy as np
 
@@ -380,7 +415,7 @@ def _write_last(buf, mask, stmt_writes):
     else:
         flat = np.stack([f for f, _ in stmt_writes], axis=1).reshape(-1)
         vals = np.stack([v for _, v in stmt_writes], axis=2).reshape(buf.shape[0], -1)
-    hit = np.zeros_like(mask)
+    hit = np.zeros(buf.shape[1], dtype=bool)
     hit[flat] = True
     if np.count_nonzero(hit) != flat.size:
         order = np.argsort(flat, kind="stable")
@@ -389,7 +424,10 @@ def _write_last(buf, mask, stmt_writes):
         keep = order[last]
         flat, vals = flat[keep], vals[:, keep]
     buf[:, flat] = vals
+    if mask is None:
+        return hit
     mask |= hit
+    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +523,8 @@ def equivalent(p1: Program, p2: Program, trials: int = 5, seed: int = 0) -> Equi
             exc.side = side
             raise
     r1, r2 = results
-    names = sorted(r1.names())
+    # one comparison per output over all trials; only a differing one is walked
+    names = [n for n in sorted(r1.names()) if not np.array_equal(r1.array(n), r2.array(n))]
     for trial in range(trials):
         for name in names:
             a, b = r1.array(name)[trial], r2.array(name)[trial]

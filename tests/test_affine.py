@@ -37,7 +37,6 @@ from nestopt.affine import (
     UnrepresentableComposition,
     affine_map,
     build_unflatten_exprs,
-    classify,
     compose,
     const_expr,
     identity_map,
@@ -234,25 +233,25 @@ def test_compose_depth_overflow_is_unrepresentable():
 
 def test_classify_fixed_examples():
     i0, i1 = variables(2)
-    assert classify(transpose_map()) is MapClass.PERM_SHIFT
+    assert transpose_map().map_class is MapClass.PERM_SHIFT
     strided = affine_map(box((0, 4), (0, 4)), (2 * i0 + 1, i1))
-    assert classify(strided) is MapClass.STRIDED_EMBED
+    assert strided.map_class is MapClass.STRIDED_EMBED
     summed = affine_map(box((0, 2), (0, 2)), (i0 + i1,))
-    assert classify(summed) is MapClass.GENERAL
-    assert classify(flatten_map()) is MapClass.MIXED_RADIX
-    assert classify(unflatten_map()) is MapClass.MIXED_RADIX
+    assert summed.map_class is MapClass.GENERAL
+    assert flatten_map().map_class is MapClass.MIXED_RADIX
+    assert unflatten_map().map_class is MapClass.MIXED_RADIX
 
 
 def test_classify_reversal_is_strided():
     (i,) = variables(1)
     rev = affine_map(box((0, 6)), (5 - i,))
-    assert classify(rev) is MapClass.STRIDED_EMBED
+    assert rev.map_class is MapClass.STRIDED_EMBED
 
 
 def test_classify_three_digit_unflatten():
     exprs = build_unflatten_exprs(0, (2, 3, 4))
     m = affine_map(box((0, 24)), exprs)
-    assert classify(m) is MapClass.MIXED_RADIX
+    assert m.map_class is MapClass.MIXED_RADIX
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +368,7 @@ def _ref_reverse_general(m):
 def test_reverse_general_matches_reference_scan():
     from test_acceptance import _map_corpus
 
-    general = [m for m in _map_corpus(10_000, random.Random(20240501)) if classify(m) is MapClass.GENERAL]
+    general = [m for m in _map_corpus(10_000, random.Random(20240501)) if m.map_class is MapClass.GENERAL]
     assert len(general) == 3045
     i0, i1 = variables(2)
     large = box((0, 400), (0, 400))
@@ -513,7 +512,7 @@ def test_evaluation_matches_reference(m):
 @given(perm_shift_maps())
 @settings(max_examples=100)
 def test_perm_shift_classified_and_invertible(m):
-    assert classify(m) is MapClass.PERM_SHIFT
+    assert m.map_class is MapClass.PERM_SHIFT
     inv = reverse(m)
     assert isinstance(inv, SymbolicInverse)
     for p, v in ref_graph(m).items():
@@ -523,7 +522,7 @@ def test_perm_shift_classified_and_invertible(m):
 @given(strided_maps())
 @settings(max_examples=100)
 def test_strided_round_trip(m):
-    assert classify(m) in (MapClass.PERM_SHIFT, MapClass.STRIDED_EMBED)
+    assert m.map_class in (MapClass.PERM_SHIFT, MapClass.STRIDED_EMBED)
     inv = reverse(m)
     assert isinstance(inv, SymbolicInverse)
     for p, v in ref_graph(m).items():
@@ -617,7 +616,7 @@ def ref_reverse(m):
         exprs = tuple(const_expr(m.out_arity, 0) for _ in range(m.in_arity))
         img = LatticeImage(zeros, tuple(1 for _ in zeros), zeros)
         return SymbolicInverse(QuasiAffineMap(IntBox(zeros, zeros), exprs), img)
-    cls = classify(m)
+    cls = m.map_class
     if cls is MapClass.GENERAL:
         return reverse(m)  # the tabulating branch builds no expression
     img = image(m)
@@ -656,7 +655,7 @@ def ref_check_image_in_domain(inner, b):
         return
     if inner.out_arity != b.ndim:
         raise ArityMismatch("image arity != domain arity")
-    if classify(inner) is not MapClass.GENERAL:
+    if inner.map_class is not MapClass.GENERAL:
         bb = image(inner).bounding_box()
         inside = all(bl <= l and h <= bh for l, h, bl, bh in zip(bb.los, bb.his, b.los, b.his))
     elif inner.domain.cardinality <= affine_module.ENUMERATE_LIMIT:

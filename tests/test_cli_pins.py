@@ -1,0 +1,49 @@
+"""The one-shot CLI pins of ``golden/cli_pins.txt``, run in-process.
+
+CI runs the same rows as ``python -m nestopt`` processes; both read the one
+table, so a pin changes in one place.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from nestopt.cli import main
+
+PINS = Path(__file__).resolve().parent / "golden" / "cli_pins.txt"
+VERDICT = "equivalent: 5 trial(s), seed 0\n"
+
+
+def _rows():
+    lines = PINS.read_text(encoding="utf-8").splitlines()
+    return [line.split() for line in lines if line.strip() and not line.startswith("#")]
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_the_table_pins_every_gen_and_optimize_row_once():
+    rows = _rows()
+    assert {row[0] for row in rows} == {"gen", "optimize"}
+    assert all(len(row) == 5 for row in rows if row[0] == "gen")
+    assert all(len(row) > 6 for row in rows if row[0] == "optimize")
+    assert len({tuple(row) for row in rows}) == len(rows) == 9
+
+
+@pytest.mark.parametrize("row", _rows(), ids=lambda row: "-".join(p.lstrip("-") for p in row if len(p) < 64))
+def test_one_shot_output_matches_its_pin(row, tmp_path, capsys):
+    kind, benchmark, a, b, *pins = row
+    gen = tmp_path / "gen.ir"
+    assert main(["gen", benchmark, a, b, "--seed", "0", "-o", str(gen)]) == 0
+    if kind == "gen":
+        assert _sha256(gen) == pins[0]
+        return
+    ir_pin, report_pin, *passes = pins
+    out, report = tmp_path / "out.ir", tmp_path / "report.json"
+    assert main(["optimize", str(gen), *passes, "-o", str(out), "--report", str(report)]) == 0
+    assert (_sha256(out), _sha256(report)) == (ir_pin, report_pin)
+    capsys.readouterr()
+    assert main(["verify", str(gen), str(out)]) == 0
+    assert capsys.readouterr().out == VERDICT

@@ -687,6 +687,91 @@ def test_run_checks_poison_and_scans_for_repeats_only_where_it_must(monkeypatch)
     assert (checks, scans) == ([("rd", 0)], [])
 
 
+KEYS = """\
+tensor %x : 4x[2, 3] @dram input
+tensor %r : 4x[69] @dram input
+tensor %p : 4x[8] @dram input
+tensor %y : 4x[6] @dram output
+tensor %b : 4x[3, 2] @dram output
+tensor %q : 4x[69] @dram output
+tensor %h : 4x[4] @dram output
+
+nest flat kind=reshape (i0 in 0..2, i1 in 0..3) {
+  %v = load %x[i0, i1]
+  store %y[3*i0 + i1] = %v
+}
+
+nest tr kind=transpose (i0 in 0..2, i1 in 0..3) {
+  %v = load %x[i0, i1]
+  store %b[i1, i0] = %v
+}
+
+nest rev kind=copy (i0 in 0..69) {
+  %v = load %r[-i0 + 68]
+  store %q[i0] = %v
+}
+
+nest part kind=copy (i0 in 0..4) {
+  %v = load %p[i0]
+  store %h[i0] = %v
+}
+"""
+
+
+def test_whole_keys_are_exactly_the_accesses_of_every_cell_in_order():
+    from nestopt import interp
+
+    program = parse(KEYS)
+    assert validate(program) == []
+    decls = program.tensor_map
+    found = {}
+    for nest in program.nests:
+        pts = interp._point_cache.points(nest.box)
+        for si, stmt in enumerate(nest.body):
+            cells = interp._cells(stmt.access, pts, decls[stmt.tensor], nest.name, si)
+            found[nest.name, si] = (cells.whole, cells.injective, cells.covers)
+    assert found == {
+        ("flat", 0): (True, True, True),  # identity at the origin
+        ("flat", 1): (True, True, True),  # flatten into [6]
+        ("tr", 0): (True, True, True),
+        ("tr", 1): (False, True, True),  # transpose
+        ("rev", 0): (False, True, True),  # reversed
+        ("rev", 1): (True, True, True),
+        ("part", 0): (False, True, False),  # half of 'p'
+        ("part", 1): (True, True, True),
+    }
+    inputs = random_inputs(program, 3)
+    out = run(program, inputs)
+    x, r, p = (inputs.array(n) for n in ("x", "r", "p"))
+    assert np.array_equal(out.array("y"), x.reshape(-1)) and np.array_equal(out.array("b"), x.T)
+    assert np.array_equal(out.array("q"), r[::-1]) and np.array_equal(out.array("h"), p[:4])
+
+
+def test_run_whose_keys_all_hit_and_reads_are_all_full_builds_no_points(monkeypatch):
+    from nestopt import interp
+    from nestopt.bankmap import run_local_baseline
+
+    asked = []
+    points = interp._point_cache.points
+
+    def counting(box):
+        asked.append(box)
+        return points(box)
+
+    monkeypatch.setattr(interp._point_cache, "points", counting)
+    program = generate_resnet_analog(8, 3, seed=0)
+    for p in (program, run_local_baseline(program)[0], parse(MEMCOPY_FULL)):
+        inputs = random_inputs(p, 7)
+        memo = {}
+        first = run(p, inputs, _indices=memo)
+        # one point array per key missed, none for the keys that hit
+        assert 0 < len(asked) == len(memo) == len(_index_keys(p)[0])
+        asked.clear()
+        second = run(p, inputs, _indices=memo)
+        assert asked == []
+        assert all(np.array_equal(first.array(n), second.array(n)) for n in first.names())
+
+
 SHARED_ACCESS = """\
 tensor %x : 4x[8] @dram input
 tensor %u : 4x[8] @dram output

@@ -249,6 +249,56 @@ def test_overlapping_writes_match_reference(name):
         _assert_matches_reference(program, seed, trials=4)
 
 
+REWRITTEN_AFTER_A_WHOLE_READ = """\
+tensor %x : 4x[6] @dram input
+tensor %a : 4x[6] @sbuf
+tensor %b : 4x[6] @dram output
+tensor %c : 4x[6] @dram output
+
+nest n1 kind=elementwise (i0 in 0..6) {
+  %v = load %x[i0]
+  %w = neg %v
+  store %a[i0] = %w
+}
+
+nest n2 kind=elementwise (i0 in 0..6) {
+  %v = load %a[i0]
+  %w = identity %v
+  store %b[i0] = %w
+}
+
+nest n3 kind=other (i0 in 0..6, i1 in 0..2) {
+  %v = load %x[i0]
+  store %a[i0] = %v
+}
+
+nest n4 kind=copy (i0 in 0..6) {
+  memcopy %c <- %a
+}
+
+nest n5 kind=other (i0 in 0..6, i1 in 0..2) {
+  %v = load %x[i0]
+  %w = mul %v %v
+  store %a[i0] = %w
+}
+"""
+
+
+def test_whole_reads_and_writes_leave_no_buffer_shared():
+    # n2 reads all of 'a' through the identity and passes it on unchanged,
+    # and n4 copies all of it: both outputs must hold copies, since n3 and
+    # n5 then rewrite 'a' in place (each store reaches every cell twice)
+    program = parse(REWRITTEN_AFTER_A_WHOLE_READ)
+    assert validate(program) != []
+    for seed in range(3):
+        _assert_matches_reference(program, seed, trials=2)
+    inputs = random_inputs(program, 0)
+    x = inputs.array("x").copy()
+    out = run(program, inputs)
+    assert np.array_equal(out.array("b"), -x) and np.array_equal(out.array("c"), x)
+    assert np.array_equal(inputs.array("x"), x)
+
+
 def test_poisoned_program_raises_the_same_error_batched_or_not():
     program = parse(
         """\

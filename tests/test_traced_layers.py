@@ -18,7 +18,6 @@ EXPORTS = {
         "QuasiAffineExpr",
         "QuasiAffineMap",
         "affine_map",
-        "classify",
         "compose",
         "identity_map",
         "image",
