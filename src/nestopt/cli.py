@@ -18,7 +18,10 @@ written), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib
+import os
+import stat
 import sys
 from functools import cache
 from pathlib import Path
@@ -139,8 +142,32 @@ def _load_program(path: Path, parses: _CallMemo, bounds: dict) -> Program:
 
 
 def _write_text(path: Path, text: str) -> None:
+    """Write ``text`` over ``path`` in place, then cut a regular file to its length.
+
+    The file is opened without ``O_TRUNC``, so its mode, owner, inode and
+    hard links stay, a symlink is written through, and ext4 neither frees
+    the old blocks first nor starts writeback at close.  A special file
+    (``/dev/null``, a FIFO) is written but not truncated.  A write that fails
+    part-way leaves a regular file empty, never the new head on the old tail.
+    """
+    data = text.encode("utf-8")
+    regular = False
     try:
-        path.write_text(text, encoding="utf-8")
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            regular = stat.S_ISREG(os.fstat(fd).st_mode)
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+            if regular:
+                os.ftruncate(fd, len(data))
+        except OSError:
+            if regular:
+                with contextlib.suppress(OSError):
+                    os.ftruncate(fd, 0)
+            raise
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise SystemExit(f"nestopt: cannot write {path}: {exc.strerror}")
 

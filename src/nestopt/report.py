@@ -1,10 +1,9 @@
 """Machine-readable run reports, schema version 1.
 
-``REPORT_SCHEMA`` is the published contract for every document that
-``build_document`` returns, and ``validate_document`` checks a document
-against it.  ``build_document`` does not call it: the test suite validates
-every kind of document the CLI builds, so ``jsonschema`` is needed only to
-run the tests or to check a document from elsewhere.
+``REPORT_SCHEMA`` is the published contract, a JSON Schema (draft 2020-12),
+for every document that ``build_document`` returns.  Nothing here checks a
+document against it: the test suite validates every kind of document the CLI
+builds, so ``jsonschema`` is needed only to run the tests.
 
 ``document_text`` is the text the CLI writes for a document: exactly
 ``json.dumps(doc, indent=2)``, built without json's pure-Python encoder.
@@ -12,7 +11,6 @@ run the tests or to check a document from elsewhere.
 
 from __future__ import annotations
 
-from functools import cache
 from json.encoder import INFINITY as _INFINITY
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import TYPE_CHECKING, Any
@@ -22,8 +20,6 @@ from .ir import BankMapping
 from .traffic import TrafficReport, compare
 
 if TYPE_CHECKING:
-    import jsonschema
-
     from .bankmap import MappingReport
     from .dme import DmeResult
 
@@ -298,24 +294,3 @@ def build_document(
         },
     }
 
-
-@cache
-def _validator() -> jsonschema.Draft202012Validator:
-    """The schema is checked against its metaschema once, not per document.
-
-    ``jsonschema`` is imported here, not at module level, so that importing
-    this module does not need it.
-    """
-    import jsonschema
-
-    jsonschema.Draft202012Validator.check_schema(REPORT_SCHEMA)
-    return jsonschema.Draft202012Validator(REPORT_SCHEMA)
-
-
-def validate_document(doc: dict) -> None:
-    """Raise the error ``jsonschema.validate`` would pick if ``doc`` is invalid."""
-    from jsonschema.exceptions import best_match
-
-    error = best_match(_validator().iter_errors(doc))
-    if error is not None:
-        raise error

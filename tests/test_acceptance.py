@@ -38,9 +38,10 @@ from nestopt.dme import run_dme
 from nestopt.generators import generate_resnet_analog, generate_wavenet_analog
 from nestopt.interp import equivalent
 from nestopt.ir import validate
-from nestopt.report import validate_document
 from nestopt.textual import parse, print_program
 from nestopt.traffic import account
+
+from schema_check import validate_document
 
 
 def _pass(num: int, name: str, detail: str = "") -> None:

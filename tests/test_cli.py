@@ -1,12 +1,15 @@
 """CLI subcommands, exit codes, report documents."""
 
+import errno
 import hashlib
 import json
 import os
 import re
 import resource
+import stat
 import subprocess
 import sys
+import threading
 from importlib import resources
 from pathlib import Path
 from types import SimpleNamespace
@@ -19,8 +22,9 @@ import nestopt.textual
 from nestopt.cli import _build_parser, main
 from nestopt.interp import BUFFER_BYTES
 from nestopt.ir import Load, Memcopy, Store
-from nestopt.report import validate_document
 from nestopt.textual import parse
+
+from schema_check import validate_document
 
 
 def test_optimize_then_verify_roundtrip(tmp_path):
@@ -602,6 +606,108 @@ def test_unreadable_input_and_unwritable_output_exit_one(tmp_path, argv, message
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines() == [message]
     assert proc.stdout == ""
+
+
+# every command that writes a file, with {out} for the file it writes and
+# its other files in {dir}
+WRITERS = {
+    "gen -o": ["gen", "wavenet", "12", "2", "-o", "{out}"],
+    "optimize -o": ["optimize", "{dir}/w.ir", "--pass", "dme", "-o", "{out}"],
+    "optimize --report": ["optimize", "{dir}/w.ir", "--pass", "dme", "-o", "{dir}/o.ir", "--report", "{out}"],
+    "report --json": ["report", "{dir}/w.ir", "--json", "{out}"],
+}
+
+
+def _write_with(writer: str, tmp_path: Path, out) -> int:
+    if not (tmp_path / "w.ir").exists():
+        assert main(["gen", "wavenet", "12", "2", "-o", str(tmp_path / "w.ir")]) == 0
+    return main([a.format(dir=tmp_path, out=out) for a in WRITERS[writer]])
+
+
+def _fresh_output(writer: str, tmp_path: Path) -> bytes:
+    """What ``writer`` writes to a file that does not exist yet."""
+    fresh = tmp_path / "fresh"
+    assert _write_with(writer, tmp_path, fresh) == 0
+    return fresh.read_bytes()
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_each_writer_rewrites_a_longer_file_to_exactly_the_new_bytes(tmp_path, writer):
+    new = _fresh_output(writer, tmp_path)
+    out = tmp_path / "out"
+    out.write_bytes(b"#\n" * len(new))
+    assert _write_with(writer, tmp_path, out) == 0
+    assert out.read_bytes() == new
+
+
+def test_a_rewrite_keeps_the_inode_the_hard_links_and_the_mode(tmp_path):
+    new = _fresh_output("optimize -o", tmp_path)
+    out, link = tmp_path / "out", tmp_path / "link"
+    out.write_bytes(b"#\n" * len(new))
+    out.chmod(0o640)
+    os.link(out, link)
+    before = out.stat()
+    assert _write_with("optimize -o", tmp_path, out) == 0
+    after = out.stat()
+    assert (after.st_ino, after.st_nlink, stat.S_IMODE(after.st_mode)) == (before.st_ino, 2, 0o640)
+    assert link.read_bytes() == out.read_bytes() == new
+
+
+def test_a_symlink_output_is_written_through(tmp_path):
+    new = _fresh_output("optimize -o", tmp_path)
+    target, link = tmp_path / "target", tmp_path / "link"
+    target.write_bytes(b"#\n" * len(new))
+    link.symlink_to(target)
+    assert _write_with("optimize -o", tmp_path, link) == 0
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert target.read_bytes() == new
+
+
+@pytest.mark.parametrize("writer", ["optimize -o", "optimize --report"])
+def test_a_special_file_output_is_written_without_truncation(tmp_path, writer):
+    # ftruncate on /dev/null fails with EINVAL
+    assert _write_with(writer, tmp_path, os.devnull) == 0
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+def test_a_fifo_output_receives_every_byte(tmp_path):
+    new = _fresh_output("optimize -o", tmp_path)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert _write_with("optimize -o", tmp_path, fifo) == 0
+    reader.join(timeout=60)
+    assert received == [new]
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_a_write_that_fails_part_way_leaves_the_output_empty(tmp_path, writer, monkeypatch, capsys):
+    new = _fresh_output(writer, tmp_path)
+    out = tmp_path / "out"
+    out.write_bytes(b"#\n" * len(new))
+    target = out.stat().st_ino
+    real_write, partial = os.write, []
+
+    def write(fd, data):
+        """Write half of the first chunk to ``out``, then fail as a full disk does."""
+        if os.fstat(fd).st_ino != target:
+            return real_write(fd, data)
+        if partial:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        partial.append(real_write(fd, data[: len(data) // 2]))
+        return partial[0]
+
+    monkeypatch.setattr(os, "write", write)
+    capsys.readouterr()
+    assert _write_with(writer, tmp_path, out) == 1
+    monkeypatch.undo()
+    assert partial and partial[0] > 0
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"nestopt: cannot write {out}: No space left on device"]
+    assert "Traceback" not in err
+    assert out.read_bytes() == b""
 
 
 HALF_WRITTEN_T = """\

@@ -20,9 +20,10 @@ from nestopt.report import (
     build_document,
     dme_pass_entry,
     document_text,
-    validate_document,
 )
 from nestopt.traffic import account
+
+from schema_check import validate_document
 
 
 def test_dme_document_validates():
