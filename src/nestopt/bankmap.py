@@ -11,11 +11,12 @@ front of the first consumer that needs it.
 A local baseline assigns templates/defaults per operator with no
 propagation and pays a memcopy on every mismatched dependence edge.
 
-Transfers read access maps from the nest they cross through
-``ir.reads_of``/``ir.writes_of``, which give a memcopy its nest's identity
-map.  Both modes find each tensor's producer through ``ir.producers``, and
-both insert memcopies through the same rewrite; an inserted memcopy holds
-no map, only its two tensors.
+Every question of what a nest reads or writes goes to ``ir.accesses``:
+template slots, propagation tasks, requirements and readers.  A propagation
+task carries the load and store maps its transfer needs, so no round walks
+a body again.  Both modes find each tensor's producer through
+``ir.producers``, and both insert memcopies through the same rewrite; an
+inserted memcopy holds no map, only its two tensors.
 """
 
 from __future__ import annotations
@@ -41,10 +42,9 @@ from .ir import (
     Program,
     Statement,
     TensorDecl,
+    accesses,
     dependence_edges,
     producers,
-    reads_of,
-    writes_of,
 )
 
 
@@ -220,10 +220,7 @@ def _template_slots(
     if template is None:
         return {}, {}
     sides = []
-    for names, slots in (
-        (nest.read_tensors(), template.operands),
-        (nest.written_tensors(), template.results),
-    ):
+    for names, slots in zip(accesses(nest), (template.operands, template.results)):
         side = {}
         for tname, mapping in zip(names, slots):
             if mapping is None:
@@ -303,13 +300,13 @@ def transfer(
 
 
 def _nest_transfer(
-    nest: OperatorNest, operand: str, result: str, mapping: BankMapping, direction: str
+    load_maps: list[QuasiAffineMap], store_maps: list[QuasiAffineMap], mapping: BankMapping, direction: str
 ) -> BankMapping | None:
-    """Transfer through ``nest`` as a whole; None when blocked or ambiguous."""
+    """Transfer through a nest, from one tensor's load maps to another's store
+    maps, as a whole; None when blocked or ambiguous."""
     results = set()
-    write_maps = [m for t, m in writes_of(nest) if t == result]
-    for lm in (m for t, m in reads_of(nest) if t == operand):
-        for sm in write_maps:
+    for lm in load_maps:
+        for sm in store_maps:
             r = transfer(mapping, lm, sm, direction)
             if isinstance(r, Blocked):
                 return None
@@ -332,14 +329,17 @@ def propagate(
     the contributions; the join is commutative/associative/idempotent, so
     any task permutation yields the same fixpoint.
     """
-    tasks = [
-        (nest, direction, u, w)
-        for nest in program.nests
-        if nest.name not in seeded.anchored
-        for u in nest.read_tensors()
-        for w in nest.written_tensors()
-        for direction in ("forward", "backward")
-    ]
+    tasks = []
+    for nest in program.nests:
+        if nest.name in seeded.anchored:
+            continue
+        reads, writes = accesses(nest)
+        tasks += [
+            (direction, u, w, load_maps, store_maps)
+            for u, load_maps in reads.items()
+            for w, store_maps in writes.items()
+            for direction in ("forward", "backward")
+        ]
     if task_order is not None:
         tasks = [tasks[i] for i in task_order]
 
@@ -347,12 +347,12 @@ def propagate(
     updates = seeded.updates
     while True:
         contributions: list[tuple[str, BankMapping]] = []
-        for nest, direction, u, w in tasks:
+        for direction, u, w, load_maps, store_maps in tasks:
             src, dst = (u, w) if direction == "forward" else (w, u)
             val = values.get(src, UNKNOWN)
             if not isinstance(val, Exactly):
                 continue
-            carried = _nest_transfer(nest, u, w, val.mapping, direction)
+            carried = _nest_transfer(load_maps, store_maps, val.mapping, direction)
             if carried is not None:
                 contributions.append((dst, carried))
         new_values = dict(values)
@@ -408,11 +408,13 @@ def _nest_requirement(
         return req
     if nest.name in state.anchored:
         return None
-    for other in nest.read_tensors() if direction == "forward" else nest.written_tensors():
+    reads, writes = accesses(nest)
+    forward = direction == "forward"
+    for other, other_maps in (reads if forward else writes).items():
         val = state.values.get(other, UNKNOWN)
         if isinstance(val, Exactly):
-            operand, result = (other, tensor) if direction == "forward" else (tensor, other)
-            r = _nest_transfer(nest, operand, result, val.mapping, direction)
+            load_maps, store_maps = (other_maps, writes[tensor]) if forward else (reads[tensor], other_maps)
+            r = _nest_transfer(load_maps, store_maps, val.mapping, direction)
             if r is not None:
                 return r
     return None
@@ -518,7 +520,7 @@ def materialize(program: Program, state: MappingState) -> tuple[Program, Mapping
     producer = producers(program)
     readers: dict[str, list[int]] = {}
     for ni, nest in enumerate(program.nests):
-        for tname in nest.read_tensors():
+        for tname in accesses(nest)[0]:
             readers.setdefault(tname, []).append(ni)
     final: dict[str, BankMapping] = {}
     defaulted: list[str] = []

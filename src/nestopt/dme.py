@@ -112,6 +112,7 @@ class UseDefIndex:
         self._removed_tensors: set[str] = set()
         self._edited_nests: set[int] = set()
         for ni, nest in enumerate(program.nests):
+            # its own walk, not ``ir.accesses``: the index records each statement's position
             for si, stmt in enumerate(nest.body):
                 if isinstance(stmt, Load):
                     self.loads.setdefault(stmt.tensor, []).append((ni, si))
@@ -127,15 +128,6 @@ class UseDefIndex:
 
     def statement(self, pos: Position) -> Statement | None:
         return self.bodies[pos[0]][pos[1]]
-
-    def position_of(self, pair: CopyPair) -> Position:
-        """Position of ``pair``, whose store must be a statement of this program."""
-        for ni, nest in enumerate(self.program.nests):
-            if nest.name == pair.nest:
-                for si, stmt in enumerate(self.bodies[ni]):
-                    if stmt is pair.store and (ni, si) in self.pairs:
-                        return ni, si
-        raise ValueError(f"no copy pair with that store in nest '{pair.nest}'")
 
     def loads_of(self, tensor: str) -> list[Position]:
         """Loads reading ``tensor``, in program order."""
@@ -194,7 +186,12 @@ def try_eliminate_pair(program: Program, pair: CopyPair) -> tuple[Program, Elimi
     ``pair`` must be one of ``find_copy_pairs(program)``.
     """
     index = UseDefIndex(program)
-    record, _ = _eliminate(index, index.position_of(pair), {}, {})
+    for ni, si in index.pairs:  # in program order
+        if program.nests[ni].name == pair.nest and program.nests[ni].body[si] is pair.store:
+            break
+    else:
+        raise ValueError(f"no copy pair with that store in nest '{pair.nest}'")
+    record, _ = _eliminate(index, (ni, si), {}, {})
     return (index.to_program() if record.eliminated else program), record
 
 

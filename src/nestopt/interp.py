@@ -66,7 +66,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from .affine import IntBox, QuasiAffineMap
-from .ir import Compute, Load, Memcopy, Origin, Program, Store
+from .ir import Compute, Load, Memcopy, Origin, Program, Store, accesses
 
 if TYPE_CHECKING:
     import numpy as np
@@ -333,17 +333,8 @@ def _apply_compute(opcode: str, args: list[np.ndarray]) -> np.ndarray:
 
 def _run_nest(nest, decls, data, written, indices, full):
     """Run one nest over its (non-empty) box, for every trial at once."""
-    reads: set[str] = set()
-    writes_to: set[str] = set()
-    for stmt in nest.body:
-        if isinstance(stmt, Load):
-            reads.add(stmt.tensor)
-        elif isinstance(stmt, Store):
-            writes_to.add(stmt.tensor)
-        elif isinstance(stmt, Memcopy):
-            reads.add(stmt.src)
-            writes_to.add(stmt.dst)
-    clash = reads & writes_to
+    reads, writes_to = accesses(nest)
+    clash = reads.keys() & writes_to.keys()
     if clash:
         raise InterpError(f"nest '{nest.name}' reads tensors it writes: {sorted(clash)}")
 

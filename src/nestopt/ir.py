@@ -145,23 +145,6 @@ class OperatorNest:
         """The map of both sides of each memcopy in the body."""
         return identity_map(self.box)
 
-    def read_tensors(self) -> tuple[str, ...]:
-        """Tensors read, in first-reference order, deduplicated."""
-        seen: list[str] = []
-        for s in self.body:
-            name = s.tensor if isinstance(s, Load) else s.src if isinstance(s, Memcopy) else None
-            if name is not None and name not in seen:
-                seen.append(name)
-        return tuple(seen)
-
-    def written_tensors(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for s in self.body:
-            name = s.tensor if isinstance(s, Store) else s.dst if isinstance(s, Memcopy) else None
-            if name is not None and name not in seen:
-                seen.append(name)
-        return tuple(seen)
-
 
 @dataclass(frozen=True)
 class Program:
@@ -241,8 +224,7 @@ def validate(program: Program, *, _memo: dict | None = None) -> list[Violation]:
         if nest.box.magnitude > INT64_MAX:
             out.append(Violation(INT64_OVERFLOW, nest.name, None, "loop bounds leave int64"))
 
-        # the walk's own dispatch collects the nest's read and written
-        # tensors, each dict in first-reference order
+        # reads and writes from this walk, not ``accesses``: it visits every statement anyway
         reads: dict[str, None] = {}
         writes: dict[str, None] = {}
         defined: set[str] = set()
@@ -360,22 +342,25 @@ def _bounds_violation(escape: ImageEscape | str, nest: str, si: int, tname: str)
     return Violation("OutOfBoundsAccess", nest, si, message, escape.witness)
 
 
-def reads_of(nest: OperatorNest) -> Iterator[tuple[str, QuasiAffineMap]]:
-    """(tensor, access map) of each load and memcopy source in ``nest``, in body order."""
+Accesses = dict[str, list[QuasiAffineMap]]
+
+
+def accesses(nest: OperatorNest) -> tuple[Accesses, Accesses]:
+    """What ``nest`` reads (loads, memcopy sources) and writes (stores,
+    memcopy destinations): each a dict from tensor, in first-reference
+    order, to its access maps in body order; a memcopy's through the nest's
+    identity map.  Built on each call: kept on the nest, it slowed ``verify``."""
+    reads: Accesses = {}
+    writes: Accesses = {}
     for s in nest.body:
         if isinstance(s, Load):
-            yield s.tensor, s.access
+            reads.setdefault(s.tensor, []).append(s.access)
+        elif isinstance(s, Store):
+            writes.setdefault(s.tensor, []).append(s.access)
         elif isinstance(s, Memcopy):
-            yield s.src, nest.identity
-
-
-def writes_of(nest: OperatorNest) -> Iterator[tuple[str, QuasiAffineMap]]:
-    """(tensor, access map) of each store and memcopy destination in ``nest``, in body order."""
-    for s in nest.body:
-        if isinstance(s, Store):
-            yield s.tensor, s.access
-        elif isinstance(s, Memcopy):
-            yield s.dst, nest.identity
+            reads.setdefault(s.src, []).append(nest.identity)
+            writes.setdefault(s.dst, []).append(nest.identity)
+    return reads, writes
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +378,7 @@ def producers(program: Program) -> dict[str, int]:
     """Each written tensor -> index of the first nest that writes it."""
     first: dict[str, int] = {}
     for ni, nest in enumerate(program.nests):
-        for tname in nest.written_tensors():
+        for tname in accesses(nest)[1]:
             first.setdefault(tname, ni)
     return first
 
@@ -405,7 +390,7 @@ def dependence_edges(program: Program) -> list[DependenceEdge]:
     producer = producers(program)
     edges: list[DependenceEdge] = []
     for ri, nest in enumerate(program.nests):
-        for tname in nest.read_tensors():
+        for tname in accesses(nest)[0]:
             p = producer.get(tname)
             if p is not None and p < ri:
                 edges.append(DependenceEdge(program.nests[p].name, nest.name, tname))
@@ -441,11 +426,4 @@ def find_copy_pairs(program: Program) -> list[CopyPair]:
 
 def is_pure_copy_nest(nest: OperatorNest) -> bool:
     """Body is exactly one load feeding one store."""
-    if len(nest.body) != 2:
-        return False
-    first, second = nest.body
-    return (
-        isinstance(first, Load)
-        and isinstance(second, Store)
-        and second.value == first.result
-    )
+    return len(nest.body) == 2 and list(copy_pair_slots(nest.body)) == [(0, 1)]

@@ -37,7 +37,7 @@ from nestopt.cli import main
 from nestopt.dme import run_dme
 from nestopt.generators import generate_resnet_analog, generate_wavenet_analog
 from nestopt.interp import equivalent
-from nestopt.ir import validate
+from nestopt.ir import accesses, validate
 from nestopt.textual import parse, print_program
 from nestopt.traffic import account
 
@@ -246,9 +246,8 @@ def test_criterion_6_fixpoint_order_independence():
     seeded = seed_anchors(program, AnchorRegistry.default())
     baseline = propagate(program, seeded)
     ntasks = sum(
-        2 * len(n.read_tensors()) * len(n.written_tensors())
-        for n in program.nests
-        if n.name not in seeded.anchored
+        2 * len(reads) * len(writes)
+        for reads, writes in (accesses(n) for n in program.nests if n.name not in seeded.anchored)
     )
     rng = random.Random(99)
     for trial in range(100):

@@ -25,7 +25,7 @@ from nestopt.bankmap import (
 from nestopt.dme import UseDefIndex, run_dme
 from nestopt.generators import generate_resnet_analog, generate_wavenet_analog
 from nestopt.interp import equivalent
-from nestopt.ir import BankMapping, BankPolicy, IntBox, OnChip, validate
+from nestopt.ir import BankMapping, BankPolicy, IntBox, OnChip, accesses, validate
 from nestopt.report import bankmap_pass_entry
 from nestopt.textual import parse, print_program
 
@@ -615,9 +615,8 @@ def test_fixpoint_independent_of_task_order():
     seeded = seed_anchors(program, AnchorRegistry.default())
     baseline = propagate(program, seeded)
     ntasks = sum(
-        2 * len(n.read_tensors()) * len(n.written_tensors())
-        for n in program.nests
-        if n.name not in seeded.anchored
+        2 * len(reads) * len(writes)
+        for reads, writes in (accesses(n) for n in program.nests if n.name not in seeded.anchored)
     )
     rng = random.Random(0)
     for _ in range(20):
@@ -685,9 +684,8 @@ def test_anchor_preservation_after_materialize(blocks, transposes):
         template = registry.templates.get(nest.kind)
         if template is None:
             continue
-        slots = list(zip(nest.read_tensors(), template.operands)) + list(
-            zip(nest.written_tensors(), template.results)
-        )
+        reads, writes = accesses(nest)
+        slots = list(zip(reads, template.operands)) + list(zip(writes, template.results))
         for tname, required in slots:
             if required is None:
                 continue

@@ -23,6 +23,7 @@ from nestopt.cli import _build_parser, main
 from nestopt.interp import BUFFER_BYTES
 from nestopt.ir import Load, Memcopy, Store
 from nestopt.textual import parse
+from nestopt.traffic import account
 
 from schema_check import validate_document
 
@@ -100,6 +101,28 @@ def test_report_on_empty_program(tmp_path):
     assert t["off_chip_bytes"] == 0
     assert t["on_chip_copy_bytes"] == 0
     assert doc["traffic"]["after"] is None
+
+
+@pytest.mark.parametrize("switch", ["count_all_onchip", "interbank_via_dram"])
+def test_traffic_switches_give_the_traffic_account_gives(tmp_path, switch):
+    """``optimize --report`` and ``report --json`` with a traffic switch hold
+    the traffic that ``account`` gives with its keyword set, on the local
+    bank-mapped output of resnet 8, whose 23 memcopies the switches count."""
+    gen, local = tmp_path / "gen.ir", tmp_path / "local.ir"
+    optimized, reported = tmp_path / "optimize.json", tmp_path / "report.json"
+    flag = "--" + switch.replace("_", "-")
+    assert main(["gen", "resnet", "8", "3", "--seed", "0", "-o", str(gen)]) == 0
+    argv = ["optimize", str(gen), "--pass", "bankmap", "--mode", "local", flag]
+    assert main([*argv, "-o", str(local), "--report", str(optimized)]) == 0
+    assert main(["report", str(local), "--json", str(reported), flag]) == 0
+    program = parse(local.read_text())
+    expected = account(program, **{switch: True}).to_json()
+    assert expected["memcopies_inserted"] == 23
+    assert expected != account(program).to_json()
+    traffic = json.loads(optimized.read_text())["traffic"]
+    assert traffic["before"] == account(parse(gen.read_text()), **{switch: True}).to_json()
+    assert traffic["after"] == expected
+    assert json.loads(reported.read_text())["traffic"]["before"] == expected
 
 
 PIPELINES = {

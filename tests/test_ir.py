@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from nestopt.ir import (
     Store,
     TensorDecl,
     Violation,
+    accesses,
     dependence_edges,
     find_copy_pairs,
     is_pure_copy_nest,
@@ -458,16 +460,40 @@ def test_dependence_edges_single_nest():
     assert dependence_edges(parse(TRANSPOSE_SRC)) == []
 
 
+def _ref_accesses(nest):
+    """``accesses(nest)`` rebuilt one statement side at a time: the (tensor,
+    map) of each side in body order, then grouped by tensor in first-reference
+    order.  A memcopy's sides take a fresh identity map of the nest box."""
+    sides = ([], [])  # reads, writes
+    for stmt in nest.body:
+        if isinstance(stmt, Load):
+            sides[0].append((stmt.tensor, stmt.access))
+        elif isinstance(stmt, Store):
+            sides[1].append((stmt.tensor, stmt.access))
+        elif isinstance(stmt, Memcopy):
+            sides[0].append((stmt.src, identity_map(nest.box)))
+            sides[1].append((stmt.dst, identity_map(nest.box)))
+    grouped = []
+    for side in sides:
+        names = []
+        for tname, _ in side:
+            if tname not in names:
+                names.append(tname)
+        grouped.append({t: [m for name, m in side if name == t] for t in names})
+    return tuple(grouped)
+
+
 def _ref_dependence_edges(program):
     """The walk over the nests that ``dependence_edges`` replaced."""
     producer_of = {}
     edges = []
     for nest in program.nests:
-        for tname in nest.read_tensors():
+        reads, writes = _ref_accesses(nest)
+        for tname in reads:
             p = producer_of.get(tname)
             if p is not None and p != nest.name:
                 edges.append(DependenceEdge(p, nest.name, tname))
-        for tname in nest.written_tensors():
+        for tname in writes:
             producer_of.setdefault(tname, nest.name)
     return edges
 
@@ -490,8 +516,9 @@ def test_dependence_edges_and_index_queries_match_reference_walk():
         memcopy_edges += sum(e.consumer.startswith("bankfix_") for e in edges)
         producer = producers(program)
         index = UseDefIndex(program)
+        written = [_ref_accesses(n)[1] for n in program.nests]
         for t in program.tensors:
-            writers = [ni for ni, n in enumerate(program.nests) if t.name in n.written_tensors()]
+            writers = [ni for ni, w in enumerate(written) if t.name in w]
             loads = [
                 (ni, si)
                 for ni, n in enumerate(program.nests)
@@ -501,6 +528,56 @@ def test_dependence_edges_and_index_queries_match_reference_walk():
             assert producer.get(t.name) == (writers[0] if writers else None)
             assert list(index.loads_of(t.name)) == loads
     assert memcopy_edges > 0
+
+
+# one nest that reads a tensor, and writes another, through two maps each
+TWICE_SRC = """\
+tensor %a : 4x[4] @dram input
+tensor %b : 4x[4] @dram output
+
+nest twice kind=elementwise (i0 in 0..2) {
+  %u = load %a[i0 + 2]
+  %v = load %a[i0]
+  store %b[i0] = %u
+  store %b[i0 + 2] = %v
+}
+"""
+
+
+def _accesses_corpus():
+    """``TWICE_SRC``, ``tests/golden/``, the north star's four programs at
+    seed 0, and the DME, global and local bank-mapping outputs of each of
+    the four."""
+    golden = sorted((Path(__file__).resolve().parent / "golden").glob("*.ir"))
+    programs = [parse(TWICE_SRC)] + [parse(path.read_text(encoding="utf-8")) for path in golden]
+    for program in (
+        generate_wavenet_analog(124, 12, seed=0),
+        generate_wavenet_analog(1000, 100, seed=0),
+        generate_resnet_analog(8, 3, seed=0),
+        generate_resnet_analog(128, 3, seed=0),
+    ):
+        programs += [
+            program,
+            run_dme(program).program,
+            run_global_mapping(program)[0],
+            run_local_baseline(program)[0],
+        ]
+    return programs
+
+
+def test_accesses_match_a_per_statement_reference():
+    memcopies = shared = 0
+    for program in _accesses_corpus():
+        for nest in program.nests:
+            got = accesses(nest)
+            want = _ref_accesses(nest)
+            # dicts compare equal in any order: compare their items in order
+            assert [list(side.items()) for side in got] == [list(side.items()) for side in want], nest.name
+            memcopies += sum(isinstance(s, Memcopy) for s in nest.body)
+            shared += sum(len(maps) > 1 for side in got for maps in side.values())
+    # memcopies come from the bank-mapped outputs, shared tensors from TWICE_SRC
+    assert memcopies > 0
+    assert shared > 0
 
 
 def test_find_copy_pairs_transpose():
